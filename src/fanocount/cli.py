@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from . import conics, invariants, planes
@@ -107,6 +108,9 @@ def run(request: CommandRequest) -> ResultEnvelope:
     """Dispatch one envelope-producing subcommand."""
     envelope = ResultEnvelope(inputs=_echo_inputs(request))
     sub = request.subcommand
+    if sub in ("planes", "conics") and len(request.degrees) != 1:
+        raise RegimeError("hypersurface-only",
+                          f"{sub} takes a single degree, got {request.degrees}")
 
     if sub == "planes":
         d, r, k = request.degrees[0], request.r, request.k
@@ -191,6 +195,12 @@ def run(request: CommandRequest) -> ResultEnvelope:
 # anchor regression
 # ---------------------------------------------------------------------------
 
+# (label, SurfaceInvariants attribute, key of the expected values) per anchor
+_SURFACE_ANCHORS = (("deg", "deg_f", "deg"), ("c2 integral", "c2_integral", "c2"),
+                    ("A", "a_coeff", "A"), ("B", "b_coeff", "B"), ("e", "euler", "e"),
+                    ("K^2", "k_delta", "K2"), ("chi(O)", "chi_o", "chi"))
+
+
 def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     """The fixed checklist of published values: one entry per line of the
     regression report."""
@@ -199,22 +209,12 @@ def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     def surface_family(label: str, degrees: tuple[int, ...], r: int,
                        expected: dict[str, int]) -> None:
         spec = ProblemSpec(degrees, r, expected.pop("_k", 1))
-        checks.extend([
-            (f"{label}: deg", lambda: invariants.surface_invariants(spec).deg_f,
-             expected["deg"]),
-            (f"{label}: c2 integral", lambda: invariants.surface_invariants(spec).c2_integral,
-             expected["c2"]),
-            (f"{label}: A", lambda: invariants.surface_invariants(spec).a_coeff,
-             expected["A"]),
-            (f"{label}: B", lambda: invariants.surface_invariants(spec).b_coeff,
-             expected["B"]),
-            (f"{label}: e", lambda: invariants.surface_invariants(spec).euler,
-             expected["e"]),
-            (f"{label}: K^2", lambda: invariants.surface_invariants(spec).k_delta,
-             expected["K2"]),
-            (f"{label}: chi(O)", lambda: invariants.surface_invariants(spec).chi_o,
-             expected["chi"]),
-        ])
+        # one invariant computation per family; a failed one is not cached,
+        # so each anchor of the family reports the exception as its FAIL line
+        report = cache(lambda: invariants.surface_invariants(spec))
+        checks.extend(
+            (f"{label}: {name}", lambda attr=attr: getattr(report(), attr), expected[key])
+            for name, attr, key in _SURFACE_ANCHORS)
 
     surface_family("lines on cubic threefolds", (3,), 4,
                    {"deg": 45, "c2": 27, "A": 6, "B": -9, "e": 27, "K2": 45, "chi": 6})

@@ -16,10 +16,13 @@ d - 2 -- with one caveat that matters for fixed-point sums: the conic
 equation is only well defined up to scale, so the sub-bundle is twisted by
 the tautological line of the P^5 fiber.  The 3-variable form ``eta_form``
 ignores that twist (the twist contributes nothing when the fiber class is
-suppressed); the 4-variable form ``eta_form_twisted`` keeps it, and is what
-the torus fixed-point sum must use.  The dispatcher validates the sum by
-recomputing at a second weight assignment and, for quartic surfaces, halves
-the result (the general quartic surface in the locus carries two conics).
+suppressed); the 4-variable form ``eta_form_twisted`` keeps it.  The torus
+fixed-point sums never expand these forms: the integer kernel
+``planes._top_chern`` gives their value at each fixed point, and the forms
+remain as the references the tests check it against.  The dispatcher
+validates the sum by recomputing at a second weight assignment and, for
+quartic surfaces, halves the result (the general quartic surface in the
+locus carries two conics).
 
 ``conic_factor_report`` documents, with exact numbers, why the untwisted
 per-plane shortcut and the once-published closed form -(5/32) C(r+1,3)
@@ -34,11 +37,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import DEFAULT_SEED, TorusWeights, WeightsLike, _weight_tuple
+from .planes import DEFAULT_SEED, TorusWeights, WeightsLike, _roots, _top_chern, _weight_tuple
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -246,30 +249,9 @@ class BottSum(NamedTuple):
     is_integral: bool
 
 
-def _local_top_chern(d: int, n: int, roots: Sequence[Fraction], shift: Fraction) -> Fraction:
-    """Value of the twisted top Chern form at one fixed point, computed as the
-    degree-n coefficient of a univariate series: substitute a grading variable
-    for total degree, so each root contributes a factor (1 + root*Z).
-
-    ``roots`` are the three Chern-root values and ``shift`` the value of the
-    fiber hyperplane class; the divisor roots are <w, roots> - shift.
-    This equals eta_form_twisted(d, r).evaluate((*roots, shift)) but costs
-    O((2d+1) * n) scalar operations per fixed point instead of a large
-    4-variable expansion.
-    """
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    for v in weight_vectors(3, d):
-        root = sum(Fraction(v[a]) * roots[a] for a in range(3))
-        for j in range(n, 0, -1):
-            coeffs[j] += root * coeffs[j - 1]
-    if d > 2:
-        for w in weight_vectors(3, d - 2):
-            root = sum(Fraction(w[a]) * roots[a] for a in range(3)) - shift
-            # divide by (1 + root*Z): forward recurrence
-            for j in range(1, n + 1):
-                coeffs[j] -= root * coeffs[j - 1]
-    return coeffs[n]
+def _eta(d: int, r: int, point: Sequence[ExactScalar]) -> ExactScalar:
+    """``eta_form(d, r).evaluate(point)``, by the integer kernel."""
+    return _top_chern(3 * r - 1, _roots(d, point), _roots(d - 2, point))
 
 
 def _check_conic_degree_regime(d: int, r: int) -> None:
@@ -285,7 +267,6 @@ def _check_conic_degree_regime(d: int, r: int) -> None:
             f"epsilon({d},{r}) = {problem.epsilon} < 0: conics move in positive-"
             "dimensional families and the locus degree is undefined")
     # epsilon > 0 is exactly rank(E_d) = 2d+1 > 3r-1 = dim of the parameter space
-    assert 2 * d + 1 > 3 * r - 1
 
 
 def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
@@ -293,7 +274,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
 
     For each fixed conic (plane I = {i, j, k}, equation x_a x_b = 0):
 
-    * local Chern contribution: the twisted top form at Chern-root values
+    * local Chern contribution: ``eta_form_twisted`` at Chern-root values
       (-t_i, -t_j, -t_k) and fiber class value t_a + t_b;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
       times prod over the five pairs {p, q} != {a, b} of
@@ -309,21 +290,15 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     n = 3 * r - 1
     total = Fraction(0)
     for plane in combinations(range(r + 1), 3):
-        roots = tuple(-Fraction(weights[i]) for i in plane)
-        outside = [Fraction(weights[j]) for j in range(r + 1) if j not in plane]
-        grass = Fraction(1)
-        for i in plane:
-            for tb in outside:
-                grass *= tb - Fraction(weights[i])
-        pairs = list(combinations_with_replacement(plane, 2))
-        pair_sums = [Fraction(weights[a]) + Fraction(weights[b]) for a, b in pairs]
-        for idx in range(6):
-            shift = pair_sums[idx]
-            euler = grass
-            for jdx in range(6):
-                if jdx != idx:
-                    euler *= shift - pair_sums[jdx]
-            total += _local_top_chern(d, n, roots, shift) / euler
+        point = [-weights[i] for i in plane]
+        roots, divisors = _roots(d, point), _roots(d - 2, point)
+        outside = [weights[j] for j in range(r + 1) if j not in plane]
+        grass = prod(tb - weights[i] for i in plane for tb in outside)
+        pair_sums = [weights[a] + weights[b]
+                     for a, b in combinations_with_replacement(plane, 2)]
+        for shift in pair_sums:   # the six sums are distinct, checked above
+            euler = grass * prod(shift - s for s in pair_sums if s != shift)
+            total += Fraction(_top_chern(n, roots, [b - shift for b in divisors]), euler)
     return BottSum(value=total, is_integral=total.denominator == 1)
 
 
@@ -343,20 +318,16 @@ def deg_conics_untwisted_sum(d: int, r: int, t: WeightsLike) -> Fraction:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=False)
-    eta = eta_form(d, r)
     total = Fraction(0)
     for plane in combinations(range(r + 1), 3):
-        tvals = [Fraction(weights[i]) for i in plane]
-        eta_value = Fraction(eta.evaluate(tvals))
+        tvals = [weights[i] for i in plane]
+        eta_value = _eta(d, r, tvals)
         base = (tvals[0] * tvals[1] * tvals[2]) ** (r - 2)
-        pairs = list(combinations_with_replacement(plane, 2))
-        pair_sums = [Fraction(weights[a]) + Fraction(weights[b]) for a, b in pairs]
+        pair_sums = [weights[a] + weights[b]
+                     for a, b in combinations_with_replacement(plane, 2)]
         for idx in range(6):
-            denom = base
-            for jdx in range(6):
-                if jdx != idx:
-                    denom *= pair_sums[jdx]
-            total += eta_value / denom
+            denom = base * prod(pair_sums[:idx] + pair_sums[idx + 1:])
+            total += Fraction(eta_value, denom)
     return -total
 
 
@@ -409,8 +380,7 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
     if (d, r) == (4, 3):
         raise RegimeError("halving-case",
                           "the closed form excludes (4, 3), where the count halves")
-    eta_ones = Fraction(eta_form(d, r).evaluate((1, 1, 1)))
-    value = -Fraction(5, 32) * comb(r + 1, 3) * eta_ones
+    value = -Fraction(5, 32) * comb(r + 1, 3) * _eta(d, r, (1, 1, 1))
     reference = Fraction(deg_conics(d, r, seed=seed))
     return ClosedFormComparison(
         value=value,
@@ -429,7 +399,7 @@ def conic_factor_report(seed: int = DEFAULT_SEED) -> str:
     of the untwisted sum at unit weights produces.
     """
     d, r = 4, 3
-    eta_ones = Fraction(eta_form(d, r).evaluate((1, 1, 1)))
+    eta_ones = _eta(d, r, (1, 1, 1))
     planes_count = comb(r + 1, 3)
     twisted = deg_conics_bott(d, r, generic_conic_weights(r, seed))
     halved = deg_conics(d, r, seed=seed)
@@ -461,7 +431,7 @@ def conic_factor_report(seed: int = DEFAULT_SEED) -> str:
     ]
 
     extra_d, extra_r = 5, 3
-    eta_ones_2 = Fraction(eta_form(extra_d, extra_r).evaluate((1, 1, 1)))
+    eta_ones_2 = _eta(extra_d, extra_r, (1, 1, 1))
     comparison = deg_conics_closed(extra_d, extra_r, seed=seed)
     lines += [
         "",

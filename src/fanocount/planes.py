@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -200,7 +201,8 @@ def tau_poly(d: int, r: int, k: int) -> MultiPoly:
     prod_{|v| = d} (1 + v_0 x_0 + ... + v_k x_k) in k+1 variables.
 
     Symmetric in the variables.  The codimension gate (gamma > 0, d >= 3)
-    belongs to the degree computations, not to the form itself.
+    belongs to the degree computations, not to the form itself.  Only tests
+    expand it, as the reference for the kernel :func:`deg_planes_bott` uses.
     """
     if d < 1:
         raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
@@ -248,10 +250,34 @@ def deg_planes_dm(d: int, r: int, k: int) -> int:
     return value
 
 
+def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
+    """Values <v, point>, |v| = d: the Chern roots of the d-th symmetric power
+    of a bundle whose Chern roots take the values ``point``."""
+    return [sum(map(mul, v, point)) for v in weight_vectors(len(point), d)]
+
+
+def _top_chern(n: int, roots: Sequence[ExactScalar],
+               divisors: Sequence[ExactScalar]) -> ExactScalar:
+    """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
+    a top Chern form at one torus-fixed point.  One truncated forward pass per
+    factor; each divisor has constant term 1, so int values stay int."""
+    coeffs = [1] + [0] * n
+    for a in roots:
+        for j in range(n, 0, -1):
+            coeffs[j] += a * coeffs[j - 1]
+    for b in divisors:
+        for j in range(1, n + 1):
+            coeffs[j] -= b * coeffs[j - 1]
+    return coeffs[n]
+
+
 def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
     """The same degree as :func:`deg_planes_dm`, by the torus fixed-point sum
 
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
+
+    tau (:func:`tau_poly`) is never expanded: the integer kernel ``_top_chern``
+    gives its value at each fixed point, which adds one exact ``Fraction``.
 
     Each term is a rational function of the weights but the sum is a constant
     positive integer; any other outcome raises :class:`InconsistencyError`.
@@ -260,17 +286,13 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
     weights = _weight_tuple(t, r)
     if len(set(weights)) != len(weights):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {weights}")
-    tau = tau_poly(d, r, k)
+    n = (k + 1) * (r - k)
     total = Fraction(0)
     for subset in fixed_planes(r, k):
-        numerator = tau.evaluate([weights[i] for i in subset])
-        denominator: ExactScalar = 1
-        inside = set(subset)
-        for i in subset:
-            for j in range(r + 1):
-                if j not in inside:
-                    denominator *= weights[i] - weights[j]
-        total += Fraction(numerator) / Fraction(denominator)
+        roots = _roots(d, [weights[i] for i in subset])
+        denominator = prod(weights[i] - weights[j]
+                           for i in subset for j in range(r + 1) if j not in subset)
+        total += Fraction(_top_chern(n, roots, ()), denominator)
     if total.denominator != 1 or total <= 0:
         raise InconsistencyError(
             f"fixed-point sum for Sigma({d},{r},{k}) is {total}; expected a positive "
@@ -378,7 +400,9 @@ def _fano_extraction(spec: ProblemSpec, extra: MultiPoly) -> int:
     bound = _extraction_bound(r, k)
     # degree bookkeeping: Q*extra*V is homogeneous of exactly the target degree
     q_degree = sum(comb(d + k, k) for d in spec.degrees)
-    assert q_degree + extra.total_degree() + k * (k + 1) // 2 == bound
+    if q_degree + extra.total_degree() + k * (k + 1) // 2 != bound:
+        raise InconsistencyError(f"extra factor of degree {extra.total_degree()} misses "
+                                 f"the target degree {bound} for {spec}")
     acc = vandermonde(k).mul(extra, bound=bound)
     for factor in _q_factors(spec):
         acc = acc.mul(factor, bound=bound)

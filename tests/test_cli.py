@@ -159,6 +159,48 @@ def test_paper_check_detects_perturbation(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_paper_check_computes_invariants_once_per_family(capsys, monkeypatch):
+    import fanocount.invariants as invariants_module
+    original = invariants_module.surface_invariants
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(invariants_module, "surface_invariants", counted)
+    assert paper_check() is True
+    assert len(calls) == 4
+
+
+def test_paper_check_reports_a_crashing_family_once_per_anchor(capsys, monkeypatch):
+    import fanocount.invariants as invariants_module
+    original = invariants_module.surface_invariants
+
+    def crashing(spec):
+        if spec.degrees == (2, 2):
+            raise RuntimeError("boom")
+        return original(spec)
+
+    monkeypatch.setattr(invariants_module, "surface_invariants", crashing)
+    assert paper_check() is False
+    out = capsys.readouterr().out
+    assert out.count("FAIL  lines on two quadrics in P^5: ") == 7
+    assert "raised RuntimeError: boom" in out
+    assert "24 passed, 7 failed (of 31 anchor checks)" in out
+
+
+@pytest.mark.parametrize("argv", [("planes", "--d", "4,5", "--r", "3", "--k", "1"),
+                                  ("conics", "--d", "4,5", "--r", "3")])
+def test_multi_degree_hypersurface_command_is_regime_error(capsys, argv):
+    # only a single degree is meaningful; the rest used to be dropped silently
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "regime-error" and payload["results"] == {}
+    assert "regime error: hypersurface-only:" in err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

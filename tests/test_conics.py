@@ -175,13 +175,47 @@ def test_twisted_eta_matches_dense_oracle():
 
 def test_twisted_eta_agrees_with_local_series_route():
     # the per-fixed-point univariate evaluation must equal the symbolic form
-    from fanocount.conics import _local_top_chern
+    from fanocount.planes import _roots, _top_chern
     twisted = eta_form_twisted(4, 3)
     rng = random.Random(4)
     for _ in range(5):
         roots = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
         shift = Fraction(rng.randint(1, 12), rng.randint(1, 3))
-        assert _local_top_chern(4, 8, roots, shift) == twisted.evaluate((*roots, shift))
+        divisors = [b - shift for b in _roots(2, roots)]
+        assert _top_chern(8, _roots(4, roots), divisors) == twisted.evaluate((*roots, shift))
+
+
+def test_kernel_at_shift_zero_is_eta():
+    # shift 0 drops the twist: the kernel reproduces eta(1,1,1) and eta_form
+    from fanocount.planes import _roots, _top_chern
+    for (d, r), expected in sorted(ETA_ONES.items()):
+        assert _top_chern(3 * r - 1, _roots(d, (1, 1, 1)), _roots(d - 2, (1, 1, 1))) == expected
+    eta = eta_form(4, 3)
+    rng = random.Random(8)
+    for _ in range(5):
+        point = [rng.randint(-30, 30) for _ in range(3)]
+        assert _top_chern(8, _roots(4, point), _roots(2, point)) == eta.evaluate(point)
+
+
+def test_fixed_point_sums_never_expand_symbolic_forms(monkeypatch):
+    # the Bott routes evaluate every top Chern value through the integer kernel
+    import fanocount.conics as conics_module
+    import fanocount.planes as planes_module
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a fixed-point sum reached a symbolic form or the polynomial fold")
+
+    for module, name in [(planes_module, "tau_poly"), (conics_module, "eta_form"),
+                         (conics_module, "eta_form_twisted"),
+                         (conics_module, "chern_Ed_series")]:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
+    monkeypatch.setattr(MultiPoly, "mul", forbidden)
+    assert planes_module.deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
+    assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).value == 5016
+    assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
+    assert deg_conics_closed(5, 3).value == -Fraction(5, 32) * comb(4, 3) * ETA_ONES[(5, 3)]
+    assert "anchor reproduced                           : True" in conic_factor_report()
 
 
 # ---------------------------------------------------------------------------

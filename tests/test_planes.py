@@ -1,4 +1,9 @@
+import random
+from itertools import count
+from math import comb
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanocount.errors import InconsistencyError, RegimeError, SingularWeightsError
 from fanocount.planes import (
@@ -87,6 +92,17 @@ def test_tau_symmetric_under_swap():
     assert tau.permute_variables([1, 0]) == tau
 
 
+@pytest.mark.parametrize("d,r,k", [(4, 3, 1), (3, 5, 2), (3, 7, 3)])
+def test_kernel_matches_tau_poly(d, r, k):
+    # the Bott route's integer kernel against the symbolic form it replaces
+    from fanocount.planes import _roots, _top_chern
+    tau = tau_poly(d, r, k)
+    rng = random.Random(100 * d + 10 * r + k)
+    for _ in range(5):
+        point = [rng.randint(-20, 20) for _ in range(k + 1)]
+        assert _top_chern((k + 1) * (r - k), _roots(d, point), ()) == tau.evaluate(point)
+
+
 def test_tau_regime_errors():
     with pytest.raises(RegimeError):
         tau_poly(3, 2, 1)          # 2k >= r
@@ -128,6 +144,25 @@ def test_deg_planes_dm_matches_dense_oracle(drk):
 def test_deg_planes_bott_fixed_weight_examples():
     assert deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
     assert deg_planes_bott(4, 3, 1, (0, 3, 11, -4)) == 320
+
+
+@st.composite
+def in_regime_cells(draw):
+    """(d, r, k) with k <= 2, r <= 7, d >= 3 and gamma > 0.  Size budget: d at
+    most 3 above its least in-regime value for lines, 1 for planes, which
+    keeps the slowest cell, (6, 7, 2), near 0.15 s."""
+    k = draw(st.integers(1, 2))
+    r = draw(st.integers(2 * k + 1, 7))
+    d_min = next(d for d in count(3) if comb(d + k, k) > (k + 1) * (r - k))
+    d = draw(st.integers(d_min, d_min + (3 if k == 1 else 1)))
+    return d, r, k
+
+
+@settings(max_examples=25, deadline=None)
+@given(in_regime_cells(), st.integers(0, 2**16))
+def test_dm_equals_bott_on_random_cells(drk, seed):
+    d, r, k = drk
+    assert deg_planes_dm(d, r, k) == deg_planes_bott(d, r, k, TorusWeights.random(r, seed))
 
 
 def test_deg_planes_bott_agrees_with_dm():
@@ -266,6 +301,15 @@ def test_deg_fano_regime_errors():
     with pytest.raises(RegimeError) as err:
         c2_fano_integral(ProblemSpec((3,), 5, 1))
     assert err.value.code == "delta-not-two"
+
+
+def test_fano_extraction_rejects_wrong_degree_extra():
+    # delta = 2 needs an extra factor of degree 2; a degree-1 one would
+    # silently extract 0 from a product that misses the target degree
+    from fanocount.planes import _fano_extraction
+    from fanocount.polycore import elem_sym
+    with pytest.raises(InconsistencyError):
+        _fano_extraction(ProblemSpec((3,), 4, 1), elem_sym(1, 2))
 
 
 def test_fano_class_is_symmetric():
