@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, Sequence
@@ -31,6 +31,11 @@ ENVELOPE_SUBCOMMANDS = ("planes", "ci-planes", "fano-degree", "surface",
                         "irregularity", "picard", "conics")
 
 CSV_HEADER = "d,r,k,gamma,delta,value,method"
+
+# --method choices per subcommand, the default first
+_METHODS = {"planes": ("dm", "bott", "both"), "conics": ("bott", "closed", "both")}
+
+_SWEEP_TARGETS = ("planes", "fano-degree")
 
 
 def format_exact(value) -> str:
@@ -51,7 +56,7 @@ class CommandRequest:
     degrees: tuple[int, ...] = ()
     r: int = 0
     k: int = 0
-    method: str = "dm"
+    method: str | None = None      # None: the subcommand's default
     format: str = "table"
     seed: int = DEFAULT_SEED
 
@@ -95,7 +100,7 @@ def _echo_inputs(request: CommandRequest) -> dict[str, str]:
         echo["r"] = str(request.r)
     if request.k:
         echo["k"] = str(request.k)
-    if request.subcommand in ("planes", "conics"):
+    if request.subcommand in _METHODS:
         echo["method"] = request.method
     return echo
 
@@ -106,24 +111,29 @@ def _spec_for(request: CommandRequest) -> ProblemSpec:
 
 def run(request: CommandRequest) -> ResultEnvelope:
     """Dispatch one envelope-producing subcommand."""
-    envelope = ResultEnvelope(inputs=_echo_inputs(request))
     sub = request.subcommand
+    choices = _METHODS.get(sub, ())
+    method = request.method or (choices[0] if choices else None)
+    if method is not None and method not in choices:
+        raise ValueError(f"{sub} takes a method from {choices}, got {method!r}")
+    # the echo shows the method that runs
+    envelope = ResultEnvelope(inputs=_echo_inputs(replace(request, method=method)))
     if sub in ("planes", "conics") and len(request.degrees) != 1:
         raise RegimeError("hypersurface-only",
                           f"{sub} takes a single degree, got {request.degrees}")
 
     if sub == "planes":
         d, r, k = request.degrees[0], request.r, request.k
-        if request.method in ("dm", "both"):
-            envelope.put("deg_dm" if request.method == "both" else "deg",
+        if method in ("dm", "both"):
+            envelope.put("deg_dm" if method == "both" else "deg",
                          planes.deg_planes_dm(d, r, k),
                          "vandermonde-coefficient-extraction")
-        if request.method in ("bott", "both"):
+        if method in ("bott", "both"):
             weights = TorusWeights.random(r, request.seed)
-            envelope.put("deg_bott" if request.method == "both" else "deg",
+            envelope.put("deg_bott" if method == "both" else "deg",
                          planes.deg_planes_bott(d, r, k, weights),
                          "fixed-point-residue-sum")
-        if request.method == "both":
+        if method == "both":
             equal = (envelope.results["deg_dm"]["value"]
                      == envelope.results["deg_bott"]["value"])
             envelope.put("equal", equal, "cross-method-comparison")
@@ -171,12 +181,12 @@ def run(request: CommandRequest) -> ResultEnvelope:
 
     elif sub == "conics":
         d, r = request.degrees[0], request.r
-        if request.method in ("bott", "both", "dm"):
+        if method in ("bott", "both"):
             envelope.put("deg", conics.deg_conics(d, r, seed=request.seed),
                          "twisted-fixed-point-sum")
             if (d, r) == (4, 3):
                 envelope.put("halved", True, "two-conics-on-general-quartic")
-        if request.method in ("closed", "both"):
+        if method in ("closed", "both"):
             comparison = conics.deg_conics_closed(d, r, seed=request.seed)
             envelope.put("closed_form", comparison.value, "closed-form-eta(1,1,1)")
             envelope.put("closed_matches_fixed_point", comparison.consistent,
@@ -301,7 +311,9 @@ def sweep_rows(target: str, degree_items: Sequence[tuple[int, ...]],
                skip_log: Callable[[str], None] | None = None) -> Iterator[str]:
     """CSV rows (without header) for a grid sweep, in lexicographic
     (d, r, k) order.  Out-of-regime cells produce no row; the reason is
-    passed to ``skip_log``."""
+    passed to ``skip_log``.  Any other error fails the sweep."""
+    if target not in _SWEEP_TARGETS:
+        raise ValueError(f"unknown sweep target {target!r}")
     for degrees in sorted(degree_items):
         for r in sorted(r_values):
             for k in sorted(k_values):
@@ -314,13 +326,11 @@ def sweep_rows(target: str, degree_items: Sequence[tuple[int, ...]],
                         value = planes.deg_planes_dm(degrees[0], r, k)
                         method = "dm"
                         spec = ProblemSpec(degrees, r, k)
-                    elif target == "fano-degree":
+                    else:
                         spec = ProblemSpec(degrees, r, k)
                         value = planes.deg_fano(spec)
                         method = "extraction"
-                    else:
-                        raise ValueError(f"unknown sweep target {target!r}")
-                except (RegimeError, ValueError) as exc:
+                except RegimeError as exc:
                     if skip_log is not None:
                         skip_log(f"skip d={d_label} r={r} k={k}: {exc}")
                     continue
@@ -331,15 +341,15 @@ def sweep_rows(target: str, degree_items: Sequence[tuple[int, ...]],
 # argument parsing / entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, *, method_choices=None,
-                default_method=None, want_k=True) -> None:
+def _add_common(subs, name: str, help: str, *, want_k=True) -> None:
+    parser = subs.add_parser(name, help=help)
     parser.add_argument("--d", required=True,
                         help="degree, or comma-separated degrees for complete intersections")
     parser.add_argument("--r", required=True, type=int, help="ambient projective dimension")
     if want_k:
         parser.add_argument("--k", required=True, type=int, help="plane dimension")
-    if method_choices:
-        parser.add_argument("--method", choices=method_choices, default=default_method)
+    if name in _METHODS:
+        parser.add_argument("--method", choices=_METHODS[name], default=_METHODS[name][0])
     parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"seed for fixed-point weight draws (default {DEFAULT_SEED})")
@@ -352,25 +362,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "containing planes or conics, and invariants of their Fano schemes.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    _add_common(subs.add_parser("planes", help="degree of the locus of hypersurfaces "
-                                               "containing a k-plane"),
-                method_choices=("dm", "bott", "both"), default_method="dm")
-    _add_common(subs.add_parser("ci-planes", help="degree of the containing-a-k-plane "
-                                                  "locus in a linear system on a "
-                                                  "complete intersection"))
-    _add_common(subs.add_parser("fano-degree", help="Plucker degree of the Fano scheme"))
-    _add_common(subs.add_parser("surface", help="invariants of a Fano surface (delta = 2)"))
-    _add_common(subs.add_parser("irregularity", help="irregularity classification"))
-    _add_common(subs.add_parser("picard", help="Picard number of the very general member"))
-    _add_common(subs.add_parser("conics", help="degree of the locus of hypersurfaces "
-                                               "containing a conic"),
-                method_choices=("bott", "closed", "both"), default_method="bott",
+    _add_common(subs, "planes", "degree of the locus of hypersurfaces containing a k-plane")
+    _add_common(subs, "ci-planes", "degree of the containing-a-k-plane locus in a linear "
+                                   "system on a complete intersection")
+    _add_common(subs, "fano-degree", "Plucker degree of the Fano scheme")
+    _add_common(subs, "surface", "invariants of a Fano surface (delta = 2)")
+    _add_common(subs, "irregularity", "irregularity classification")
+    _add_common(subs, "picard", "Picard number of the very general member")
+    _add_common(subs, "conics", "degree of the locus of hypersurfaces containing a conic",
                 want_k=False)
 
     subs.add_parser("paper-check", help="run the full table of published anchor values")
 
     sweep = subs.add_parser("sweep", help="grid sweep, CSV on stdout")
-    sweep.add_argument("target", choices=("planes", "fano-degree"))
+    sweep.add_argument("target", choices=_SWEEP_TARGETS)
     sweep.add_argument("--d", required=True,
                        help="degrees: comma list of ints, lo..hi ranges, or a+b multidegrees")
     sweep.add_argument("--r", required=True, help="r values: comma list or lo..hi")
@@ -408,7 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         degrees=degrees,
         r=args.r,
         k=getattr(args, "k", 0),
-        method=getattr(args, "method", "dm") or "dm",
+        method=getattr(args, "method", None),
         format=args.format,
         seed=args.seed,
     )

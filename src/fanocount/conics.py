@@ -80,9 +80,9 @@ class ConicProblem:
 
     def __post_init__(self):
         if self.d < 2:
-            raise ValueError(f"need d >= 2, got d={self.d}")
+            raise RegimeError("degree-too-small", f"need d >= 2, got d={self.d}")
         if self.r < 3:
-            raise ValueError(f"need r >= 3, got r={self.r}")
+            raise RegimeError("ambient-too-small", f"need r >= 3, got r={self.r}")
 
     @property
     def epsilon(self) -> int:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
-from operator import mul
+from operator import le, mul
 from typing import Iterator, Sequence, Union
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -84,13 +84,13 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
         if not self.degrees:
-            raise ValueError("degrees must be non-empty")
+            raise RegimeError("degrees-empty", "degrees must be non-empty")
         if any(d < 2 for d in self.degrees):
-            raise ValueError(f"every degree must be at least 2, got {self.degrees}")
+            raise RegimeError("degree-too-small", f"need every degree >= 2, got {self.degrees}")
         if self.r < 3:
-            raise ValueError(f"ambient dimension r must be at least 3, got {self.r}")
+            raise RegimeError("ambient-too-small", f"need r >= 3, got r={self.r}")
         if self.k < 1:
-            raise ValueError(f"plane dimension k must be at least 1, got {self.k}")
+            raise RegimeError("plane-dimension", f"need k >= 1, got k={self.k}")
 
     @property
     def m(self) -> int:
@@ -190,10 +190,6 @@ def _psi_target(r: int, k: int) -> tuple[int, ...]:
     return tuple(r - i for i in range(k + 1))
 
 
-def _extraction_bound(r: int, k: int) -> int:
-    return sum(r - i for i in range(k + 1))
-
-
 @lru_cache(maxsize=None)
 def tau_poly(d: int, r: int, k: int) -> MultiPoly:
     """Top Chern form for k-planes in degree-d hypersurfaces of P^r: the
@@ -233,21 +229,41 @@ def deg_planes_dm(d: int, r: int, k: int) -> int:
     k-plane, by single-coefficient extraction.
 
     Equals the coefficient of x_0^r x_1^{r-1} ... x_k^{r-k} in V * tau, where
-    V is the Vandermonde polynomial.  Intermediate products are truncated at
-    the target degree; only the top-degree component of the big product can
-    reach the target monomial, so the truncation is lossless.
+    V is the Vandermonde polynomial: only the top-degree component of
+    V * prod_{|v| = d} (1 + <v, x>) reaches that monomial, so :func:`_extract`
+    folds the affine factors directly.
     """
     _check_hypersurface_regime(d, r, k)
-    bound = _extraction_bound(r, k)
-    acc = vandermonde(k)
-    for v in weight_vectors(k + 1, d):
-        acc = acc.mul(MultiPoly.linear_form(v, 1), bound=bound)
-    value = acc.coefficient(_psi_target(r, k))
+    value = _extract(_psi_target(r, k), [(v, 1) for v in weight_vectors(k + 1, d)], vandermonde(k))
     if not isinstance(value, int) or value <= 0:
         raise InconsistencyError(
             f"deg Sigma({d},{r},{k}) computed as {value}; expected a positive integer "
             "(implementation bug)")
     return value
+
+
+def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], ExactScalar]],
+             start: MultiPoly) -> ExactScalar:
+    """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), by a sparse
+    left-to-right fold keeping only terms that can still reach the target.  Both prunings
+    are lossless: no factor lowers an exponent (exponent box: drop e_i > target_i), and
+    each raises the degree by at most 1 (degree floor: drop degree + factors left < |target|)."""
+    floor = sum(target) - len(factors)
+    terms = {e: c for e, c in start.terms.items() if sum(e) >= floor and all(map(le, e, target))}
+    for v, c in factors:
+        floor += 1
+        out: dict[tuple[int, ...], ExactScalar] = {}
+        for e, coeff in terms.items():
+            s = sum(e)
+            if c and s >= floor:
+                out[e] = out.get(e, 0) + c * coeff
+            if s + 1 >= floor:
+                for i, vi in enumerate(v):
+                    if vi and e[i] < target[i]:
+                        key = e[:i] + (e[i] + 1,) + e[i + 1:]
+                        out[key] = out.get(key, 0) + vi * coeff
+        terms = {e: coeff for e, coeff in out.items() if coeff}
+    return terms.get(target, 0)
 
 
 def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
@@ -335,7 +351,8 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
     Coefficient of x_0^r ... x_k^{r-k} in Q * theta * V, where Q is the
     product of the purely linear weight forms for d_1, ..., d_{m-1} (the
     class of the Fano scheme of X) and theta is the degree-rho component of
-    the affine product for d_m, with rho = C(d_m + k, k) - gamma.
+    the affine product for d_m, with rho = C(d_m + k, k) - gamma; :func:`_extract`
+    folds 1 + <v, x> for d_m whole, as only theta reaches the target.
 
     Distinct regime failures carry distinct codes: product-degree-too-small,
     plane-dimension, ambient-fano-empty, gamma-not-positive,
@@ -368,14 +385,9 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
             f"the degree-{degrees[-1]} system on the ambient complete intersection "
             f"has dimension {sys_dim} <= gamma = {g}")
 
-    bound = _extraction_bound(r, k)
-    acc = vandermonde(k)
-    for d in degrees[:-1]:
-        for v in weight_vectors(k + 1, d):
-            acc = acc.mul(MultiPoly.linear_form(v, 0), bound=bound)
-    for v in weight_vectors(k + 1, degrees[-1]):
-        acc = acc.mul(MultiPoly.linear_form(v, 1), bound=bound)
-    value = acc.coefficient(_psi_target(r, k))
+    factors = [(v, 0) for d in degrees[:-1] for v in weight_vectors(k + 1, d)]
+    factors += [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
+    value = _extract(_psi_target(r, k), factors, vandermonde(k))
     if not isinstance(value, int) or value <= 0:
         raise InconsistencyError(
             f"deg for {spec} computed as {value}; expected a positive integer")
@@ -386,27 +398,15 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
 # Fano schemes of positive expected dimension
 # ---------------------------------------------------------------------------
 
-def _q_factors(spec: ProblemSpec) -> Iterator[MultiPoly]:
-    """Linear factors of the Fano-class form Q: one <v, x> per weight vector
-    of each degree."""
-    for d in spec.degrees:
-        for v in weight_vectors(spec.k + 1, d):
-            yield MultiPoly.linear_form(v, 0)
-
-
 def _fano_extraction(spec: ProblemSpec, extra: MultiPoly) -> int:
-    """Coefficient of the target monomial in Q * extra * V, with truncation."""
-    r, k = spec.r, spec.k
-    bound = _extraction_bound(r, k)
+    """Coefficient of the target monomial in Q * extra * V, by :func:`_extract`."""
+    k, target = spec.k, _psi_target(spec.r, spec.k)
+    q_factors = [(v, 0) for d in spec.degrees for v in weight_vectors(k + 1, d)]
     # degree bookkeeping: Q*extra*V is homogeneous of exactly the target degree
-    q_degree = sum(comb(d + k, k) for d in spec.degrees)
-    if q_degree + extra.total_degree() + k * (k + 1) // 2 != bound:
+    if len(q_factors) + extra.total_degree() + k * (k + 1) // 2 != sum(target):
         raise InconsistencyError(f"extra factor of degree {extra.total_degree()} misses "
-                                 f"the target degree {bound} for {spec}")
-    acc = vandermonde(k).mul(extra, bound=bound)
-    for factor in _q_factors(spec):
-        acc = acc.mul(factor, bound=bound)
-    value = acc.coefficient(_psi_target(r, k))
+                                 f"the target degree {sum(target)} for {spec}")
+    value = _extract(target, q_factors, vandermonde(k).mul(extra))
     if not isinstance(value, int):
         raise InconsistencyError(f"non-integer extraction {value} for {spec}")
     return value

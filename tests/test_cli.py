@@ -6,6 +6,7 @@ from fanocount.cli import (
     CSV_HEADER,
     CommandRequest,
     ResultEnvelope,
+    build_parser,
     main,
     paper_check,
     run,
@@ -231,6 +232,33 @@ def test_sweep_rows_are_lexicographic():
     assert rows == ["4,3,1,1,-1,320,dm", "5,3,1,2,-2,1990,dm"]
 
 
+def test_sweep_rejects_an_unknown_target_before_any_cell(monkeypatch):
+    import fanocount.planes as planes_module
+    monkeypatch.setattr(planes_module, "deg_fano", lambda spec: pytest.fail("cell computed"))
+    with pytest.raises(ValueError, match="unknown sweep target"):
+        next(sweep_rows("nope", [(3,)], [4], [1]))
+
+
+def test_sweep_skips_only_regime_errors(monkeypatch):
+    # an internal ValueError is a failure, not an out-of-regime cell
+    import fanocount.planes as planes_module
+
+    def broken(spec):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(planes_module, "deg_fano", broken)
+    with pytest.raises(ValueError, match="internal"):
+        list(sweep_rows("fano-degree", [(3,)], [4], [1], skip_log=lambda msg: None))
+
+
+def test_sweep_skips_cells_that_spec_validation_rejects():
+    skipped = []
+    rows = list(sweep_rows("fano-degree", [(1,), (3,)], [2, 4], [1], skip_log=skipped.append))
+    assert rows == ["3,4,1,-2,2,45,extraction"]
+    assert [msg.split(": ", 1)[1].split(":")[0] for msg in skipped] == \
+        ["degree-too-small", "degree-too-small", "ambient-too-small"]
+
+
 def test_sweep_empty_range_is_parameter_error(capsys):
     code, _, err = invoke(capsys, "sweep", "planes", "--d", "", "--r", "3", "--k", "1")
     assert code == 2 and "parameter error" in err
@@ -249,6 +277,30 @@ def test_envelope_formats():
     assert any(line.startswith("deg,45,") for line in rendered.splitlines())
     table = envelope.render("table")
     assert "status: ok" in table
+
+
+@pytest.mark.parametrize("subcommand,degrees,r,k,method,value",
+                         [("planes", (4,), 3, 1, "dm", "320"),
+                          ("conics", (4,), 3, 0, "bott", "2508")])
+def test_default_method_is_echoed_as_the_one_that_ran(subcommand, degrees, r, k, method, value):
+    envelope = run(CommandRequest(subcommand, degrees, r, k))
+    assert envelope.inputs["method"] == method
+    assert envelope.results["deg"]["value"] == value
+
+
+@pytest.mark.parametrize("subcommand,method", [("planes", "closed"), ("conics", "dm"),
+                                               ("fano-degree", "bott")])
+def test_method_outside_the_subcommand_choices_is_rejected(subcommand, method):
+    with pytest.raises(ValueError, match="method"):
+        run(CommandRequest(subcommand, (4,), 3, 1, method=method))
+
+
+def test_parser_offers_each_subcommand_its_own_methods():
+    parser = build_parser()
+    assert parser.parse_args(["conics", "--d", "4", "--r", "3"]).method == "bott"
+    assert parser.parse_args(["planes", "--d", "4", "--r", "3", "--k", "1"]).method == "dm"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["planes", "--d", "4", "--r", "3", "--k", "1", "--method", "closed"])
 
 
 def test_run_rejects_unknown_subcommand():

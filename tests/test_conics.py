@@ -62,6 +62,13 @@ def test_conic_problem_validation():
         ConicProblem(4, 2)
 
 
+@pytest.mark.parametrize("d,r,code", [(1, 3, "degree-too-small"), (4, 2, "ambient-too-small")])
+def test_conic_problem_validation_codes(d, r, code):
+    with pytest.raises(RegimeError) as err:
+        ConicProblem(d, r)
+    assert err.value.code == code
+
+
 def test_epsilon_mu_sum_to_zero():
     for d in range(2, 9):
         for r in range(3, 7):

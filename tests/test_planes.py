@@ -22,6 +22,7 @@ from fanocount.planes import (
 from fanocount.polycore import MultiPoly, weighted_linear_product
 
 from oracles import sympy_deg_ci_planes, sympy_deg_planes, sympy_tau
+from test_source import documented_regime_codes
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,16 @@ def test_spec_validation():
         ProblemSpec((3,), 2, 1)
     with pytest.raises(ValueError):
         ProblemSpec((3,), 4, 0)
+
+
+@pytest.mark.parametrize("args,code", [(((), 4, 1), "degrees-empty"),
+                                       (((1,), 4, 1), "degree-too-small"),
+                                       (((3,), 2, 1), "ambient-too-small"),
+                                       (((3,), 4, 0), "plane-dimension")])
+def test_spec_validation_codes(args, code):
+    with pytest.raises(RegimeError) as err:
+        ProblemSpec(*args)
+    assert err.value.code == code
 
 
 def test_gamma_delta_sum_to_zero():
@@ -148,13 +159,13 @@ def test_deg_planes_bott_fixed_weight_examples():
 
 @st.composite
 def in_regime_cells(draw):
-    """(d, r, k) with k <= 2, r <= 7, d >= 3 and gamma > 0.  Size budget: d at
-    most 3 above its least in-regime value for lines, 1 for planes, which
-    keeps the slowest cell, (6, 7, 2), near 0.15 s."""
-    k = draw(st.integers(1, 2))
-    r = draw(st.integers(2 * k + 1, 7))
+    """(d, r, k) with k <= 3, r <= 9, d >= 3 and gamma > 0.  Size budget: d at
+    most 3 above its least in-regime value for lines, 1 for k = 2 and 0 for
+    k = 3, which keeps the slowest cell, (4, 9, 3), near 0.1 s."""
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(2 * k + 1, 9))
     d_min = next(d for d in count(3) if comb(d + k, k) > (k + 1) * (r - k))
-    d = draw(st.integers(d_min, d_min + (3 if k == 1 else 1)))
+    d = draw(st.integers(d_min, d_min + (3, 1, 0)[k - 1]))
     return d, r, k
 
 
@@ -163,6 +174,51 @@ def in_regime_cells(draw):
 def test_dm_equals_bott_on_random_cells(drk, seed):
     d, r, k = drk
     assert deg_planes_dm(d, r, k) == deg_planes_bott(d, r, k, TorusWeights.random(r, seed))
+
+
+@st.composite
+def extraction_inputs(draw):
+    """A target, linear factors (v, c) and a start polynomial in 1-3 variables."""
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    start = MultiPoly(n, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=4)))
+    factors = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * n),
+                                      st.sampled_from((0, 1, 3))), max_size=6))
+    target = draw(st.tuples(*[st.integers(0, 5)] * n))
+    return target, factors, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(extraction_inputs())
+def test_extract_equals_unpruned_fold(inputs):
+    from fanocount.planes import _extract
+    target, factors, start = inputs
+    product = start
+    for v, c in factors:
+        product = product.mul(MultiPoly.linear_form(v, c))
+    assert _extract(target, factors, start) == product.coefficient(target)
+
+
+def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
+    # DM never calls the Bott kernel, and the Bott sums never call the fold
+    import fanocount.planes as planes_module
+    from fanocount.conics import deg_conics_bott, deg_conics_closed, \
+        deg_conics_untwisted_sum, generic_conic_weights
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("one route reached the other route's kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(planes_module, "_top_chern", forbidden)
+        assert deg_planes_dm(4, 3, 1) == 320
+        assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
+        assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
+        assert c2_fano_integral(ProblemSpec((3,), 4, 1)) == 27
+    monkeypatch.setattr(planes_module, "_extract", forbidden)
+    assert deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
+    assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).value == 5016
+    assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
+    assert deg_conics_closed(5, 3).consistent is False
 
 
 def test_deg_planes_bott_agrees_with_dm():
@@ -316,3 +372,25 @@ def test_fano_class_is_symmetric():
     q = weighted_linear_product(2, 3, affine=False)
     for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
         assert q.permute_variables(perm) == q
+
+
+# ---------------------------------------------------------------------------
+# regime totality
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-1, 5), max_size=3), st.integers(-1, 8), st.integers(-1, 3),
+       st.sampled_from(("dm", "ci", "fano")))
+def test_extraction_routes_are_total(degrees, r, k, route):
+    # small inputs, out-of-range ones included: a positive int or a coded
+    # RegimeError, and no other exception
+    try:
+        if route == "dm":
+            value = deg_planes_dm(degrees[0] if degrees else 3, r, k)
+        else:
+            spec = ProblemSpec(tuple(degrees), r, k)
+            value = (deg_ci_planes if route == "ci" else deg_fano)(spec)
+    except RegimeError as err:
+        assert err.code in documented_regime_codes()
+    else:
+        assert isinstance(value, int) and value > 0

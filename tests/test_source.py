@@ -1,16 +1,59 @@
 """Rules on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import fanocount
+
+PACKAGE = Path(fanocount.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so a runtime check must raise instead
     offenders = []
-    for path in sorted(Path(fanocount.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _modules():
         offenders += [f"{path.name}:{node.lineno}"
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def documented_regime_codes() -> set[str]:
+    """The codes in the first column of the README's regime-code table."""
+    section = README.read_text().split("### Regime codes", 1)[1].split("\n#", 1)[0]
+    return set(re.findall(r"^\| `([a-z0-9-]+)` \|", section, re.MULTILINE))
+
+
+def _regime_code_arguments(tree):
+    """The calls whose first argument is a regime code: RegimeError(...), and
+    super().__init__(...) in a RegimeError subclass that fixes its own code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "RegimeError":
+            yield node
+        if isinstance(node, ast.ClassDef) \
+                and any(isinstance(b, ast.Name) and b.id == "RegimeError" for b in node.bases):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) \
+                        and call.func.attr == "__init__":
+                    yield call
+
+
+def test_regime_codes_are_documented():
+    # the codes are a closed set: literal in the source, listed in the README
+    codes, offenders = set(), []
+    for path, tree in _modules():
+        for call in _regime_code_arguments(tree):
+            first = call.args[0] if call.args else None
+            if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                codes.add(first.value)
+            else:
+                offenders.append(f"{path.name}:{call.lineno}")
+    assert offenders == []
+    assert codes == documented_regime_codes()
