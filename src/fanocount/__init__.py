@@ -7,75 +7,10 @@ coefficient extraction from sparse symmetric polynomials or by torus
 fixed-point sums, and the two routes cross-validate each other.
 """
 
-from .errors import (
-    DimensionError,
-    InconsistencyError,
-    NotInvertibleError,
-    RegimeError,
-    SingularWeightsError,
-)
-from .polycore import (
-    ExactScalar,
-    ExponentVector,
-    MultiPoly,
-    TruncatedSeries,
-    elem_sym,
-    homogeneous_component,
-    psi_coefficient,
-    series_inverse,
-    vandermonde,
-    weight_vectors,
-    weighted_linear_product,
-)
-from .planes import (
-    DEFAULT_SEED,
-    ProblemSpec,
-    RegimeReport,
-    TorusWeights,
-    c2_fano_integral,
-    deg_ci_planes,
-    deg_fano,
-    deg_planes_bott,
-    deg_planes_dm,
-    fixed_planes,
-    linear_system_dim,
-    regime_report,
-    tau_poly,
-)
-from .invariants import (
-    AB_coeffs,
-    Classification,
-    InvariantReport,
-    IrregularityCase,
-    PicardInfo,
-    SymPowerCoeffs,
-    canonical_coefficient,
-    canonical_degree,
-    combinatorial_identity,
-    irregularity_classify,
-    is_smooth_fano,
-    picard_number,
-    surface_invariants,
-    sym_power_coeffs,
-    sym_power_coeffs_small,
-)
-from .conics import (
-    BottSum,
-    ClosedFormComparison,
-    ConicProblem,
-    ConicRegime,
-    chern_Ed_series,
-    conic_factor_report,
-    conic_fixed_points,
-    conic_regime,
-    deg_conics,
-    deg_conics_bott,
-    deg_conics_closed,
-    deg_conics_untwisted_sum,
-    eta_form,
-    eta_form_twisted,
-    fixed_point_census,
-    generic_conic_weights,
-)
+from .errors import *
+from .polycore import *
+from .planes import *
+from .invariants import *
+from .conics import *
 
 __version__ = "0.1.0"

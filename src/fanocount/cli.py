@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
@@ -27,9 +26,6 @@ from .planes import DEFAULT_SEED, ProblemSpec, TorusWeights
 __all__ = ["CommandRequest", "ResultEnvelope", "build_parser", "main",
            "paper_check", "run", "sweep_rows"]
 
-ENVELOPE_SUBCOMMANDS = ("planes", "ci-planes", "fano-degree", "surface",
-                        "irregularity", "picard", "conics")
-
 CSV_HEADER = "d,r,k,gamma,delta,value,method"
 
 # --method choices per subcommand, the default first
@@ -37,16 +33,32 @@ _METHODS = {"planes": ("dm", "bott", "both"), "conics": ("bott", "closed", "both
 
 _SWEEP_TARGETS = ("planes", "fano-degree")
 
+# (result name, InvariantReport attribute, provenance, paper-check label or None),
+# in the order of the surface envelope
+_SURFACE_FIELDS = (
+    ("deg", "deg_f", "plucker-coefficient-extraction", "deg"),
+    ("c2", "c2_integral", "schubert-c2-extraction", "c2 integral"),
+    ("A", "a_coeff", "tangent-chern-combination", "A"),
+    ("B", "b_coeff", "tangent-chern-combination", "B"),
+    ("e", "euler", "chern-number-combination", "e"),
+    ("K2", "k_delta", "canonical-self-intersection", "K^2"),
+    ("chi", "chi_o", "noether-quotient", "chi(O)"),
+    ("p_a", "p_a", "noether-quotient", None),
+    ("signature", "signature", "signature-formula", None),
+    ("c1_coeff", "c1_coeff", "canonical-class-multiple", None),
+)
+
+# (exception class, envelope status, stderr label, exit code); the first match wins
+_FAILURES = ((RegimeError, "regime-error", "regime error", 2),
+             (ValueError, "regime-error", "parameter error", 2),
+             (InconsistencyError, "inconsistency", "internal inconsistency", 1))
+
 
 def format_exact(value) -> str:
     """Exact decimal string for ints, p/q for non-integer rationals,
     true/false for flags."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(int(value)) if value.denominator == 1 else str(value)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -151,16 +163,8 @@ def run(request: CommandRequest) -> ResultEnvelope:
 
     elif sub == "surface":
         report = invariants.surface_invariants(_spec_for(request))
-        envelope.put("deg", report.deg_f, "plucker-coefficient-extraction")
-        envelope.put("c2", report.c2_integral, "schubert-c2-extraction")
-        envelope.put("A", report.a_coeff, "tangent-chern-combination")
-        envelope.put("B", report.b_coeff, "tangent-chern-combination")
-        envelope.put("e", report.euler, "chern-number-combination")
-        envelope.put("K2", report.k_delta, "canonical-self-intersection")
-        envelope.put("chi", report.chi_o, "noether-quotient")
-        envelope.put("p_a", report.p_a, "noether-quotient")
-        envelope.put("signature", report.signature, "signature-formula")
-        envelope.put("c1_coeff", report.c1_coeff, "canonical-class-multiple")
+        for name, attr, provenance, _ in _SURFACE_FIELDS:
+            envelope.put(name, getattr(report, attr), provenance)
         for i, c in enumerate(report.per_degree, start=1):
             envelope.put(f"alpha_{i}", c.alpha, "sym-power-chern-coeffs")
             envelope.put(f"beta_{i}", c.beta, "sym-power-chern-coeffs")
@@ -205,11 +209,6 @@ def run(request: CommandRequest) -> ResultEnvelope:
 # anchor regression
 # ---------------------------------------------------------------------------
 
-# (label, SurfaceInvariants attribute, key of the expected values) per anchor
-_SURFACE_ANCHORS = (("deg", "deg_f", "deg"), ("c2 integral", "c2_integral", "c2"),
-                    ("A", "a_coeff", "A"), ("B", "b_coeff", "B"), ("e", "euler", "e"),
-                    ("K^2", "k_delta", "K2"), ("chi(O)", "chi_o", "chi"))
-
 
 def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     """The fixed checklist of published values: one entry per line of the
@@ -223,8 +222,8 @@ def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
         # so each anchor of the family reports the exception as its FAIL line
         report = cache(lambda: invariants.surface_invariants(spec))
         checks.extend(
-            (f"{label}: {name}", lambda attr=attr: getattr(report(), attr), expected[key])
-            for name, attr, key in _SURFACE_ANCHORS)
+            (f"{label}: {anchor}", lambda attr=attr: getattr(report(), attr), expected[name])
+            for name, attr, _, anchor in _SURFACE_FIELDS if anchor)
 
     surface_family("lines on cubic threefolds", (3,), 4,
                    {"deg": 45, "c2": 27, "A": 6, "B": -9, "e": 27, "K2": 45, "chi": 6})
@@ -246,29 +245,28 @@ def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     return checks
 
 
-def paper_check(stream=None) -> bool:
+def paper_check() -> bool:
     """Run every anchor check, print one PASS/FAIL line each plus the
     conic-route reconciliation report; return True iff everything passed."""
-    out = stream or sys.stdout
     failures = 0
     checks = _anchor_checks()
     for label, compute, expected in checks:
         try:
             got = compute()
         except Exception as exc:  # a crash in an anchor is a failure, not an abort
-            print(f"FAIL  {label}: raised {type(exc).__name__}: {exc}", file=out)
+            print(f"FAIL  {label}: raised {type(exc).__name__}: {exc}")
             failures += 1
             continue
         if got == expected:
-            print(f"PASS  {label} = {format_exact(got)}", file=out)
+            print(f"PASS  {label} = {format_exact(got)}")
         else:
             print(f"FAIL  {label}: expected {format_exact(expected)}, "
-                  f"got {format_exact(got)}", file=out)
+                  f"got {format_exact(got)}")
             failures += 1
     print(f"{len(checks) - failures} passed, {failures} failed "
-          f"(of {len(checks)} anchor checks)", file=out)
-    print("", file=out)
-    print(conics.conic_factor_report(), file=out)
+          f"(of {len(checks)} anchor checks)")
+    print()
+    print(conics.conic_factor_report())
     return failures == 0
 
 
@@ -276,33 +274,18 @@ def paper_check(stream=None) -> bool:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _parse_int_range(text: str) -> list[int]:
-    values: set[int] = set()
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            values.update(range(int(lo), int(hi) + 1))
-        else:
-            values.add(int(chunk))
-    if not values:
-        raise ValueError(f"empty range {text!r}")
-    return sorted(values)
-
-
-def _parse_degree_items(text: str) -> list[tuple[int, ...]]:
-    """Degree column of a sweep: comma-separated items, each either an int,
-    a lo..hi range of ints, or a multidegree joined by '+' (e.g. 2+2)."""
+def _parse_items(text: str, multidegree: bool) -> list[tuple[int, ...]]:
+    """A sweep column: comma-separated items, each an int or a lo..hi range of
+    ints, and with ``multidegree`` also degrees joined by '+' (e.g. 2+2)."""
     items: set[tuple[int, ...]] = set()
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
+        lo, dots, hi = chunk.partition("..")
+        if dots:
             items.update((x,) for x in range(int(lo), int(hi) + 1))
         else:
-            items.add(tuple(int(p) for p in chunk.split("+")))
+            items.add(tuple(int(p) for p in (chunk.split("+") if multidegree else [chunk])))
     if not items:
-        raise ValueError(f"empty degree list {text!r}")
+        raise ValueError(f"empty list {text!r}")
     return sorted(items)
 
 
@@ -389,52 +372,41 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.subcommand == "paper-check":
         return 0 if paper_check() else 1
 
-    if args.subcommand == "sweep":
-        try:
-            degree_items = _parse_degree_items(args.d)
-            r_values = _parse_int_range(args.r)
-            k_values = _parse_int_range(args.k)
-        except ValueError as exc:
-            print(f"parameter error: {exc}", file=sys.stderr)
-            return 2
-        print(CSV_HEADER)
-        for row in sweep_rows(args.target, degree_items, r_values, k_values,
-                              skip_log=lambda msg: print(msg, file=sys.stderr)):
-            print(row)
-        return 0
+    request = None   # set once the inputs parse; a failure then prints an empty envelope
+    try:
+        if args.subcommand == "sweep":
+            degree_items = _parse_items(args.d, multidegree=True)
+            r_values, k_values = ([n for (n,) in _parse_items(text, multidegree=False)]
+                                  for text in (args.r, args.k))
+        else:
+            try:
+                degrees = tuple(int(chunk) for chunk in args.d.split(","))
+            except ValueError as exc:
+                raise ValueError(f"cannot parse degrees {args.d!r}: {exc}") from None
+            request = CommandRequest(
+                subcommand=args.subcommand,
+                degrees=degrees,
+                r=args.r,
+                k=getattr(args, "k", 0),
+                method=getattr(args, "method", None),
+                format=args.format,
+                seed=args.seed,
+            )
+            envelope = run(request)
+    except (ValueError, InconsistencyError) as exc:
+        status, label, code = next(f[1:] for f in _FAILURES if isinstance(exc, f[0]))
+        if request is not None:
+            print(ResultEnvelope(_echo_inputs(request), status=status).render(request.format))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
-    try:
-        degrees = tuple(int(chunk) for chunk in args.d.split(","))
-    except ValueError as exc:
-        print(f"parameter error: cannot parse degrees {args.d!r}: {exc}", file=sys.stderr)
-        return 2
-    request = CommandRequest(
-        subcommand=args.subcommand,
-        degrees=degrees,
-        r=args.r,
-        k=getattr(args, "k", 0),
-        method=getattr(args, "method", None),
-        format=args.format,
-        seed=args.seed,
-    )
-    try:
-        envelope = run(request)
-    except RegimeError as exc:
-        envelope = ResultEnvelope(inputs=_echo_inputs(request), status="regime-error")
+    if args.subcommand != "sweep":
         print(envelope.render(request.format))
-        print(f"regime error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        envelope = ResultEnvelope(inputs=_echo_inputs(request), status="regime-error")
-        print(envelope.render(request.format))
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except InconsistencyError as exc:
-        envelope = ResultEnvelope(inputs=_echo_inputs(request), status="inconsistency")
-        print(envelope.render(request.format))
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 1
-    print(envelope.render(request.format))
+        return 0
+    print(CSV_HEADER)
+    for row in sweep_rows(args.target, degree_items, r_values, k_values,
+                          skip_log=lambda msg: print(msg, file=sys.stderr)):
+        print(row)
     return 0
 
 

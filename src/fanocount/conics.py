@@ -35,7 +35,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
@@ -144,7 +143,6 @@ def chern_Ed_series(d: int, bound: int) -> TruncatedSeries:
     return numerator * denominator.inverse()
 
 
-@lru_cache(maxsize=None)
 def eta_form(d: int, r: int) -> MultiPoly:
     """Homogeneous component of degree 3r - 1 of :func:`chern_Ed_series`:
     a symmetric form in 3 variables."""
@@ -155,7 +153,6 @@ def eta_form(d: int, r: int) -> MultiPoly:
     return chern_Ed_series(d, n).homogeneous_component(n)
 
 
-@lru_cache(maxsize=None)
 def eta_form_twisted(d: int, r: int) -> MultiPoly:
     """Degree-(3r-1) top Chern form of the restriction bundle keeping the
     fiber twist: a form in 4 variables (x_1, x_2, x_3, z), where z is the
@@ -390,7 +387,7 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
     )
 
 
-def conic_factor_report(seed: int = DEFAULT_SEED) -> str:
+def conic_factor_report() -> str:
     """Generated report reconciling the three conic-degree routes against the
     anchor deg = 2508 for quartic surfaces in P^3.
 
@@ -401,8 +398,8 @@ def conic_factor_report(seed: int = DEFAULT_SEED) -> str:
     d, r = 4, 3
     eta_ones = _eta(d, r, (1, 1, 1))
     planes_count = comb(r + 1, 3)
-    twisted = deg_conics_bott(d, r, generic_conic_weights(r, seed))
-    halved = deg_conics(d, r, seed=seed)
+    twisted = deg_conics_bott(d, r, generic_conic_weights(r, DEFAULT_SEED))
+    halved = deg_conics(d, r)
     untwisted_ones = deg_conics_untwisted_sum(d, r, [1] * (r + 1))
     closed_candidate = -Fraction(5, 32) * planes_count * eta_ones
     measured_factor = twisted.value / (planes_count * eta_ones)
@@ -432,7 +429,7 @@ def conic_factor_report(seed: int = DEFAULT_SEED) -> str:
 
     extra_d, extra_r = 5, 3
     eta_ones_2 = _eta(extra_d, extra_r, (1, 1, 1))
-    comparison = deg_conics_closed(extra_d, extra_r, seed=seed)
+    comparison = deg_conics_closed(extra_d, extra_r)
     lines += [
         "",
         f"supplementary row (d,r)=({extra_d},{extra_r}):",

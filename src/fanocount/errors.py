@@ -14,6 +14,9 @@ Two families matter to callers:
 
 from __future__ import annotations
 
+__all__ = ["DimensionError", "InconsistencyError", "NotInvertibleError", "RegimeError",
+           "SingularWeightsError"]
+
 
 class DimensionError(ValueError):
     """Exponent vector or evaluation point has the wrong number of entries."""

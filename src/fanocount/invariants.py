@@ -177,9 +177,6 @@ def surface_invariants(spec: ProblemSpec) -> InvariantReport:
     if spec.delta != 2:
         raise RegimeError("delta-not-two",
                           f"surface invariants need delta = 2, got delta = {spec.delta}")
-    if spec.r < 2 * spec.k + spec.m:
-        raise RegimeError("nonempty-regime",
-                          f"need r >= 2k + m = {2 * spec.k + spec.m}, got r = {spec.r}")
     deg_f = deg_fano(spec)
     c2int = c2_fano_integral(spec)
     a, b = AB_coeffs(spec)
@@ -225,19 +222,13 @@ class Classification:
     note: str
 
 
-def _require_irreducible_fano(spec: ProblemSpec, min_delta: int) -> None:
-    if spec.delta < min_delta:
-        raise RegimeError("delta-too-small",
-                          f"classification needs delta >= {min_delta}, got {spec.delta}")
+def _require_nonempty_fano(spec: ProblemSpec, task: str) -> None:
+    if spec.delta < 2:
+        raise RegimeError("delta-too-small", f"{task} needs delta >= 2, got {spec.delta}")
     if spec.r < 2 * spec.k + spec.m:
         raise RegimeError("empty-fano",
                           f"need r >= 2k + m = {2 * spec.k + spec.m} for a non-empty "
                           f"Fano scheme, got r = {spec.r}")
-    if spec.sorted_degrees() == (2,) and spec.r == 2 * spec.k + 1:
-        raise RegimeError(
-            "reducible-fano",
-            "the Fano scheme of middle-dimensional planes on an even-dimensional "
-            "quadric has two components, so the irreducibility hypothesis fails")
 
 
 def irregularity_classify(spec: ProblemSpec) -> Classification:
@@ -249,8 +240,13 @@ def irregularity_classify(spec: ProblemSpec) -> Classification:
     (dimension k+1).  Everything else has vanishing irregularity; in
     particular r >= 2k + m + 2 forces regularity.
     """
-    _require_irreducible_fano(spec, min_delta=2)
+    _require_nonempty_fano(spec, "classification")
     degs = spec.sorted_degrees()
+    if degs == (2,) and spec.r == 2 * spec.k + 1:
+        raise RegimeError(
+            "reducible-fano",
+            "the Fano scheme of middle-dimensional planes on an even-dimensional "
+            "quadric has two components, so the irreducibility hypothesis fails")
     if degs == (3,) and spec.r == 4 and spec.k == 1:
         return Classification(IrregularityCase.CUBIC_THREEFOLD_LINES, None,
                               "surface of lines on a general cubic threefold")
@@ -279,10 +275,8 @@ def picard_number(spec: ProblemSpec) -> PicardInfo:
     """Picard number of the Fano scheme of the very general complete
     intersection with delta >= 2: equal to 1 except for three quadric-type
     families.  For the two-component quadric case the number refers to each
-    component."""
-    if spec.delta < 2:
-        raise RegimeError("delta-too-small",
-                          f"Picard classification needs delta >= 2, got {spec.delta}")
+    component.  Requires r >= 2k + m: below it the Fano scheme is empty."""
+    _require_nonempty_fano(spec, "Picard classification")
     degs = spec.sorted_degrees()
     k = spec.k
     if degs == (2,) and spec.r == 2 * k + 1:

@@ -150,12 +150,12 @@ class TorusWeights:
         object.__setattr__(self, "t", tuple(self.t))
 
     @classmethod
-    def random(cls, r: int, seed: int, low: int = -50, high: int = 50) -> "TorusWeights":
-        """r+1 distinct random integer weights; deterministic in ``seed``."""
-        if high - low < r:
-            raise ValueError("weight range too small to draw r+1 distinct values")
+    def random(cls, r: int, seed: int) -> "TorusWeights":
+        """r+1 distinct random integer weights from [-b, b], b = max(50, r);
+        deterministic in ``seed``."""
+        bound = max(50, r)
         rng = random.Random(seed)
-        return cls(tuple(rng.sample(range(low, high + 1), r + 1)))
+        return cls(tuple(rng.sample(range(-bound, bound + 1), r + 1)))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -398,6 +398,12 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
 # Fano schemes of positive expected dimension
 # ---------------------------------------------------------------------------
 
+def _check_nonempty_regime(spec: ProblemSpec) -> None:
+    if spec.r < 2 * spec.k + spec.m:
+        raise RegimeError("nonempty-regime",
+                          f"need r >= 2k + m = {2 * spec.k + spec.m}, got r = {spec.r}")
+
+
 def _fano_extraction(spec: ProblemSpec, extra: MultiPoly) -> int:
     """Coefficient of the target monomial in Q * extra * V, by :func:`_extract`."""
     k, target = spec.k, _psi_target(spec.r, spec.k)
@@ -422,9 +428,7 @@ def deg_fano(spec: ProblemSpec) -> int:
     if spec.delta < 0:
         raise RegimeError("delta-negative",
                           f"expected dimension delta = {spec.delta} < 0: Fano scheme empty")
-    if spec.r < 2 * spec.k + spec.m:
-        raise RegimeError("nonempty-regime",
-                          f"need r >= 2k + m = {2 * spec.k + spec.m}, got r = {spec.r}")
+    _check_nonempty_regime(spec)
     e = elem_sym(1, spec.k + 1)
     value = _fano_extraction(spec, e**spec.delta)
     if value <= 0:
@@ -436,9 +440,11 @@ def c2_fano_integral(spec: ProblemSpec) -> int:
     """Integral over the Fano surface of the second Chern class of the dual
     tautological bundle: coefficient of the target monomial in
     Q * (sum_{i<j} x_i x_j) * V.  Only defined in the surface case delta = 2,
-    where the degree bookkeeping matches the Grassmannian dimension exactly.
+    where the degree bookkeeping matches the Grassmannian dimension exactly,
+    and in the non-emptiness regime r >= 2k + m.
     """
     if spec.delta != 2:
         raise RegimeError("delta-not-two",
                           f"c2 integral needs a Fano surface (delta = 2), got delta = {spec.delta}")
+    _check_nonempty_regime(spec)
     return _fano_extraction(spec, elem_sym(2, spec.k + 1))

@@ -40,9 +40,6 @@ __all__ = [
     "MultiPoly",
     "TruncatedSeries",
     "elem_sym",
-    "homogeneous_component",
-    "psi_coefficient",
-    "series_inverse",
     "vandermonde",
     "weight_vectors",
     "weighted_linear_product",
@@ -187,9 +184,6 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.constant(self.nvars, other)
         return self + (-other)
-
-    def __rsub__(self, other: ExactScalar) -> "MultiPoly":
-        return MultiPoly.constant(self.nvars, other) - self
 
     def mul(self, other: "MultiPoly", bound: int | None = None) -> "MultiPoly":
         """Product, optionally dropping all terms of total degree > ``bound``."""
@@ -342,16 +336,6 @@ class TruncatedSeries:
     def nvars(self) -> int:
         return self.poly.nvars
 
-    def __add__(self, other: "TruncatedSeries | MultiPoly | ExactScalar") -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.poly + other.poly, min(self.bound, other.bound))
-        return TruncatedSeries(self.poly + other, self.bound)
-
-    def __sub__(self, other: "TruncatedSeries | MultiPoly | ExactScalar") -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            return TruncatedSeries(self.poly - other.poly, min(self.bound, other.bound))
-        return TruncatedSeries(self.poly - other, self.bound)
-
     def __mul__(self, other: "TruncatedSeries | MultiPoly | ExactScalar") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             bound = min(self.bound, other.bound)
@@ -393,11 +377,6 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def psi_coefficient(poly: MultiPoly, exps: Sequence[int]) -> ExactScalar:
-    """Coefficient of the monomial x^exps in ``poly`` (0 if absent)."""
-    return poly.coefficient(exps)
-
 
 def weight_vectors(nvars: int, total: int) -> Iterator[ExponentVector]:
     """All tuples of ``nvars`` non-negative ints summing to ``total``, in
@@ -460,15 +439,3 @@ def elem_sym(j: int, n: int) -> MultiPoly:
             exps[i] = 1
         terms[tuple(exps)] = 1
     return MultiPoly._make(n, terms)
-
-
-def homogeneous_component(poly: MultiPoly | TruncatedSeries, degree: int) -> MultiPoly:
-    """Degree-``degree`` homogeneous part of a polynomial or truncated series."""
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    return poly.homogeneous_component(degree)
-
-
-def series_inverse(series: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a unit-constant-term series modulo its truncation bound."""
-    return series.inverse()

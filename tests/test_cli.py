@@ -123,6 +123,33 @@ def test_regime_violation_json_envelope(capsys):
     assert payload["status"] == "regime-error" and payload["results"] == {}
 
 
+@pytest.mark.parametrize("spec", [("2", "6", "3"), ("2", "8", "4")])
+def test_picard_of_an_empty_fano_scheme_exits_two(capsys, spec):
+    d, r, k = spec
+    code, out, err = invoke(capsys, "picard", "--d", d, "--r", r, "--k", k)
+    assert code == 2
+    assert "regime error: empty-fano:" in err
+    assert "status: regime-error" in out
+
+
+@pytest.mark.parametrize("method", ["bott", "both"])
+def test_large_ambient_dimension_is_a_coded_regime_error(capsys, method):
+    # r = 101 used to exhaust the default weight range before the regime check
+    code, _, err = invoke(capsys, "planes", "--d", "3", "--r", "101", "--k", "1",
+                          "--method", method)
+    assert code == 2
+    assert err.startswith("regime error: gamma-not-positive:")
+
+
+def test_surface_rows_keep_their_order(capsys):
+    code, out, _ = invoke(capsys, "surface", "--d", "3", "--r", "4", "--k", "1",
+                          "--format", "csv")
+    assert code == 0
+    names = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert names == ["deg", "c2", "A", "B", "e", "K2", "chi", "p_a", "signature",
+                     "c1_coeff", "alpha_1", "beta_1", "gamma_1"]
+
+
 def test_parameter_garbage_exits_two(capsys):
     code, _, err = invoke(capsys, "planes", "--d", "x", "--r", "3", "--k", "1")
     assert code == 2 and "parameter error" in err
@@ -262,6 +289,12 @@ def test_sweep_skips_cells_that_spec_validation_rejects():
 def test_sweep_empty_range_is_parameter_error(capsys):
     code, _, err = invoke(capsys, "sweep", "planes", "--d", "", "--r", "3", "--k", "1")
     assert code == 2 and "parameter error" in err
+
+
+@pytest.mark.parametrize("r,k", [("4+5", "1"), ("4", "1+1")])
+def test_sweep_r_and_k_take_no_multidegrees(capsys, r, k):
+    code, out, err = invoke(capsys, "sweep", "fano-degree", "--d", "3", "--r", r, "--k", k)
+    assert code == 2 and out == "" and err.startswith("parameter error:")
 
 
 # ---------------------------------------------------------------------------

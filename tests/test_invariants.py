@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fanocount.errors import RegimeError
 from fanocount.invariants import (
@@ -14,7 +15,9 @@ from fanocount.invariants import (
     sym_power_coeffs,
     sym_power_coeffs_small,
 )
-from fanocount.planes import ProblemSpec
+from fanocount.planes import ProblemSpec, c2_fano_integral, deg_fano, regime_report
+
+from test_source import documented_regime_codes
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +232,30 @@ def test_picard_numbers(spec_args, rho, components):
 def test_picard_needs_delta_at_least_two():
     with pytest.raises(RegimeError):
         picard_number(ProblemSpec((2,), 3, 1))
+
+
+@pytest.mark.parametrize("spec_args", [((2,), 6, 3), ((2,), 8, 4)])
+def test_picard_rejects_an_empty_fano_scheme(spec_args):
+    # delta >= 2, yet r < 2k + m: there are no k-planes to classify
+    with pytest.raises(RegimeError) as err:
+        picard_number(ProblemSpec(*spec_args))
+    assert err.value.code == "empty-fano"
+
+
+# ---------------------------------------------------------------------------
+# empty Fano schemes
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=3), st.integers(3, 9),
+       st.integers(1, 4))
+@example(degrees=[2], r=6, k=3)
+@example(degrees=[2], r=8, k=4)
+def test_no_fano_entry_point_answers_for_an_empty_fano_scheme(degrees, r, k):
+    spec = ProblemSpec(tuple(degrees), r, k)
+    assume(regime_report(spec).empty)
+    for entry in (deg_fano, c2_fano_integral, surface_invariants, irregularity_classify,
+                  picard_number):
+        with pytest.raises(RegimeError) as err:
+            entry(spec)
+        assert err.value.code in documented_regime_codes()

@@ -229,6 +229,12 @@ def test_deg_planes_bott_agrees_with_dm():
             assert deg_planes_bott(d, r, k, weights) == PLANE_DEGREES[drk]
 
 
+def test_random_weights_are_distinct_beyond_the_default_range():
+    weights = TorusWeights.random(150, 1)
+    assert len(set(weights)) == len(weights) == 151
+    assert all(isinstance(w, int) for w in weights)
+
+
 def test_deg_planes_bott_weight_validation():
     with pytest.raises(SingularWeightsError):
         deg_planes_bott(4, 3, 1, (1, 1, 2, 3))
@@ -357,6 +363,9 @@ def test_deg_fano_regime_errors():
     with pytest.raises(RegimeError) as err:
         c2_fano_integral(ProblemSpec((3,), 5, 1))
     assert err.value.code == "delta-not-two"
+    with pytest.raises(RegimeError) as err:
+        c2_fano_integral(ProblemSpec((2,), 6, 3))   # delta = 2 but r < 2k+m
+    assert err.value.code == "nonempty-regime"
 
 
 def test_fano_extraction_rejects_wrong_degree_extra():

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import fanocount
@@ -22,6 +23,19 @@ def test_package_has_no_assert_statements():
         offenders += [f"{path.name}:{node.lineno}"
                       for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the runtime keeps no dependencies: every absolute import is a stdlib module
+    imported = set()
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported
+    assert sorted(imported - sys.stdlib_module_names) == []
 
 
 def documented_regime_codes() -> set[str]:
