@@ -5,12 +5,31 @@ of the Fano schemes of complete intersections.
 Everything is computed over exact rationals; results are integers produced by
 coefficient extraction from sparse symmetric polynomials or by torus
 fixed-point sums, and the two routes cross-validate each other.
+
+The package re-exports every name in its modules' ``__all__``, loading a
+module only when one of its names (or ``__all__``) is first asked for.
 """
 
-from .errors import *
-from .polycore import *
-from .planes import *
-from .invariants import *
-from .conics import *
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the order of loading; a name is looked up in each module's __all__ in turn
+_MODULES = ("errors", "polycore", "planes", "invariants", "conics")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f".{name}", __name__)
+    if name == "__all__":
+        value = [n for m in _MODULES for n in import_module(f".{m}", __name__).__all__]
+    else:
+        for m in _MODULES:
+            module = import_module(f".{m}", __name__)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from . import conics, invariants, planes
+# invariants and conics are imported where a subcommand needs them, so the
+# other subcommands start without compiling them
+from . import planes
 from .errors import InconsistencyError, RegimeError
 from .planes import DEFAULT_SEED, ProblemSpec, TorusWeights
 
@@ -62,8 +63,7 @@ def format_exact(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class CommandRequest:
+class CommandRequest(NamedTuple):
     subcommand: str
     degrees: tuple[int, ...] = ()
     r: int = 0
@@ -73,13 +73,26 @@ class CommandRequest:
     seed: int = DEFAULT_SEED
 
 
-@dataclass
 class ResultEnvelope:
     """Inputs echo, named exact results with provenance, and a status."""
 
-    inputs: dict[str, str]
-    results: dict[str, dict[str, str]] = field(default_factory=dict)
-    status: str = "ok"
+    __slots__ = ("inputs", "results", "status")
+
+    def __init__(self, inputs: dict[str, str],
+                 results: dict[str, dict[str, str]] | None = None, status: str = "ok"):
+        self.inputs = inputs
+        self.results = {} if results is None else results
+        self.status = status
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.inputs, self.results, self.status) \
+            == (other.inputs, other.results, other.status)
+
+    def __repr__(self) -> str:
+        return (f"ResultEnvelope(inputs={self.inputs!r}, results={self.results!r}, "
+                f"status={self.status!r})")
 
     def put(self, name: str, value, provenance: str) -> None:
         self.results[name] = {"value": format_exact(value), "provenance": provenance}
@@ -129,7 +142,7 @@ def run(request: CommandRequest) -> ResultEnvelope:
     if method is not None and method not in choices:
         raise ValueError(f"{sub} takes a method from {choices}, got {method!r}")
     # the echo shows the method that runs
-    envelope = ResultEnvelope(inputs=_echo_inputs(replace(request, method=method)))
+    envelope = ResultEnvelope(inputs=_echo_inputs(request._replace(method=method)))
     if sub in ("planes", "conics") and len(request.degrees) != 1:
         raise RegimeError("hypersurface-only",
                           f"{sub} takes a single degree, got {request.degrees}")
@@ -162,6 +175,7 @@ def run(request: CommandRequest) -> ResultEnvelope:
         envelope.put("delta", spec.delta, "codimension-arithmetic")
 
     elif sub == "surface":
+        from . import invariants
         report = invariants.surface_invariants(_spec_for(request))
         for name, attr, provenance, _ in _SURFACE_FIELDS:
             envelope.put(name, getattr(report, attr), provenance)
@@ -171,6 +185,7 @@ def run(request: CommandRequest) -> ResultEnvelope:
             envelope.put(f"gamma_{i}", c.gamma, "sym-power-chern-coeffs")
 
     elif sub == "irregularity":
+        from . import invariants
         result = invariants.irregularity_classify(_spec_for(request))
         envelope.put("case", result.case.value, "irregularity-classification")
         if result.k is not None:
@@ -178,20 +193,26 @@ def run(request: CommandRequest) -> ResultEnvelope:
         envelope.put("note", result.note, "irregularity-classification")
 
     elif sub == "picard":
+        from . import invariants
         info = invariants.picard_number(_spec_for(request))
         envelope.put("rho", info.rho, "picard-classification")
         envelope.put("components", info.components, "picard-classification")
         envelope.put("note", info.note, "picard-classification")
 
     elif sub == "conics":
+        from . import conics
         d, r = request.degrees[0], request.r
+        # the comparison carries the validated fixed-point value, so "both"
+        # runs the fixed-point sums once
+        comparison = (conics.deg_conics_closed(d, r, seed=request.seed)
+                      if method in ("closed", "both") else None)
         if method in ("bott", "both"):
-            envelope.put("deg", conics.deg_conics(d, r, seed=request.seed),
-                         "twisted-fixed-point-sum")
+            deg = (conics.deg_conics(d, r, seed=request.seed) if comparison is None
+                   else comparison.fixed_point_value)
+            envelope.put("deg", deg, "twisted-fixed-point-sum")
             if (d, r) == (4, 3):
                 envelope.put("halved", True, "two-conics-on-general-quartic")
-        if method in ("closed", "both"):
-            comparison = conics.deg_conics_closed(d, r, seed=request.seed)
+        if comparison is not None:
             envelope.put("closed_form", comparison.value, "closed-form-eta(1,1,1)")
             envelope.put("closed_matches_fixed_point", comparison.consistent,
                          "cross-method-comparison")
@@ -213,6 +234,7 @@ def run(request: CommandRequest) -> ResultEnvelope:
 def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     """The fixed checklist of published values: one entry per line of the
     regression report."""
+    from . import conics, invariants
     checks: list[tuple[str, Callable[[], object], object]] = []
 
     def surface_family(label: str, degrees: tuple[int, ...], r: int,
@@ -248,6 +270,7 @@ def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
 def paper_check() -> bool:
     """Run every anchor check, print one PASS/FAIL line each plus the
     conic-route reconciliation report; return True iff everything passed."""
+    from . import conics
     failures = 0
     checks = _anchor_checks()
     for label, compute, expected in checks:

@@ -33,7 +33,6 @@ the twisted fixed-point sum reproduces it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
@@ -70,18 +69,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConicProblem:
+class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
     """Hypersurfaces of degree d in P^r, probed for plane conics."""
 
-    d: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise RegimeError("degree-too-small", f"need d >= 2, got d={self.d}")
-        if self.r < 3:
-            raise RegimeError("ambient-too-small", f"need r >= 3, got r={self.r}")
+    def __new__(cls, d: int, r: int):
+        if d < 2:
+            raise RegimeError("degree-too-small", f"need d >= 2, got d={d}")
+        if r < 3:
+            raise RegimeError("ambient-too-small", f"need r >= 3, got r={r}")
+        return super().__new__(cls, d, r)
 
     @property
     def epsilon(self) -> int:
@@ -94,8 +92,7 @@ class ConicProblem:
         return 3 * self.r - 2 * self.d - 2
 
 
-@dataclass(frozen=True)
-class ConicRegime:
+class ConicRegime(NamedTuple):
     epsilon: int
     mu: int
     note: str
@@ -356,8 +353,7 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ClosedFormComparison:
+class ClosedFormComparison(NamedTuple):
     """The published closed form next to the validated fixed-point value."""
 
     value: Fraction

@@ -26,11 +26,11 @@ exceptional families of quadric type).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .errors import InconsistencyError, RegimeError
 from .planes import ProblemSpec, c2_fano_integral, deg_fano
@@ -54,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymPowerCoeffs:
+class SymPowerCoeffs(NamedTuple):
     """Chern-class coefficients of Sym^n for a rank-(k+1) bundle:
     c2(Sym^n E) = alpha*c1(E)^2 + beta*c2(E) and c1(Sym^n E) = gamma*c1(E)."""
 
@@ -146,8 +145,7 @@ def canonical_degree(spec: ProblemSpec, deg_f: int) -> int:
     return canonical_coefficient(spec) ** spec.delta * deg_f
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Exact invariants of a Fano surface of k-planes (delta = 2)."""
 
     spec: ProblemSpec
@@ -215,8 +213,7 @@ class IrregularityCase(Enum):
     REGULAR = "regular"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     case: IrregularityCase
     k: int | None
     note: str
@@ -264,8 +261,7 @@ VERY_GENERAL_NOTE = ("Picard numbers refer to the very general complete intersec
                      "'general' is not enough here.")
 
 
-@dataclass(frozen=True)
-class PicardInfo:
+class PicardInfo(NamedTuple):
     rho: int
     components: int
     note: str

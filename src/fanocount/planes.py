@@ -26,13 +26,12 @@ of the Fano scheme of a single member.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 from operator import le, mul
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 from .polycore import (
@@ -67,8 +66,7 @@ DEFAULT_SEED = 1729
 FixedPlane = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k", int)])):
     """A counting problem: complete intersections of multidegree ``degrees``
     in projective ``r``-space, probed for ``k``-planes.
 
@@ -77,20 +75,19 @@ class ProblemSpec:
     symmetric in the degrees.
     """
 
-    degrees: tuple[int, ...]
-    r: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if not self.degrees:
+    def __new__(cls, degrees: Sequence[int], r: int, k: int):
+        degrees = tuple(int(d) for d in degrees)
+        if not degrees:
             raise RegimeError("degrees-empty", "degrees must be non-empty")
-        if any(d < 2 for d in self.degrees):
-            raise RegimeError("degree-too-small", f"need every degree >= 2, got {self.degrees}")
-        if self.r < 3:
-            raise RegimeError("ambient-too-small", f"need r >= 3, got r={self.r}")
-        if self.k < 1:
-            raise RegimeError("plane-dimension", f"need k >= 1, got k={self.k}")
+        if any(d < 2 for d in degrees):
+            raise RegimeError("degree-too-small", f"need every degree >= 2, got {degrees}")
+        if r < 3:
+            raise RegimeError("ambient-too-small", f"need r >= 3, got r={r}")
+        if k < 1:
+            raise RegimeError("plane-dimension", f"need k >= 1, got k={k}")
+        return super().__new__(cls, degrees, r, k)
 
     @property
     def m(self) -> int:
@@ -117,8 +114,7 @@ class ProblemSpec:
         return tuple(sorted(self.degrees))
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     gamma: int
     delta: int
     empty: bool
@@ -140,14 +136,21 @@ def regime_report(spec: ProblemSpec) -> RegimeReport:
     )
 
 
-@dataclass(frozen=True)
-class TorusWeights:
-    """Weights t_0, ..., t_r of the torus rescaling the r+1 coordinates."""
+class TorusWeights(tuple):
+    """Weights t_0, ..., t_r of the torus rescaling the r+1 coordinates: a
+    tuple of the weights themselves, also readable as ``t``."""
 
-    t: tuple[ExactScalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(self.t))
+    def __new__(cls, t: Sequence[ExactScalar]):
+        return super().__new__(cls, t)
+
+    @property
+    def t(self) -> tuple[ExactScalar, ...]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"TorusWeights(t={tuple(self)!r})"
 
     @classmethod
     def random(cls, r: int, seed: int) -> "TorusWeights":
@@ -155,23 +158,14 @@ class TorusWeights:
         deterministic in ``seed``."""
         bound = max(50, r)
         rng = random.Random(seed)
-        return cls(tuple(rng.sample(range(-bound, bound + 1), r + 1)))
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self):
-        return iter(self.t)
-
-    def __getitem__(self, i):
-        return self.t[i]
+        return cls(rng.sample(range(-bound, bound + 1), r + 1))
 
 
-WeightsLike = Union[TorusWeights, Sequence[ExactScalar]]
+WeightsLike = Sequence[ExactScalar]
 
 
 def _weight_tuple(t: WeightsLike, r: int) -> tuple[ExactScalar, ...]:
-    tt = tuple(t.t if isinstance(t, TorusWeights) else t)
+    tt = tuple(t)
     if len(tt) != r + 1:
         raise SingularWeightsError(f"need r+1 = {r + 1} weights, got {len(tt)}")
     return tt

@@ -24,7 +24,6 @@ unit constant term can be inverted by geometric-series iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence, Union
@@ -312,21 +311,37 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self})"
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """A polynomial together with a total-degree truncation bound.
+    """A polynomial together with a total-degree truncation bound; immutable.
 
     Terms above the bound are dropped on construction and after every
     multiplication; the product of two series keeps the smaller bound.
     """
 
-    poly: MultiPoly
-    bound: int
+    __slots__ = ("poly", "bound")
 
-    def __post_init__(self):
-        if self.bound < 0:
+    def __init__(self, poly: MultiPoly, bound: int):
+        if bound < 0:
             raise ValueError("truncation bound must be non-negative")
-        object.__setattr__(self, "poly", self.poly.truncate(self.bound))
+        object.__setattr__(self, "poly", poly.truncate(bound))
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.poly, self.bound) == (other.poly, other.bound)
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.bound))
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries(poly={self.poly!r}, bound={self.bound!r})"
 
     @classmethod
     def one(cls, nvars: int, bound: int) -> "TruncatedSeries":

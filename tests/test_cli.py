@@ -82,6 +82,31 @@ def test_conics_both_reports_closed_form(capsys):
     assert values["closed_form"] == "-6873514425/8"
 
 
+def test_conics_both_runs_the_fixed_point_sum_twice(monkeypatch):
+    # the two seeded sums of one validated degree; the deg row reuses them
+    import fanocount.conics as conics_module
+    original = conics_module.deg_conics_bott
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(conics_module, "deg_conics_bott", counted)
+    envelope = run(CommandRequest("conics", (5,), 3, method="both"))
+    assert len(calls) == 2
+    assert list(envelope.results) == ["deg", "closed_form", "closed_matches_fixed_point",
+                                      "closed_to_fixed_point_ratio"]
+    assert envelope.results["deg"]["value"] == "282880"
+
+
+def test_conics_both_keeps_the_halving_case_a_regime_error(capsys):
+    code, out, err = invoke(capsys, "conics", "--d", "4", "--r", "3", "--method", "both")
+    assert code == 2
+    assert out == "status: regime-error\n"
+    assert err.startswith("regime error: halving-case:")
+
+
 def test_ci_planes_envelope(capsys):
     code, out, _ = invoke(capsys, "ci-planes", "--d", "2,3", "--r", "4", "--k", "1",
                           "--format", "json")

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -174,6 +176,35 @@ def test_noether_divisibility_on_delta2_grid():
     for spec in specs:
         report = surface_invariants(spec)   # raises on any 12-divisibility failure
         assert report.k_delta + report.euler == 12 * report.chi_o
+
+
+def surface_spec_for(degrees: tuple[int, ...], k: int) -> ProblemSpec | None:
+    """The spec with delta = 2 for these degrees and k, if r is an integer."""
+    dim_grassmannian = 2 + sum(comb(d + k, k) for d in degrees)    # (k+1)(r-k)
+    if dim_grassmannian % (k + 1):
+        return None
+    return ProblemSpec(degrees, k + dim_grassmannian // (k + 1), k)
+
+
+@st.composite
+def surface_specs(draw):
+    """Non-empty delta = 2 specs with degrees 2..6, m <= 3, k <= 3 and r <= 12;
+    r is solved from delta = 2.  Size budget: the slowest spec in the box,
+    ((2, 3), 11, 3), takes about 20 ms."""
+    degrees = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)))
+    specs = [spec for spec in (surface_spec_for(degrees, k) for k in (1, 2, 3))
+             if spec is not None and spec.r <= 12 and not regime_report(spec).empty]
+    assume(specs)
+    return draw(st.sampled_from(specs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(surface_specs())
+def test_noether_holds_on_random_surface_specs(spec):
+    report = surface_invariants(spec)
+    assert spec.delta == 2
+    assert report.k_delta + report.euler == 12 * report.chi_o
+    assert report.p_a == report.chi_o - 1
 
 
 # ---------------------------------------------------------------------------

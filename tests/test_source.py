@@ -25,6 +25,23 @@ def test_package_has_no_assert_statements():
     assert offenders == []
 
 
+def test_package_does_not_import_dataclasses():
+    # importing dataclasses (with inspect, ast and dis) and running its
+    # decorators cost a CLI process about as much as its own work
+    offenders = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_runtime_imports_only_the_standard_library():
     # the runtime keeps no dependencies: every absolute import is a stdlib module
     imported = set()

@@ -1,0 +1,88 @@
+"""Start-up contract: each subcommand loads only the modules it runs, and the
+package re-exports its modules' names on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fanocount
+
+SRC = str(Path(fanocount.__file__).resolve().parents[1])
+MODULES = ("errors", "polycore", "planes", "invariants", "conics")
+CORE = {"fanocount", "fanocount.cli", "fanocount.errors", "fanocount.polycore",
+        "fanocount.planes"}
+
+# runs main() as ``python -m fanocount`` does, then prints the exit code and
+# the modules the run added to those the interpreter started with
+PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+from fanocount.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+def loaded_by(code: str, *argv: str) -> tuple[int, set[str]]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, env=env, check=True).stdout.split()
+    return int(out[0]), set(out[1:])
+
+
+# one job per subcommand class, and the modules it adds to CORE
+JOBS = [
+    (("fano-degree", "--d", "3", "--r", "4", "--k", "1"), set()),
+    (("ci-planes", "--d", "2,3", "--r", "4", "--k", "1"), set()),
+    (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), set()),
+    (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), set()),
+    (("surface", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
+    (("irregularity", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
+    (("picard", "--d", "2", "--r", "5", "--k", "1"), {"fanocount.invariants"}),
+    (("conics", "--d", "5", "--r", "3", "--method", "both"), {"fanocount.conics"}),
+    (("paper-check",), {"fanocount.invariants", "fanocount.conics"}),
+]
+
+
+@pytest.mark.parametrize("argv,extra", JOBS, ids=[argv[0] for argv, _ in JOBS])
+def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
+    code, loaded = loaded_by(PROBE, *argv)
+    assert code == 0
+    assert "dataclasses" not in loaded
+    assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
+
+
+def test_importing_the_package_loads_no_module():
+    _, loaded = loaded_by("import sys; before = set(sys.modules); import fanocount; "
+                          "print(0, *sorted(set(sys.modules) - before))")
+    assert {m for m in loaded if m.startswith("fanocount")} == {"fanocount"}
+
+
+def test_package_reexports_every_public_name():
+    names = []
+    for name in MODULES:
+        module = importlib.import_module(f"fanocount.{name}")
+        for public in module.__all__:
+            assert getattr(fanocount, public) is getattr(module, public)
+        names += module.__all__
+    assert fanocount.__all__ == names
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from fanocount import *", namespace)
+    for name in MODULES:
+        module = importlib.import_module(f"fanocount.{name}")
+        for public in module.__all__:
+            assert namespace[public] is getattr(module, public)
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(fanocount, "no_such_name")
