@@ -18,8 +18,9 @@ the tautological line of the P^5 fiber.  The 3-variable form ``eta_form``
 ignores that twist (the twist contributes nothing when the fiber class is
 suppressed); the 4-variable form ``eta_form_twisted`` keeps it.  The torus
 fixed-point sums never expand these forms: the integer kernel
-``planes._top_chern`` gives their value at each fixed point, and the forms
-remain as the references the tests check it against.  The dispatcher
+``planes._top_chern`` gives their value at each fixed point (split into its
+root and divisor passes where the six conics of a plane share the roots), and
+the forms remain as the references the tests check it against.  The dispatcher
 validates the sum by recomputing at a second weight assignment and, for
 quartic surfaces, halves the result (the general quartic surface in the
 locus carries two conics).
@@ -39,7 +40,8 @@ from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import DEFAULT_SEED, TorusWeights, WeightsLike, _roots, _top_chern, _weight_tuple
+from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _divisor_pass, _root_pass, _roots,
+                     _top_chern, _weight_tuple)
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -285,14 +287,15 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     total = Fraction(0)
     for plane in combinations(range(r + 1), 3):
         point = [-weights[i] for i in plane]
-        roots, divisors = _roots(d, point), _roots(d - 2, point)
+        # the six conics of a plane share its numerator; only the divisors shift
+        coeffs, divisors = _root_pass(n, _roots(d, point), 0), _roots(d - 2, point)
         outside = [weights[j] for j in range(r + 1) if j not in plane]
         grass = prod(tb - weights[i] for i in plane for tb in outside)
         pair_sums = [weights[a] + weights[b]
                      for a, b in combinations_with_replacement(plane, 2)]
         for shift in pair_sums:   # the six sums are distinct, checked above
             euler = grass * prod(shift - s for s in pair_sums if s != shift)
-            total += Fraction(_top_chern(n, roots, [b - shift for b in divisors]), euler)
+            total += Fraction(_divisor_pass(coeffs, [b - shift for b in divisors]), euler)
     return BottSum(value=total, is_integral=total.denominator == 1)
 
 
@@ -383,29 +386,33 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
     )
 
 
-def conic_factor_report() -> str:
+def conic_factor_report(anchor: int | None = None) -> str:
     """Generated report reconciling the three conic-degree routes against the
     anchor deg = 2508 for quartic surfaces in P^3.
 
     Documents the measured per-plane factor of the fixed-point route next to
     the -(5/32) of the closed form and the -(6/32) that termwise evaluation
     of the untwisted sum at unit weights produces.
+
+    ``anchor`` is ``deg_conics(4, 3)`` when the caller has already computed
+    it; otherwise the report computes it.  The twisted sum is twice that
+    value: :func:`deg_conics` checked it at two weight draws before halving.
     """
     d, r = 4, 3
     eta_ones = _eta(d, r, (1, 1, 1))
     planes_count = comb(r + 1, 3)
-    twisted = deg_conics_bott(d, r, generic_conic_weights(r, DEFAULT_SEED))
-    halved = deg_conics(d, r)
+    halved = deg_conics(d, r) if anchor is None else anchor
+    twisted = Fraction(2 * halved)
     untwisted_ones = deg_conics_untwisted_sum(d, r, [1] * (r + 1))
     closed_candidate = -Fraction(5, 32) * planes_count * eta_ones
-    measured_factor = twisted.value / (planes_count * eta_ones)
+    measured_factor = twisted / (planes_count * eta_ones)
 
     lines = [
         "conic-degree reconciliation report (anchor: quartic surfaces in P^3)",
         "---------------------------------------------------------------------",
         f"eta(1,1,1) for (d,r)=({d},{r})              : {eta_ones}",
         f"number of coordinate planes C(r+1,3)        : {planes_count}",
-        f"twisted fixed-point sum (constant in t)     : {twisted.value}",
+        f"twisted fixed-point sum (constant in t)     : {twisted}",
         f"after halving (two conics per quartic)      : {halved}",
         f"anchor value                                : 2508",
         f"anchor reproduced                           : {halved == 2508}",

@@ -28,9 +28,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, prod
-from operator import le, mul
+from operator import le
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -241,44 +241,88 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], Exa
     """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), by a sparse
     left-to-right fold keeping only terms that can still reach the target.  Both prunings
     are lossless: no factor lowers an exponent (exponent box: drop e_i > target_i), and
-    each raises the degree by at most 1 (degree floor: drop degree + factors left < |target|)."""
+    each raises the degree by at most 1 (degree floor: drop degree + factors left < |target|).
+
+    An exponent vector e is packed into one int with a B-bit field per variable, field i
+    holding e_i + G - 1 - target_i (G = 2^(B-1)).  Multiplying by x_i adds 1 << B*i, and
+    e_i > target_i is exactly the top bit of field i, so the box test is ``key & guard``.
+    Terms sit in buckets keyed by total degree, so the floor drops or keeps whole buckets.
+    """
+    width = max(target, default=0).bit_length() + 2
+    top = 1 << (width - 1)
+    shifts = [width * i for i in range(len(target))]
+    offset = sum((top - 1 - ti) << sh for ti, sh in zip(target, shifts))
+    guard = sum(top << sh for sh in shifts)
     floor = sum(target) - len(factors)
-    terms = {e: c for e, c in start.terms.items() if sum(e) >= floor and all(map(le, e, target))}
+    buckets: dict[int, dict[int, ExactScalar]] = {}
+    for e, coeff in start.terms.items():
+        s = sum(e)
+        if s >= floor and all(map(le, e, target)):
+            buckets.setdefault(s, {})[offset + sum(ei << sh for ei, sh in zip(e, shifts))] = coeff
     for v, c in factors:
         floor += 1
-        out: dict[tuple[int, ...], ExactScalar] = {}
-        for e, coeff in terms.items():
-            s = sum(e)
+        steps = [(1 << sh, vi) for vi, sh in zip(v, shifts) if vi]
+        out: dict[int, dict[int, ExactScalar]] = {}
+        # top degree first: bucket s fills out[s] before bucket s - 1 adds to it
+        for s in sorted(buckets, reverse=True):
+            if s + 1 < floor:
+                break
+            bucket = buckets[s]
             if c and s >= floor:
-                out[e] = out.get(e, 0) + c * coeff
-            if s + 1 >= floor:
-                for i, vi in enumerate(v):
-                    if vi and e[i] < target[i]:
-                        key = e[:i] + (e[i] + 1,) + e[i + 1:]
-                        out[key] = out.get(key, 0) + vi * coeff
-        terms = {e: coeff for e, coeff in out.items() if coeff}
-    return terms.get(target, 0)
+                out[s] = dict(bucket) if c == 1 else {key: c * coeff for key, coeff in bucket.items()}
+            up = out.setdefault(s + 1, {})
+            get = up.get
+            for key, coeff in bucket.items():
+                if coeff:   # a cancelled term spawns nothing
+                    for step, vi in steps:
+                        raised = key + step
+                        if not raised & guard:
+                            up[raised] = get(raised, 0) + vi * coeff
+        buckets = out
+    # every field of the target's key reads top - 1
+    return buckets.get(sum(target), {}).get(sum((top - 1) << sh for sh in shifts), 0)
 
 
 def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
     """Values <v, point>, |v| = d: the Chern roots of the d-th symmetric power
-    of a bundle whose Chern roots take the values ``point``."""
-    return [sum(map(mul, v, point)) for v in weight_vectors(len(point), d)]
+    of a bundle whose Chern roots take the values ``point``.  Each v is a
+    multiset of d indices, so <v, point> is the sum of a d-combination with
+    replacement of the point's entries."""
+    return [sum(c) for c in combinations_with_replacement(point, d)]
+
+
+def _root_pass(n: int, roots: Sequence[ExactScalar], lowest: int) -> list[ExactScalar]:
+    """Coefficients of Z^0..Z^n of prod_{a in roots} (1 + a Z), exact from Z^lowest up.
+
+    After i roots only Z^j with j <= i is non-zero, and with L roots left only
+    j >= lowest - L can still reach Z^lowest, so each root updates that window only:
+    at most len(roots) - lowest + 1 coefficients."""
+    coeffs = [1] + [0] * n
+    reach = lowest - len(roots)
+    for i, a in enumerate(roots, start=1):
+        reach += 1
+        for j in range(i if i < n else n, reach - 1 if reach > 1 else 0, -1):
+            coeffs[j] += a * coeffs[j - 1]
+    return coeffs
+
+
+def _divisor_pass(coeffs: Sequence[ExactScalar], divisors: Sequence[ExactScalar]) -> ExactScalar:
+    """Top coefficient of coeffs(Z) / prod_{b in divisors} (1 + b Z), truncated at the
+    degree of ``coeffs``.  Works on a copy, so one root pass serves several divisor
+    sets.  Each divisor has constant term 1, so int values stay int."""
+    coeffs = list(coeffs)
+    for b in divisors:
+        for j in range(1, len(coeffs)):
+            coeffs[j] -= b * coeffs[j - 1]
+    return coeffs[-1]
 
 
 def _top_chern(n: int, roots: Sequence[ExactScalar],
                divisors: Sequence[ExactScalar]) -> ExactScalar:
     """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
-    a top Chern form at one torus-fixed point.  One truncated forward pass per
-    factor; each divisor has constant term 1, so int values stay int."""
-    coeffs = [1] + [0] * n
-    for a in roots:
-        for j in range(n, 0, -1):
-            coeffs[j] += a * coeffs[j - 1]
-    for b in divisors:
-        for j in range(1, n + 1):
-            coeffs[j] -= b * coeffs[j - 1]
-    return coeffs[n]
+    a top Chern form at one torus-fixed point.  Divisors read every coefficient, so the
+    root pass keeps them all when any follow, and only those reaching Z^n otherwise."""
+    return _divisor_pass(_root_pass(n, roots, 0 if divisors else n), divisors)
 
 
 def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:

@@ -1,12 +1,14 @@
 """Independent reference implementations used to validate the package.
 
-Two deliberately different computational routes from the ones in the package:
+Deliberately different computational routes from the ones in the package:
 
 * plane counts through dense sympy expansion (no truncation, no sparse
   folding);
 * conic fixed-point sums through dict-based dense series arithmetic in four
   variables, with the inverse computed by a homogeneous-layer recurrence
-  rather than geometric-series iteration.
+  rather than geometric-series iteration;
+* the fixed-point kernel's top Chern coefficient through the plain,
+  unwindowed coefficient loop.
 
 These stay oracle-side: the package never imports them.
 """
@@ -183,3 +185,20 @@ def dense_conic_bott(d, r, t):
                     euler *= sums[idx] - sums[jdx]
             total += dict_eval(eta4, (*roots, sums[idx])) / euler
     return total
+
+
+# ---------------------------------------------------------------------------
+# plain top-Chern loop for the fixed-point kernel
+# ---------------------------------------------------------------------------
+
+def plain_top_chern(n, roots, divisors):
+    """Z^n coefficient of prod (1 + a Z) / prod (1 + b Z): every root updates
+    every coefficient, with no window and no shared passes."""
+    coeffs = [1] + [0] * n
+    for a in roots:
+        for j in range(n, 0, -1):
+            coeffs[j] += a * coeffs[j - 1]
+    for b in divisors:
+        for j in range(1, n + 1):
+            coeffs[j] -= b * coeffs[j - 1]
+    return coeffs[n]

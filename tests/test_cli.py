@@ -212,6 +212,23 @@ def test_paper_check_detects_perturbation(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_paper_check_runs_four_conic_sums(capsys, monkeypatch):
+    # two seeded sums validate the (4, 3) anchor, which the reconciliation
+    # report reuses; two more validate its (5, 3) row
+    import fanocount.conics as conics_module
+    original = conics_module.deg_conics_bott
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(conics_module, "deg_conics_bott", counted)
+    assert paper_check() is True
+    assert calls == [(4, 3), (4, 3), (5, 3), (5, 3)]
+    assert "twisted fixed-point sum (constant in t)     : 5016" in capsys.readouterr().out
+
+
 def test_paper_check_computes_invariants_once_per_family(capsys, monkeypatch):
     import fanocount.invariants as invariants_module
     original = invariants_module.surface_invariants

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from itertools import count
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanocount.errors import InconsistencyError, RegimeError, SingularWeightsError
 from fanocount.planes import (
@@ -19,9 +20,9 @@ from fanocount.planes import (
     regime_report,
     tau_poly,
 )
-from fanocount.polycore import MultiPoly, weighted_linear_product
+from fanocount.polycore import MultiPoly, weight_vectors, weighted_linear_product
 
-from oracles import sympy_deg_ci_planes, sympy_deg_planes, sympy_tau
+from oracles import plain_top_chern, sympy_deg_ci_planes, sympy_deg_planes, sympy_tau
 from test_source import documented_regime_codes
 
 
@@ -114,6 +115,41 @@ def test_kernel_matches_tau_poly(d, r, k):
         assert _top_chern((k + 1) * (r - k), _roots(d, point), ()) == tau.evaluate(point)
 
 
+# small exact scalars for the kernel: ints and Fractions, zeros and negatives
+kernel_scalars = st.one_of(st.integers(-30, 30),
+                           st.fractions(min_value=-30, max_value=30, max_denominator=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.lists(kernel_scalars, max_size=14),
+       st.lists(kernel_scalars, max_size=5))
+@example(0, [], [])                 # n = 0, no roots
+@example(4, [], [3, -1])            # no roots, divisors only
+@example(6, [2, 0, -5], [])         # n above the number of roots
+def test_top_chern_equals_plain_loop(n, roots, divisors):
+    from fanocount.planes import _top_chern
+    assert _top_chern(n, roots, divisors) == plain_top_chern(n, roots, divisors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.lists(kernel_scalars, max_size=12),
+       st.lists(st.lists(kernel_scalars, max_size=5), min_size=1, max_size=6))
+def test_shared_root_pass_equals_one_kernel_call_per_divisor_set(n, roots, divisor_sets):
+    # the conic sums run one root pass per plane and one divisor pass per conic
+    from fanocount.planes import _divisor_pass, _root_pass, _top_chern
+    coeffs = _root_pass(n, roots, 0)
+    for divisors in divisor_sets:
+        assert _divisor_pass(coeffs, divisors) == _top_chern(n, roots, divisors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5), st.lists(kernel_scalars, min_size=1, max_size=4))
+def test_roots_are_the_weight_vector_pairings(d, point):
+    from fanocount.planes import _roots
+    pairings = [sum(vi * p for vi, p in zip(v, point)) for v in weight_vectors(len(point), d)]
+    assert Counter(_roots(d, point)) == Counter(pairings)
+
+
 def test_tau_regime_errors():
     with pytest.raises(RegimeError):
         tau_poly(3, 2, 1)          # 2k >= r
@@ -159,13 +195,14 @@ def test_deg_planes_bott_fixed_weight_examples():
 
 @st.composite
 def in_regime_cells(draw):
-    """(d, r, k) with k <= 3, r <= 9, d >= 3 and gamma > 0.  Size budget: d at
-    most 3 above its least in-regime value for lines, 1 for k = 2 and 0 for
-    k = 3, which keeps the slowest cell, (4, 9, 3), near 0.1 s."""
-    k = draw(st.integers(1, 3))
-    r = draw(st.integers(2 * k + 1, 9))
+    """(d, r, k) with k <= 4, d >= 3 and gamma > 0; r <= 9, and r <= 10 for
+    k = 4.  Size budget: d at most 3 above its least in-regime value for
+    lines, 1 for k = 2 and 0 for k = 3 and 4, which keeps the slowest cells,
+    (4, 9, 3), (3, 9, 4) and (3, 10, 4), under 0.1 s by DM."""
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(2 * k + 1, 10 if k == 4 else 9))
     d_min = next(d for d in count(3) if comb(d + k, k) > (k + 1) * (r - k))
-    d = draw(st.integers(d_min, d_min + (3, 1, 0)[k - 1]))
+    d = draw(st.integers(d_min, d_min + (3, 1, 0, 0)[k - 1]))
     return d, r, k
 
 
@@ -178,13 +215,21 @@ def test_dm_equals_bott_on_random_cells(drk, seed):
 
 @st.composite
 def extraction_inputs(draw):
-    """A target, linear factors (v, c) and a start polynomial in 1-3 variables."""
-    n = draw(st.integers(1, 3))
-    exponents = st.tuples(*[st.integers(0, 3)] * n)
-    start = MultiPoly(n, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=4)))
+    """A target, linear factors (v, c) and a start polynomial in 1-5 variables.
+
+    Target entries 0..8 take in 0, 1, 3, 4, 7 and 8, at and next to powers of
+    two, where the packed field width changes; start exponents are small or
+    near the target, up to 1 above it, where the guard bit of a field is set;
+    start coefficients may be Fractions."""
+    n = draw(st.integers(1, 5))
+    target = draw(st.tuples(*[st.integers(0, 8)] * n))
+    exponents = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(max(0, t - 2), t + 1))
+                            for t in target])
+    coefficients = st.one_of(st.integers(-3, 3),
+                             st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    start = MultiPoly(n, draw(st.dictionaries(exponents, coefficients, max_size=4)))
     factors = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * n),
                                       st.sampled_from((0, 1, 3))), max_size=6))
-    target = draw(st.tuples(*[st.integers(0, 5)] * n))
     return target, factors, start
 
 
@@ -200,16 +245,17 @@ def test_extract_equals_unpruned_fold(inputs):
 
 
 def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
-    # DM never calls the Bott kernel, and the Bott sums never call the fold
+    # DM never calls a fixed-point helper, and the Bott sums never call the fold
     import fanocount.planes as planes_module
-    from fanocount.conics import deg_conics_bott, deg_conics_closed, \
+    from fanocount.conics import _eta, deg_conics_bott, deg_conics_closed, \
         deg_conics_untwisted_sum, generic_conic_weights
 
     def forbidden(*args, **kwargs):
         pytest.fail("one route reached the other route's kernel")
 
     with monkeypatch.context() as patch:
-        patch.setattr(planes_module, "_top_chern", forbidden)
+        for helper in ("_roots", "_root_pass", "_divisor_pass", "_top_chern"):
+            patch.setattr(planes_module, helper, forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
         assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
@@ -219,6 +265,7 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
     assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).value == 5016
     assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
     assert deg_conics_closed(5, 3).consistent is False
+    assert _eta(4, 3, (1, 1, 1)) == 14528256
 
 
 def test_deg_planes_bott_agrees_with_dm():
