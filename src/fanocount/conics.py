@@ -17,11 +17,13 @@ equation is only well defined up to scale, so the sub-bundle is twisted by
 the tautological line of the P^5 fiber.  The 3-variable form ``eta_form``
 ignores that twist (the twist contributes nothing when the fiber class is
 suppressed); the 4-variable form ``eta_form_twisted`` keeps it.  The torus
-fixed-point sums never expand these forms: the integer kernel
-``planes._top_chern`` gives their value at each fixed point (split into its
-root and divisor passes where the six conics of a plane share the roots), and
-the forms remain as the references the tests check it against.  The dispatcher
-validates the sum by recomputing at a second weight assignment and, for
+fixed-point sums never expand these forms.  At the fixed conic x_a x_b = 0 the
+twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel
+part of the numerator: the twisted term is the top elementary symmetric
+function of the 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme),
+which the integer kernel ``planes._top_chern`` evaluates without division.
+The forms remain as the references the tests check it against.  The
+dispatcher validates the sum by recomputing at a second weight set and, for
 quartic surfaces, halves the result (the general quartic surface in the
 locus carries two conics).
 
@@ -40,8 +42,7 @@ from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _divisor_pass, _root_pass, _roots,
-                     _top_chern, _weight_tuple)
+from .planes import DEFAULT_SEED, TorusWeights, WeightsLike, _roots, _top_chern, _weight_tuple
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -208,17 +209,20 @@ def fixed_point_census(r: int) -> int:
 
 
 def generic_conic_weights(r: int, seed: int) -> TorusWeights:
-    """Distinct positive integer weights with all six pairwise sums distinct
-    inside every 3-subset; deterministic in ``seed``.  Positivity keeps every
-    denominator of both fixed-point sums away from zero."""
+    """Distinct positive integer weights with all pairwise sums t_a + t_b (a <= b)
+    distinct, so the six inside every 3-subset are; deterministic in ``seed``.
+    Positivity keeps every denominator of both fixed-point sums away from zero.
+
+    The weights are r + 1 elements, in seeded order, of the Erdos-Turan Sidon set
+    {2p i + (c i^2 mod p) : 0 <= i < p}, p the least prime > r (<= 2r + 2, Bertrand)
+    and c a seeded unit mod p (a pair sum fixes i + j and i^2 + j^2 mod p, hence
+    {i, j}), plus a seeded positive shift, so no draw is rejected.  At r + 1 = p two
+    seeds can give the same set; ``deg_conics`` redraws then."""
+    p = next(q for q in range(max(r + 1, 2), 2 * r + 3) if all(q % f for f in range(2, q)))
     rng = random.Random(seed)
-    while True:
-        t = rng.sample(range(1, 40 * (r + 2)), r + 1)
-        if all(
-            len({t[a] + t[b] for a, b in combinations_with_replacement(plane, 2)}) == 6
-            for plane in combinations(range(r + 1), 3)
-        ):
-            return TorusWeights(tuple(t))
+    unit, shift = rng.randint(1, p - 1), rng.randint(1, 2 * p * p)
+    return TorusWeights(tuple(2 * p * i + unit * i * i % p + shift
+                              for i in rng.sample(range(p), r + 1)))
 
 
 def _validate_conic_weights(t: Sequence[ExactScalar], r: int, twisted: bool) -> None:
@@ -250,6 +254,16 @@ def _eta(d: int, r: int, point: Sequence[ExactScalar]) -> ExactScalar:
     return _top_chern(3 * r - 1, _roots(d, point), _roots(d - 2, point))
 
 
+def _conic_roots(d: int, point: Sequence[ExactScalar], a: int, b: int) -> list[ExactScalar]:
+    """Chern roots of H^0(O_C(d)) at the fixed conic x_a x_b = 0 of a plane with
+    Chern-root values ``point``: <v, point> for the 2d + 1 degree-d monomials x^v
+    not divisible by x_a x_b, those with v_a = 0 and x_a times those of degree
+    d - 1 with v_b = 0.  The multiples x_a x_b x^w are the twisted divisor's
+    roots, so they cancel instead of being divided out."""
+    return (_roots(d, point[:a] + point[a + 1:])
+            + [point[a] + x for x in _roots(d - 1, point[:b] + point[b + 1:])])
+
+
 def _check_conic_degree_regime(d: int, r: int) -> None:
     problem = ConicProblem(d, r)
     if problem.epsilon == 0:
@@ -270,8 +284,9 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
 
     For each fixed conic (plane I = {i, j, k}, equation x_a x_b = 0):
 
-    * local Chern contribution: ``eta_form_twisted`` at Chern-root values
-      (-t_i, -t_j, -t_k) and fiber class value t_a + t_b;
+    * local Chern contribution: e_{3r-1} of the 2d + 1 ``_conic_roots`` at
+      Chern-root values (-t_i, -t_j, -t_k), equal to ``eta_form_twisted``
+      there with fiber class value t_a + t_b;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
       times prod over the five pairs {p, q} != {a, b} of
       (t_a + t_b) - (t_p + t_q).
@@ -284,18 +299,16 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
     n = 3 * r - 1
+    pairs = list(combinations_with_replacement(range(3), 2))
     total = Fraction(0)
     for plane in combinations(range(r + 1), 3):
         point = [-weights[i] for i in plane]
-        # the six conics of a plane share its numerator; only the divisors shift
-        coeffs, divisors = _root_pass(n, _roots(d, point), 0), _roots(d - 2, point)
         outside = [weights[j] for j in range(r + 1) if j not in plane]
         grass = prod(tb - weights[i] for i in plane for tb in outside)
-        pair_sums = [weights[a] + weights[b]
-                     for a, b in combinations_with_replacement(plane, 2)]
-        for shift in pair_sums:   # the six sums are distinct, checked above
+        pair_sums = [weights[plane[a]] + weights[plane[b]] for a, b in pairs]
+        for (a, b), shift in zip(pairs, pair_sums):   # the six sums are distinct, checked above
             euler = grass * prod(shift - s for s in pair_sums if s != shift)
-            total += Fraction(_divisor_pass(coeffs, [b - shift for b in divisors]), euler)
+            total += Fraction(_top_chern(n, _conic_roots(d, point, a, b), ()), euler)
     return BottSum(value=total, is_integral=total.denominator == 1)
 
 
@@ -332,15 +345,18 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     """Validated degree of the locus of degree-d hypersurfaces in P^r
     containing a conic.
 
-    Runs the twisted fixed-point sum at two independent seeded weight
-    assignments, checks the two values agree and are integral, halves for
+    Runs the twisted fixed-point sum at two seeded weight assignments that
+    differ as sets, checks the two values agree and are integral, halves for
     (d, r) = (4, 3) (two conics on the general member there), and returns a
     positive integer.
     """
     _check_conic_degree_regime(d, r)
     rng = random.Random(seed)
-    first = deg_conics_bott(d, r, generic_conic_weights(r, rng.randrange(2**30)))
-    second = deg_conics_bott(d, r, generic_conic_weights(r, rng.randrange(2**30)))
+    weights = other = generic_conic_weights(r, rng.randrange(2**30))
+    # permuted weights give the same sum even from a wrong kernel: redraw a repeated set
+    while sorted(other) == sorted(weights):
+        other = generic_conic_weights(r, rng.randrange(2**30))
+    first, second = deg_conics_bott(d, r, weights), deg_conics_bott(d, r, other)
     if first.value != second.value:
         raise InconsistencyError(
             f"fixed-point sum for ({d},{r}) is not constant: {first.value} vs {second.value}")

@@ -33,7 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InconsistencyError, RegimeError
-from .planes import ProblemSpec, c2_fano_integral, deg_fano
+from .planes import ProblemSpec, _check_nonempty_regime, c2_fano_integral, deg_fano
 
 __all__ = [
     "Classification",
@@ -222,10 +222,7 @@ class Classification(NamedTuple):
 def _require_nonempty_fano(spec: ProblemSpec, task: str) -> None:
     if spec.delta < 2:
         raise RegimeError("delta-too-small", f"{task} needs delta >= 2, got {spec.delta}")
-    if spec.r < 2 * spec.k + spec.m:
-        raise RegimeError("empty-fano",
-                          f"need r >= 2k + m = {2 * spec.k + spec.m} for a non-empty "
-                          f"Fano scheme, got r = {spec.r}")
+    _check_nonempty_regime(spec)
 
 
 def irregularity_classify(spec: ProblemSpec) -> Classification:

@@ -291,38 +291,24 @@ def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
     return [sum(c) for c in combinations_with_replacement(point, d)]
 
 
-def _root_pass(n: int, roots: Sequence[ExactScalar], lowest: int) -> list[ExactScalar]:
-    """Coefficients of Z^0..Z^n of prod_{a in roots} (1 + a Z), exact from Z^lowest up.
+def _top_chern(n: int, roots: Sequence[ExactScalar],
+               divisors: Sequence[ExactScalar]) -> ExactScalar:
+    """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
+    a top Chern form at one torus-fixed point; only the untwisted conic form divides.
 
-    After i roots only Z^j with j <= i is non-zero, and with L roots left only
-    j >= lowest - L can still reach Z^lowest, so each root updates that window only:
-    at most len(roots) - lowest + 1 coefficients."""
+    After i roots only Z^j with j <= i is non-zero; with no divisors and L roots left,
+    only j >= n - L can still reach Z^n, so each root updates that window only.
+    Divisors read every coefficient.  Each has constant term 1, so int values stay int."""
     coeffs = [1] + [0] * n
-    reach = lowest - len(roots)
+    reach = (0 if divisors else n) - len(roots)
     for i, a in enumerate(roots, start=1):
         reach += 1
         for j in range(i if i < n else n, reach - 1 if reach > 1 else 0, -1):
             coeffs[j] += a * coeffs[j - 1]
-    return coeffs
-
-
-def _divisor_pass(coeffs: Sequence[ExactScalar], divisors: Sequence[ExactScalar]) -> ExactScalar:
-    """Top coefficient of coeffs(Z) / prod_{b in divisors} (1 + b Z), truncated at the
-    degree of ``coeffs``.  Works on a copy, so one root pass serves several divisor
-    sets.  Each divisor has constant term 1, so int values stay int."""
-    coeffs = list(coeffs)
     for b in divisors:
-        for j in range(1, len(coeffs)):
+        for j in range(1, n + 1):
             coeffs[j] -= b * coeffs[j - 1]
-    return coeffs[-1]
-
-
-def _top_chern(n: int, roots: Sequence[ExactScalar],
-               divisors: Sequence[ExactScalar]) -> ExactScalar:
-    """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
-    a top Chern form at one torus-fixed point.  Divisors read every coefficient, so the
-    root pass keeps them all when any follow, and only those reaching Z^n otherwise."""
-    return _divisor_pass(_root_pass(n, roots, 0 if divisors else n), divisors)
+    return coeffs[n]
 
 
 def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:

@@ -8,7 +8,8 @@ Deliberately different computational routes from the ones in the package:
   variables, with the inverse computed by a homogeneous-layer recurrence
   rather than geometric-series iteration;
 * the fixed-point kernel's top Chern coefficient through the plain,
-  unwindowed coefficient loop.
+  unwindowed coefficient loop, and each fixed conic's local value through the
+  divided form: every degree-d weight over the shifted degree-(d-2) weights.
 
 These stay oracle-side: the package never imports them.
 """
@@ -202,3 +203,14 @@ def plain_top_chern(n, roots, divisors):
         for j in range(1, n + 1):
             coeffs[j] -= b * coeffs[j - 1]
     return coeffs[n]
+
+
+def divided_conic_top_chern(n, d, point, a, b):
+    """Z^n coefficient at the fixed conic x_a x_b = 0 of a plane with Chern-root
+    values ``point``: the C(d+2, 2) weights of the degree-d monomials over the
+    C(d, 2) weights of degree d - 2 shifted by point_a + point_b, the weights of
+    the multiples x_a x_b x^w of the conic equation."""
+    def weights(degree):
+        return [sum(vi * p for vi, p in zip(v, point)) for v in compositions(3, degree)]
+    shift = point[a] + point[b]
+    return plain_top_chern(n, weights(d), [w + shift for w in weights(d - 2)])

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fanocount
 from fanocount.cli import (
     CSV_HEADER,
     CommandRequest,
@@ -153,7 +158,7 @@ def test_picard_of_an_empty_fano_scheme_exits_two(capsys, spec):
     d, r, k = spec
     code, out, err = invoke(capsys, "picard", "--d", d, "--r", r, "--k", k)
     assert code == 2
-    assert "regime error: empty-fano:" in err
+    assert "regime error: nonempty-regime:" in err
     assert "status: regime-error" in out
 
 
@@ -193,6 +198,19 @@ def test_paper_check_all_pass(capsys):
     assert len(passes) == 31 and not fails
     assert "31 passed, 0 failed" in out
     assert "2508" in out and "reconciliation report" in out
+
+
+def test_paper_check_is_identical_under_python_o():
+    # python -O strips assert statements: every runtime check must still run
+    src = str(Path(fanocount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    runs = [subprocess.run([sys.executable, *flags, "-m", "fanocount", "paper-check"],
+                           capture_output=True, env=env)
+            for flags in ((), ("-O",))]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert b"31 passed, 0 failed" in runs[0].stdout
 
 
 def test_paper_check_detects_perturbation(capsys, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanocount.errors import RegimeError, SingularWeightsError
 from fanocount.conics import (
@@ -23,7 +25,7 @@ from fanocount.conics import (
 )
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
-from oracles import dense_conic_bott, dense_eta
+from oracles import dense_conic_bott, dense_eta, divided_conic_top_chern
 
 
 # frozen values: validated by constancy over independent weight draws,
@@ -37,6 +39,9 @@ CONIC_DEGREES = {
     (6, 4): 188068995,
     (7, 4): 12618251100,
     (7, 5): 85393742658,
+    (9, 6): 19510952831592390,
+    (10, 6): 3255501240554013080,
+    (14, 8): 498762592941976049111173827078,
 }
 RAW_BOTT = {(4, 3): 5016, (5, 3): 282880, (6, 3): 6677208, (6, 4): 188068995}
 ETA_ONES = {(4, 3): 14528256, (5, 3): 1374702885}
@@ -192,6 +197,31 @@ def test_twisted_eta_agrees_with_local_series_route():
         assert _top_chern(8, _roots(4, roots), divisors) == twisted.evaluate((*roots, shift))
 
 
+@st.composite
+def conic_kernel_inputs(draw):
+    """d, a degree n from 0 to past the rank 2d + 1, and a plane's Chern-root
+    values: ints and Fractions, with zeros, negatives and repeats."""
+    d = draw(st.integers(1, 10))
+    scalars = st.one_of(st.integers(-30, 30),
+                        st.fractions(min_value=-30, max_value=30, max_denominator=7))
+    return d, draw(st.integers(0, 2 * d + 3)), draw(st.lists(scalars, min_size=3, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conic_kernel_inputs())
+@example((4, 11, [0, 0, 0]))
+@example((2, 5, [3, 3, -3]))
+def test_conic_roots_are_the_divided_form(inputs):
+    # the 2d + 1 roots left once the conic's multiples cancel give the divided value
+    from fanocount.conics import _conic_roots
+    from fanocount.planes import _top_chern
+    d, n, point = inputs
+    for a, b in itertools.combinations_with_replacement(range(3), 2):
+        roots = _conic_roots(d, point, a, b)
+        assert len(roots) == 2 * d + 1
+        assert _top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
+
+
 def test_kernel_at_shift_zero_is_eta():
     # shift 0 drops the twist: the kernel reproduces eta(1,1,1) and eta_form
     from fanocount.planes import _roots, _top_chern
@@ -237,6 +267,47 @@ def test_fixed_point_census_values():
 def test_fixed_point_census_closed_form():
     for r in range(2, 9):
         assert fixed_point_census(r) == r * (r * r - 1) == 6 * comb(r + 1, 3)
+
+
+def test_generic_weights_are_a_sidon_set():
+    # every pair sum t_a + t_b (a <= b) distinct, so the six of every plane are
+    for r in range(0, 41):
+        for seed in range(5):
+            t = generic_conic_weights(r, seed)
+            assert len(set(t)) == len(t) == r + 1 and min(t) > 0
+            sums = [t[a] + t[b] for a, b in itertools.combinations_with_replacement(range(r + 1), 2)]
+            assert len(set(sums)) == len(sums)
+            if r <= 5:
+                assert max(t) < 40 * (r + 2)
+
+
+def test_deg_conics_sums_at_two_different_weight_sets(monkeypatch):
+    # permuted weights give the same sum from any kernel, so deg_conics must sum at
+    # two weight sets; at r + 1 = p (r = 4, 6, 10) a draw holds all p Sidon elements
+    # and two draws share a set every few hundred seeds, which forces a redraw
+    import fanocount.conics as conics
+    draws, summed = [], []
+
+    def record_draw(r, seed):
+        draws.append(generic_conic_weights(r, seed))
+        return draws[-1]
+
+    def record_sum(d, r, t):
+        summed.append(t)
+        return conics.BottSum(value=Fraction(2), is_integral=True)
+
+    monkeypatch.setattr(conics, "generic_conic_weights", record_draw)
+    monkeypatch.setattr(conics, "deg_conics_bott", record_sum)
+    redrawn = 0
+    for d, r in ((4, 3), (6, 4), (9, 6), (15, 10)):
+        for seed in range(1000):
+            draws.clear()
+            summed.clear()
+            conics.deg_conics(d, r, seed)
+            assert summed == [draws[0], draws[-1]]
+            assert sorted(summed[0]) != sorted(summed[1])
+            redrawn += len(draws) > 2
+    assert redrawn > 0   # the seeds above include draws that share a set
 
 
 def test_fixed_points_include_double_lines():

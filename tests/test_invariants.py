@@ -242,7 +242,7 @@ def test_classification_rejects_out_of_hypothesis():
     # delta = 2 formally, but the Fano scheme is empty (r < 2k + m)
     with pytest.raises(RegimeError) as err:
         irregularity_classify(ProblemSpec((2,), 6, 3))
-    assert err.value.code == "empty-fano"
+    assert err.value.code == "nonempty-regime"
 
 
 @pytest.mark.parametrize("spec_args,rho,components", [
@@ -270,7 +270,7 @@ def test_picard_rejects_an_empty_fano_scheme(spec_args):
     # delta >= 2, yet r < 2k + m: there are no k-planes to classify
     with pytest.raises(RegimeError) as err:
         picard_number(ProblemSpec(*spec_args))
-    assert err.value.code == "empty-fano"
+    assert err.value.code == "nonempty-regime"
 
 
 # ---------------------------------------------------------------------------

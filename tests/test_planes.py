@@ -132,17 +132,6 @@ def test_top_chern_equals_plain_loop(n, roots, divisors):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10), st.lists(kernel_scalars, max_size=12),
-       st.lists(st.lists(kernel_scalars, max_size=5), min_size=1, max_size=6))
-def test_shared_root_pass_equals_one_kernel_call_per_divisor_set(n, roots, divisor_sets):
-    # the conic sums run one root pass per plane and one divisor pass per conic
-    from fanocount.planes import _divisor_pass, _root_pass, _top_chern
-    coeffs = _root_pass(n, roots, 0)
-    for divisors in divisor_sets:
-        assert _divisor_pass(coeffs, divisors) == _top_chern(n, roots, divisors)
-
-
-@settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5), st.lists(kernel_scalars, min_size=1, max_size=4))
 def test_roots_are_the_weight_vector_pairings(d, point):
     from fanocount.planes import _roots
@@ -254,7 +243,7 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
         pytest.fail("one route reached the other route's kernel")
 
     with monkeypatch.context() as patch:
-        for helper in ("_roots", "_root_pass", "_divisor_pass", "_top_chern"):
+        for helper in ("_roots", "_top_chern"):
             patch.setattr(planes_module, helper, forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
