@@ -143,12 +143,16 @@ def chern_Ed_series(d: int, bound: int) -> TruncatedSeries:
     return numerator * denominator.inverse()
 
 
-def eta_form(d: int, r: int) -> MultiPoly:
-    """Homogeneous component of degree 3r - 1 of :func:`chern_Ed_series`:
-    a symmetric form in 3 variables."""
+def _check_epsilon_nonnegative(d: int, r: int) -> None:
     if ConicProblem(d, r).epsilon < 0:
         raise RegimeError("epsilon-negative",
                           f"epsilon({d},{r}) = {2 * d + 2 - 3 * r} < 0")
+
+
+def eta_form(d: int, r: int) -> MultiPoly:
+    """Homogeneous component of degree 3r - 1 of :func:`chern_Ed_series`:
+    a symmetric form in 3 variables."""
+    _check_epsilon_nonnegative(d, r)
     n = 3 * r - 1
     return chern_Ed_series(d, n).homogeneous_component(n)
 
@@ -164,9 +168,7 @@ def eta_form_twisted(d: int, r: int) -> MultiPoly:
     prod_{|w| = d - 2} (1 + <w, x> - z).  Setting z = 0 recovers
     :func:`eta_form`.
     """
-    if ConicProblem(d, r).epsilon < 0:
-        raise RegimeError("epsilon-negative",
-                          f"epsilon({d},{r}) = {2 * d + 2 - 3 * r} < 0")
+    _check_epsilon_nonnegative(d, r)
     n = 3 * r - 1
     numerator = MultiPoly.one(4)
     for v in weight_vectors(3, d):
@@ -254,14 +256,20 @@ def _eta(d: int, r: int, point: Sequence[ExactScalar]) -> ExactScalar:
     return _top_chern(3 * r - 1, _roots(d, point), _roots(d - 2, point))
 
 
-def _conic_roots(d: int, point: Sequence[ExactScalar], a: int, b: int) -> list[ExactScalar]:
-    """Chern roots of H^0(O_C(d)) at the fixed conic x_a x_b = 0 of a plane with
-    Chern-root values ``point``: <v, point> for the 2d + 1 degree-d monomials x^v
-    not divisible by x_a x_b, those with v_a = 0 and x_a times those of degree
-    d - 1 with v_b = 0.  The multiples x_a x_b x^w are the twisted divisor's
-    roots, so they cancel instead of being divided out."""
-    return (_roots(d, point[:a] + point[a + 1:])
-            + [point[a] + x for x in _roots(d - 1, point[:b] + point[b + 1:])])
+# the six fixed conics x_a x_b = 0 of a plane, a <= b indexing its three coordinates
+_PAIRS = tuple(combinations_with_replacement(range(3), 2))
+
+
+def _conic_roots(d: int, point: Sequence[ExactScalar]) -> list[list[ExactScalar]]:
+    """Chern roots of H^0(O_C(d)) at the six fixed conics x_a x_b = 0 of a plane
+    with Chern-root values ``point``, in ``_PAIRS`` order: <v, point> for the
+    2d + 1 degree-d monomials x^v not divisible by x_a x_b, those with v_a = 0
+    and x_a times those of degree d - 1 with v_b = 0.  The multiples x_a x_b x^w
+    are the twisted divisor's roots, so they cancel instead of being divided out.
+    The six lists share three lists of each degree, one per dropped variable."""
+    high = [_roots(d, point[:a] + point[a + 1:]) for a in range(3)]
+    low = [_roots(d - 1, point[:b] + point[b + 1:]) for b in range(3)]
+    return [high[a] + [point[a] + x for x in low[b]] for a, b in _PAIRS]
 
 
 def _check_conic_degree_regime(d: int, r: int) -> None:
@@ -299,16 +307,16 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
     n = 3 * r - 1
-    pairs = list(combinations_with_replacement(range(3), 2))
     total = Fraction(0)
     for plane in combinations(range(r + 1), 3):
         point = [-weights[i] for i in plane]
         outside = [weights[j] for j in range(r + 1) if j not in plane]
         grass = prod(tb - weights[i] for i in plane for tb in outside)
-        pair_sums = [weights[plane[a]] + weights[plane[b]] for a, b in pairs]
-        for (a, b), shift in zip(pairs, pair_sums):   # the six sums are distinct, checked above
+        pair_sums = [weights[plane[a]] + weights[plane[b]] for a, b in _PAIRS]
+        # the six sums are distinct, checked above
+        for roots, shift in zip(_conic_roots(d, point), pair_sums):
             euler = grass * prod(shift - s for s in pair_sums if s != shift)
-            total += Fraction(_top_chern(n, _conic_roots(d, point, a, b), ()), euler)
+            total += Fraction(_top_chern(n, roots, ()), euler)
     return BottSum(value=total, is_integral=total.denominator == 1)
 
 

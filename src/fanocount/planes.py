@@ -36,9 +36,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 from .polycore import (
     ExactScalar,
+    ExponentVector,
     MultiPoly,
-    elem_sym,
-    vandermonde,
     weight_vectors,
     weighted_linear_product,
 )
@@ -196,10 +195,14 @@ def tau_poly(d: int, r: int, k: int) -> MultiPoly:
     """
     if d < 1:
         raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
-    if k < 1 or 2 * k >= r:
-        raise RegimeError("plane-dimension", f"need 1 <= k and 2k < r, got k={k}, r={r}")
+    _check_plane_dimension(r, k)
     n = (k + 1) * (r - k)
     return weighted_linear_product(k, d, affine=True, bound=n).homogeneous_component(n)
+
+
+def _check_plane_dimension(r: int, k: int) -> None:
+    if k < 1 or 2 * k >= r:
+        raise RegimeError("plane-dimension", f"need 1 <= k and 2k < r, got k={k}, r={r}")
 
 
 def _check_hypersurface_regime(d: int, r: int, k: int) -> None:
@@ -208,8 +211,7 @@ def _check_hypersurface_regime(d: int, r: int, k: int) -> None:
             "degree-too-small",
             f"the plane-count degree formula needs d >= 3 (quadrics carry "
             f"positive-dimensional plane families and reducible Fano schemes); got d={d}")
-    if k < 1 or 2 * k >= r:
-        raise RegimeError("plane-dimension", f"need 1 <= k and 2k < r, got k={k}, r={r}")
+    _check_plane_dimension(r, k)
     g = comb(d + k, k) - (k + 1) * (r - k)
     if g <= 0:
         raise RegimeError(
@@ -224,24 +226,30 @@ def deg_planes_dm(d: int, r: int, k: int) -> int:
 
     Equals the coefficient of x_0^r x_1^{r-1} ... x_k^{r-k} in V * tau, where
     V is the Vandermonde polynomial: only the top-degree component of
-    V * prod_{|v| = d} (1 + <v, x>) reaches that monomial, so :func:`_extract`
-    folds the affine factors directly.
+    V * prod_{|v| = d} (1 + <v, x>) reaches that monomial, so the extraction
+    folds the affine factors directly (the m = 1 case of :func:`deg_ci_planes`).
     """
     _check_hypersurface_regime(d, r, k)
-    value = _extract(_psi_target(r, k), [(v, 1) for v in weight_vectors(k + 1, d)], vandermonde(k))
-    if not isinstance(value, int) or value <= 0:
-        raise InconsistencyError(
-            f"deg Sigma({d},{r},{k}) computed as {value}; expected a positive integer "
-            "(implementation bug)")
-    return value
+    return _ci_extraction((d,), r, k)
+
+
+def _vq_factors(k: int, degrees: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """Linear forms (v, 0) in k + 1 variables: first the factors x_i - x_j (i < j) of
+    the Vandermonde polynomial V, then the forms <v, x>, |v| = d, of Q for each d in
+    ``degrees``.  The -1 entries of V's factors lower no exponent, so both prunings of
+    :func:`_extract` stay lossless."""
+    factors = [(tuple(1 if n == i else -1 if n == j else 0 for n in range(k + 1)), 0)
+               for i, j in combinations(range(k + 1), 2)]
+    return factors + [(v, 0) for d in degrees for v in weight_vectors(k + 1, d)]
 
 
 def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], ExactScalar]],
-             start: MultiPoly) -> ExactScalar:
-    """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), by a sparse
-    left-to-right fold keeping only terms that can still reach the target.  Both prunings
-    are lossless: no factor lowers an exponent (exponent box: drop e_i > target_i), and
-    each raises the degree by at most 1 (degree floor: drop degree + factors left < |target|).
+             start: dict[ExponentVector, ExactScalar]) -> ExactScalar:
+    """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), start a
+    map from exponent tuples to coefficients, by a sparse left-to-right fold keeping only
+    terms that can still reach the target.  Both prunings are lossless: no factor lowers
+    an exponent, even with negative v_i (exponent box: drop e_i > target_i), and each
+    raises the degree by at most 1 (degree floor: drop degree + factors left < |target|).
 
     An exponent vector e is packed into one int with a B-bit field per variable, field i
     holding e_i + G - 1 - target_i (G = 2^(B-1)).  Multiplying by x_i adds 1 << B*i, and
@@ -255,7 +263,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], Exa
     guard = sum(top << sh for sh in shifts)
     floor = sum(target) - len(factors)
     buckets: dict[int, dict[int, ExactScalar]] = {}
-    for e, coeff in start.terms.items():
+    for e, coeff in start.items():
         s = sum(e)
         if s >= floor and all(map(le, e, target)):
             buckets.setdefault(s, {})[offset + sum(ei << sh for ei, sh in zip(e, shifts))] = coeff
@@ -408,13 +416,18 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
             "linear-system-too-small",
             f"the degree-{degrees[-1]} system on the ambient complete intersection "
             f"has dimension {sys_dim} <= gamma = {g}")
+    return _ci_extraction(degrees, r, k)
 
-    factors = [(v, 0) for d in degrees[:-1] for v in weight_vectors(k + 1, d)]
-    factors += [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
-    value = _extract(_psi_target(r, k), factors, vandermonde(k))
+
+def _ci_extraction(degrees: tuple[int, ...], r: int, k: int) -> int:
+    """Coefficient of x_0^r ... x_k^{r-k} in V * Q * prod_{|v| = d_m} (1 + <v, x>), by
+    :func:`_extract`, with Q the product for d_1, ..., d_{m-1}."""
+    factors = _vq_factors(k, degrees[:-1]) + [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
+    value = _extract(_psi_target(r, k), factors, {(0,) * (k + 1): 1})
     if not isinstance(value, int) or value <= 0:
         raise InconsistencyError(
-            f"deg for {spec} computed as {value}; expected a positive integer")
+            f"deg for degrees {degrees}, r={r}, k={k} computed as {value}; expected a "
+            "positive integer (implementation bug)")
     return value
 
 
@@ -428,15 +441,18 @@ def _check_nonempty_regime(spec: ProblemSpec) -> None:
                           f"need r >= 2k + m = {2 * spec.k + spec.m}, got r = {spec.r}")
 
 
-def _fano_extraction(spec: ProblemSpec, extra: MultiPoly) -> int:
-    """Coefficient of the target monomial in Q * extra * V, by :func:`_extract`."""
+def _fano_extraction(spec: ProblemSpec, start: dict[ExponentVector, int], ones: int) -> int:
+    """Coefficient of the target monomial in V * Q * (x_0 + ... + x_k)^ones * start, by
+    :func:`_extract`; ``start`` maps exponent tuples to coefficients."""
     k, target = spec.k, _psi_target(spec.r, spec.k)
-    q_factors = [(v, 0) for d in spec.degrees for v in weight_vectors(k + 1, d)]
-    # degree bookkeeping: Q*extra*V is homogeneous of exactly the target degree
-    if len(q_factors) + extra.total_degree() + k * (k + 1) // 2 != sum(target):
-        raise InconsistencyError(f"extra factor of degree {extra.total_degree()} misses "
+    factors = _vq_factors(k, spec.degrees) + [((1,) * (k + 1), 0)] * ones
+    # degree bookkeeping: every factor has degree 1, and the product must be
+    # homogeneous of exactly the target degree
+    totals = {len(factors) + sum(e) for e in start}
+    if totals != {sum(target)}:
+        raise InconsistencyError(f"a product of degree {sorted(totals)} misses "
                                  f"the target degree {sum(target)} for {spec}")
-    value = _extract(target, q_factors, vandermonde(k).mul(extra))
+    value = _extract(target, factors, start)
     if not isinstance(value, int):
         raise InconsistencyError(f"non-integer extraction {value} for {spec}")
     return value
@@ -453,8 +469,7 @@ def deg_fano(spec: ProblemSpec) -> int:
         raise RegimeError("delta-negative",
                           f"expected dimension delta = {spec.delta} < 0: Fano scheme empty")
     _check_nonempty_regime(spec)
-    e = elem_sym(1, spec.k + 1)
-    value = _fano_extraction(spec, e**spec.delta)
+    value = _fano_extraction(spec, {(0,) * (spec.k + 1): 1}, spec.delta)
     if value <= 0:
         raise InconsistencyError(f"deg F = {value} for {spec}; expected positive")
     return value
@@ -471,4 +486,6 @@ def c2_fano_integral(spec: ProblemSpec) -> int:
         raise RegimeError("delta-not-two",
                           f"c2 integral needs a Fano surface (delta = 2), got delta = {spec.delta}")
     _check_nonempty_regime(spec)
-    return _fano_extraction(spec, elem_sym(2, spec.k + 1))
+    e2 = {tuple(int(n in pair) for n in range(spec.k + 1)): 1
+          for pair in combinations(range(spec.k + 1), 2)}
+    return _fano_extraction(spec, e2, 0)

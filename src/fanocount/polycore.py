@@ -38,8 +38,6 @@ __all__ = [
     "ExponentVector",
     "MultiPoly",
     "TruncatedSeries",
-    "elem_sym",
-    "vandermonde",
     "weight_vectors",
     "weighted_linear_product",
 ]
@@ -134,10 +132,6 @@ class MultiPoly:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def total_degree(self) -> int:
-        """Largest total degree of a stored term; -1 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=-1)
 
     def coefficient(self, exps: Sequence[int]) -> ExactScalar:
         key = tuple(exps)
@@ -427,30 +421,3 @@ def weighted_linear_product(k: int, d: int, affine: bool,
     for v in weight_vectors(k + 1, d):
         acc = acc.mul(MultiPoly.linear_form(v, constant), bound=bound)
     return acc
-
-
-def vandermonde(k: int) -> MultiPoly:
-    """``prod_{0 <= i < j <= k} (x_i - x_j)`` in k+1 variables (degree k(k+1)/2)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    acc = MultiPoly.one(k + 1)
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            acc = acc.mul(MultiPoly.variable(k + 1, i) - MultiPoly.variable(k + 1, j))
-    return acc
-
-
-def elem_sym(j: int, n: int) -> MultiPoly:
-    """The j-th elementary symmetric polynomial in n variables.
-
-    ``j = 0`` gives 1 (empty product convention).
-    """
-    if j < 0 or j > n:
-        raise ValueError(f"need 0 <= j <= n, got j={j}, n={n}")
-    terms: dict[ExponentVector, ExactScalar] = {}
-    for subset in combinations(range(n), j):
-        exps = [0] * n
-        for i in subset:
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return MultiPoly._make(n, terms)

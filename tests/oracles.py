@@ -2,8 +2,8 @@
 
 Deliberately different computational routes from the ones in the package:
 
-* plane counts through dense sympy expansion (no truncation, no sparse
-  folding);
+* plane counts and the Fano-scheme numbers through dense sympy expansion
+  (no truncation, no sparse folding);
 * conic fixed-point sums through dict-based dense series arithmetic in four
   variables, with the inverse computed by a homogeneous-layer recurrence
   rather than geometric-series iteration;
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import sympy as sp
 
@@ -75,6 +76,29 @@ def sympy_deg_ci_planes(degrees, r, k):
                            for i in range(k + 1) for j in range(i + 1, k + 1)])
     return int(sympy_psi(q * affine * vandermonde, X,
                          tuple(r - i for i in range(k + 1))))
+
+
+def _sympy_fano(degrees, r, k, extra):
+    """Target coefficient of Q * extra * V, Q the forms <v, x> for every degree."""
+    X = sympy_vars(k)
+    q = sp.prod([sum(v[i] * X[i] for i in range(k + 1))
+                 for d in degrees for v in compositions(k + 1, d)])
+    vandermonde = sp.prod([X[i] - X[j]
+                           for i in range(k + 1) for j in range(i + 1, k + 1)])
+    return int(sympy_psi(q * extra(X) * vandermonde, X,
+                         tuple(r - i for i in range(k + 1))))
+
+
+def sympy_deg_fano(degrees, r, k):
+    """Plucker degree of the Fano scheme: Q * e_1^delta * V."""
+    delta = (k + 1) * (r - k) - sum(comb(d + k, k) for d in degrees)
+    return _sympy_fano(degrees, r, k, lambda X: sum(X) ** delta)
+
+
+def sympy_c2_fano(degrees, r, k):
+    """c2 integral over a Fano surface: Q * e_2 * V."""
+    return _sympy_fano(degrees, r, k, lambda X: sum(
+        X[i] * X[j] for i in range(k + 1) for j in range(i + 1, k + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,9 @@ def test_conic_roots_are_the_divided_form(inputs):
     from fanocount.conics import _conic_roots
     from fanocount.planes import _top_chern
     d, n, point = inputs
-    for a, b in itertools.combinations_with_replacement(range(3), 2):
-        roots = _conic_roots(d, point, a, b)
+    per_conic = _conic_roots(d, point)
+    assert len(per_conic) == 6
+    for (a, b), roots in zip(itertools.combinations_with_replacement(range(3), 2), per_conic):
         assert len(roots) == 2 * d + 1
         assert _top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
 

@@ -22,7 +22,14 @@ from fanocount.planes import (
 )
 from fanocount.polycore import MultiPoly, weight_vectors, weighted_linear_product
 
-from oracles import plain_top_chern, sympy_deg_ci_planes, sympy_deg_planes, sympy_tau
+from oracles import (
+    plain_top_chern,
+    sympy_c2_fano,
+    sympy_deg_ci_planes,
+    sympy_deg_fano,
+    sympy_deg_planes,
+    sympy_tau,
+)
 from test_source import documented_regime_codes
 
 
@@ -204,7 +211,7 @@ def test_dm_equals_bott_on_random_cells(drk, seed):
 
 @st.composite
 def extraction_inputs(draw):
-    """A target, linear factors (v, c) and a start polynomial in 1-5 variables.
+    """A target, linear factors (v, c) and a start term map in 1-5 variables.
 
     Target entries 0..8 take in 0, 1, 3, 4, 7 and 8, at and next to powers of
     two, where the packed field width changes; start exponents are small or
@@ -216,7 +223,7 @@ def extraction_inputs(draw):
                             for t in target])
     coefficients = st.one_of(st.integers(-3, 3),
                              st.fractions(min_value=-3, max_value=3, max_denominator=5))
-    start = MultiPoly(n, draw(st.dictionaries(exponents, coefficients, max_size=4)))
+    start = draw(st.dictionaries(exponents, coefficients, max_size=4))
     factors = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * n),
                                       st.sampled_from((0, 1, 3))), max_size=6))
     return target, factors, start
@@ -227,7 +234,7 @@ def extraction_inputs(draw):
 def test_extract_equals_unpruned_fold(inputs):
     from fanocount.planes import _extract
     target, factors, start = inputs
-    product = start
+    product = MultiPoly(len(target), start)
     for v, c in factors:
         product = product.mul(MultiPoly.linear_form(v, c))
     assert _extract(target, factors, start) == product.coefficient(target)
@@ -389,6 +396,18 @@ def test_c2_fano_integral_frozen(spec_args, expected):
     assert c2_fano_integral(ProblemSpec(degrees, r, k)) == expected
 
 
+# delta from 3 to 17; k = 3 cells take seconds each by dense expansion
+@pytest.mark.parametrize("spec_args", [((2,), 9, 1), ((2,), 11, 1), ((3,), 9, 1),
+                                       ((2, 2), 7, 2), ((3,), 8, 2), ((3,), 10, 2)])
+def test_deg_fano_matches_dense_oracle(spec_args):
+    assert deg_fano(ProblemSpec(*spec_args)) == sympy_deg_fano(*spec_args)
+
+
+@pytest.mark.parametrize("spec_args", [((3,), 6, 2), ((2, 3), 8, 2)])
+def test_c2_fano_integral_matches_dense_oracle(spec_args):
+    assert c2_fano_integral(ProblemSpec(*spec_args)) == sympy_c2_fano(*spec_args)
+
+
 def test_deg_fano_regime_errors():
     with pytest.raises(RegimeError) as err:
         deg_fano(ProblemSpec((6,), 4, 1))       # delta = -1
@@ -405,12 +424,35 @@ def test_deg_fano_regime_errors():
 
 
 def test_fano_extraction_rejects_wrong_degree_extra():
-    # delta = 2 needs an extra factor of degree 2; a degree-1 one would
-    # silently extract 0 from a product that misses the target degree
+    # delta = 2 needs extra factors of degree 2; e_1 alone, or a start that is
+    # not homogeneous, would silently extract from a product that misses the
+    # target degree
     from fanocount.planes import _fano_extraction
-    from fanocount.polycore import elem_sym
-    with pytest.raises(InconsistencyError):
-        _fano_extraction(ProblemSpec((3,), 4, 1), elem_sym(1, 2))
+    spec = ProblemSpec((3,), 4, 1)
+    assert _fano_extraction(spec, {(0, 0): 1}, 2) == 45
+    for start, ones in [({(0, 0): 1}, 1), ({(1, 0): 1, (1, 1): 1}, 0)]:
+        with pytest.raises(InconsistencyError):
+            _fano_extraction(spec, start, ones)
+
+
+def test_runtime_routes_do_no_polynomial_arithmetic(monkeypatch, capsys):
+    # every extraction folds linear forms into a plain term map: no route
+    # multiplies, powers, adds or subtracts MultiPoly values
+    from fanocount.cli import paper_check
+    from fanocount.invariants import surface_invariants
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("a runtime route did MultiPoly arithmetic")
+
+    for name in ("mul", "__mul__", "__pow__", "__add__", "__sub__"):
+        monkeypatch.setattr(MultiPoly, name, forbidden)
+    assert deg_planes_dm(3, 5, 2) == PLANE_DEGREES[(3, 5, 2)]
+    assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == CI_DEGREES[((2, 3), 4, 1)]
+    assert deg_fano(ProblemSpec((2, 2), 7, 2)) == FANO_DEGREES[((2, 2), 7, 2)]
+    assert c2_fano_integral(ProblemSpec((2, 3), 8, 2)) == C2_INTEGRALS[((2, 3), 8, 2)]
+    assert surface_invariants(ProblemSpec((3,), 6, 2)).chi_o == 3213
+    assert paper_check() is True
+    assert "0 failed" in capsys.readouterr().out
 
 
 def test_fano_class_is_symmetric():

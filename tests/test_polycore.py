@@ -8,8 +8,6 @@ from fanocount.errors import DimensionError, NotInvertibleError
 from fanocount.polycore import (
     MultiPoly,
     TruncatedSeries,
-    elem_sym,
-    vandermonde,
     weight_vectors,
     weighted_linear_product,
 )
@@ -87,33 +85,8 @@ def test_weight_vectors_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# vandermonde / elem_sym / homogeneous_component
+# homogeneous_component
 # ---------------------------------------------------------------------------
-
-def test_vandermonde_small():
-    assert vandermonde(0) == MultiPoly.one(1)
-    assert vandermonde(1) == x(2, 0) - x(2, 1)
-    expected = ((x(3, 0) - x(3, 1)) * (x(3, 0) - x(3, 2)) * (x(3, 1) - x(3, 2)))
-    assert vandermonde(2) == expected
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_vandermonde_alternating(k):
-    v = vandermonde(k)
-    for i in range(k + 1):
-        for j in range(i + 1, k + 1):
-            perm = list(range(k + 1))
-            perm[i], perm[j] = perm[j], perm[i]
-            assert v.permute_variables(perm) == -v
-
-
-def test_elem_sym_values():
-    assert elem_sym(1, 2) == x(2, 0) + x(2, 1)
-    assert elem_sym(2, 3) == x(3, 0) * x(3, 1) + x(3, 0) * x(3, 2) + x(3, 1) * x(3, 2)
-    assert elem_sym(0, 5) == MultiPoly.one(5)
-    with pytest.raises(ValueError):
-        elem_sym(4, 3)
-
 
 def test_homogeneous_component_simple():
     p = linear((1, 0), 1) * linear((0, 1), 1)   # (1+x0)(1+x1)
@@ -128,7 +101,7 @@ def test_homogeneous_component_feeds_line_count():
     affine = weighted_linear_product(1, 3, affine=True)
     top = affine.homogeneous_component(4)
     assert top == weighted_linear_product(1, 3, affine=False)
-    product = top * linear((1, 1)) ** 2 * vandermonde(1)
+    product = top * linear((1, 1)) ** 2 * (x(2, 0) - x(2, 1))
     assert product.coefficient((4, 3)) == 45
 
 
