@@ -42,7 +42,8 @@ from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import DEFAULT_SEED, TorusWeights, WeightsLike, _roots, _top_chern, _weight_tuple
+from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _integer_weights, _roots,
+                     _top_chern, _weight_tuple)
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -299,6 +300,12 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
       times prod over the five pairs {p, q} != {a, b} of
       (t_a + t_b) - (t_p + t_q).
 
+    The six conics of a plane share one denominator, the grass factor times the
+    Vandermonde product of the six pair sums (each conic's five-pair factor divides
+    it), so each plane adds one exact ``Fraction`` with an integer numerator.  Each
+    term has degree 0 in the weights, so ``Fraction`` weights are first scaled to
+    ints (``planes._integer_weights``).
+
     The sum is a constant positive integer; the raw rational is returned with
     an integrality flag, and halving for (d, r) = (4, 3) is the dispatcher's
     job, not this function's.
@@ -306,6 +313,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
+    weights = _integer_weights(weights)
     n = 3 * r - 1
     total = Fraction(0)
     for plane in combinations(range(r + 1), 3):
@@ -313,10 +321,13 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
         outside = [weights[j] for j in range(r + 1) if j not in plane]
         grass = prod(tb - weights[i] for i in plane for tb in outside)
         pair_sums = [weights[plane[a]] + weights[plane[b]] for a, b in _PAIRS]
-        # the six sums are distinct, checked above
-        for roots, shift in zip(_conic_roots(d, point), pair_sums):
-            euler = grass * prod(shift - s for s in pair_sums if s != shift)
-            total += Fraction(_top_chern(n, roots, ()), euler)
+        # the six sums are distinct, checked above; each conic's pair-sum factor
+        # divides their Vandermonde product, the plane's shared denominator
+        vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
+        numerator = sum(_top_chern(n, roots, ())
+                        * (vandermonde // prod(shift - s for s in pair_sums if s != shift))
+                        for roots, shift in zip(_conic_roots(d, point), pair_sums))
+        total += Fraction(numerator, grass * vandermonde)
     return BottSum(value=total, is_integral=total.denominator == 1)
 
 

@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, lcm, prod
 from operator import le
 from typing import Iterator, NamedTuple, Sequence
 
@@ -170,6 +170,13 @@ def _weight_tuple(t: WeightsLike, r: int) -> tuple[ExactScalar, ...]:
     return tt
 
 
+def _integer_weights(weights: Sequence[ExactScalar]) -> list[int]:
+    """The weights times the lcm of their denominators.  A fixed-point sum whose every
+    term has degree 0 in the weights is unchanged, and its kernel then sees only ints."""
+    scale = lcm(*(w.denominator for w in weights))
+    return [int(w * scale) for w in weights]
+
+
 def fixed_planes(r: int, k: int) -> Iterator[FixedPlane]:
     """Index sets of the coordinate k-planes: all (k+1)-subsets of {0..r}."""
     return combinations(range(r + 1), k + 1)
@@ -304,14 +311,50 @@ def _top_chern(n: int, roots: Sequence[ExactScalar],
     """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
     a top Chern form at one torus-fixed point; only the untwisted conic form divides.
 
-    After i roots only Z^j with j <= i is non-zero; with no divisors and L roots left,
-    only j >= n - L can still reach Z^n, so each root updates that window only.
-    Divisors read every coefficient.  Each has constant term 1, so int values stay int."""
+    Integer roots and no divisors (every fixed point of both Bott sums): the product,
+    truncated to a window of w + 1 coefficients, is held as one int, coefficient j in
+    a B-bit field at bit B*j, so each root is one big-int step.  With L roots and
+    gamma = L - n the window is the narrower of two:
+
+    * gamma <= n: prod (a + Y) mod Y^(gamma+1), w = gamma.  Its Y^gamma coefficient
+      is e_n, and each kept coefficient is some e_m, m >= n >= 1, with
+      |e_m| <= prod (1 + |a|) - 1 < 2^(B-1) for B = sum (|a|+1).bit_length() + 1.
+    * gamma > n: prod (1 + a Z) mod Z^(n+1), w = n.  Each kept e_m, m <= n, has
+      |e_m| <= S^m / m! <= S^q // q! < 2^(B-1) for S = sum |a|, q = min(n, S) and
+      B = (S^q // q!).bit_length() + 1.
+
+    So field w holds the answer as a signed value, and the fields below it sum to
+    less than 2^(B*w - 1) in absolute value, which the rounding half absorbs.
+    Reducing mod 2^(B(w+1)) after every step keeps only the window and changes
+    nothing modulo that power of two.
+
+    Otherwise (a divisor, or a Fraction root) a loop over a coefficient list: after i
+    roots only Z^j with j <= i is non-zero, so each root updates those only.  Divisors
+    read every coefficient.  Each has constant term 1, so int values stay int."""
+    if n and not divisors and set(map(type, roots)) <= {int}:
+        gamma = len(roots) - n
+        if gamma < 0:
+            return 0
+        if gamma <= n:
+            window, width = gamma, sum((abs(a) + 1).bit_length() for a in roots) + 1
+        else:
+            size = sum(map(abs, roots))
+            top = min(n, size)
+            window, width = n, (size ** top // factorial(top)).bit_length() + 1
+        mask = (1 << width * (window + 1)) - 1
+        packed = 1
+        if window == gamma:
+            for a in roots:
+                packed = (a * packed + (packed << width)) & mask
+        else:
+            for a in roots:
+                packed = (packed + (a * packed << width)) & mask
+        low = width * window
+        field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
+        return field - (1 << width) if field >> (width - 1) else field
     coeffs = [1] + [0] * n
-    reach = (0 if divisors else n) - len(roots)
     for i, a in enumerate(roots, start=1):
-        reach += 1
-        for j in range(i if i < n else n, reach - 1 if reach > 1 else 0, -1):
+        for j in range(min(i, n), 0, -1):
             coeffs[j] += a * coeffs[j - 1]
     for b in divisors:
         for j in range(1, n + 1):
@@ -325,27 +368,36 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
 
     tau (:func:`tau_poly`) is never expanded: the integer kernel ``_top_chern``
-    gives its value at each fixed point, which adds one exact ``Fraction``.
+    gives its value at each fixed point.  With P_j = prod_{l != j} (t_j - t_l),
+    1 / prod_{i in I, j not in I} (t_i - t_j) = V(t_I)^2 prod_{j not in I} P_j / D,
+    D = (-1)^C(k+1, 2) prod_j P_j, so each fixed point adds an integer and the sum
+    ends in one exact division by D.  ``Fraction`` weights are first scaled to ints
+    (``_integer_weights``).
 
     Each term is a rational function of the weights but the sum is a constant
-    positive integer; any other outcome raises :class:`InconsistencyError`.
+    positive integer; a non-zero remainder or a quotient <= 0 raises
+    :class:`InconsistencyError`.
     """
     _check_hypersurface_regime(d, r, k)
     weights = _weight_tuple(t, r)
     if len(set(weights)) != len(weights):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {weights}")
+    weights = _integer_weights(weights)
     n = (k + 1) * (r - k)
-    total = Fraction(0)
+    p = [prod(tj - tl for tl in weights if tl != tj) for tj in weights]
+    numerator = 0
     for subset in fixed_planes(r, k):
-        roots = _roots(d, [weights[i] for i in subset])
-        denominator = prod(weights[i] - weights[j]
-                           for i in subset for j in range(r + 1) if j not in subset)
-        total += Fraction(_top_chern(n, roots, ()), denominator)
-    if total.denominator != 1 or total <= 0:
+        point = [weights[i] for i in subset]
+        vandermonde = prod(a - b for a, b in combinations(point, 2))
+        numerator += (_top_chern(n, _roots(d, point), ()) * vandermonde * vandermonde
+                      * prod(p[j] for j in range(r + 1) if j not in subset))
+    denominator = (-1) ** comb(k + 1, 2) * prod(p)
+    total, remainder = divmod(numerator, denominator)
+    if remainder or total <= 0:
         raise InconsistencyError(
-            f"fixed-point sum for Sigma({d},{r},{k}) is {total}; expected a positive "
-            "integer (implementation bug)")
-    return int(total)
+            f"fixed-point sum for Sigma({d},{r},{k}) is {Fraction(numerator, denominator)}; "
+            "expected a positive integer (implementation bug)")
+    return total
 
 
 # ---------------------------------------------------------------------------

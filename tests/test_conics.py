@@ -1,13 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanocount.errors import RegimeError, SingularWeightsError
+from fanocount.errors import InconsistencyError, RegimeError, SingularWeightsError
 from fanocount.conics import (
     ConicProblem,
     chern_Ed_series,
@@ -345,6 +345,44 @@ def test_bott_sum_frozen(dr, expected):
     d, r = dr
     value = deg_conics_bott(d, r, generic_conic_weights(r, seed=17))
     assert value.is_integral and value.value == expected
+
+
+def test_bott_sum_fraction_weights_equal_the_scaled_integers():
+    # every term has degree 0 in the weights: a rational vector and the same vector
+    # times the lcm of its denominators give the same BottSum
+    f = Fraction
+    rational = (f(1, 2), 2, f(5, 3), 7)
+    assert deg_conics_bott(4, 3, rational) == deg_conics_bott(4, 3, (3, 12, 10, 42))
+    assert deg_conics_bott(4, 3, rational) == (5016, True)
+    weights = generic_conic_weights(4, seed=5)
+    rational = [f(w, 6) for w in weights]
+    scale = lcm(*(w.denominator for w in rational))
+    assert deg_conics_bott(6, 4, rational) \
+        == deg_conics_bott(6, 4, [int(w * scale) for w in rational]) \
+        == deg_conics_bott(6, 4, weights) == (188068995, True)
+
+
+def test_conic_integrality_and_positivity_guards(monkeypatch):
+    # one conic off by one breaks the sum's integrality and the two-draw agreement;
+    # negated values pass both and fail positivity
+    import fanocount.conics as conics
+    kernel = conics._top_chern
+
+    def one_off():
+        calls = itertools.count()
+        return lambda n, roots, divisors: kernel(n, roots, divisors) + (next(calls) == 5)
+
+    monkeypatch.setattr(conics, "_top_chern", one_off())
+    assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).is_integral is False
+    monkeypatch.setattr(conics, "_top_chern", one_off())
+    with pytest.raises(InconsistencyError, match="not constant"):
+        deg_conics(5, 3)
+    monkeypatch.setattr(conics, "_top_chern",
+                        lambda n, roots, divisors: -kernel(n, roots, divisors))
+    with pytest.raises(InconsistencyError, match="is -282880 <= 0"):
+        deg_conics(5, 3)
+    with pytest.raises(InconsistencyError, match="is -2508 <= 0"):
+        deg_conics(4, 3)
 
 
 def test_bott_weight_validation():

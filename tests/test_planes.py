@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import count
 from math import comb
 
@@ -138,6 +139,40 @@ def test_top_chern_equals_plain_loop(n, roots, divisors):
     assert _top_chern(n, roots, divisors) == plain_top_chern(n, roots, divisors)
 
 
+@st.composite
+def packed_kernel_inputs(draw):
+    """Integer roots and n at the edges of the packed path: up to 40 roots of size up
+    to 10^12, all zero, or one huge root among small ones; n = 0, n = L, n > L and
+    every gamma = L - n in between."""
+    size = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("wide", "zeros", "one huge")))
+    if kind == "wide":
+        roots = draw(st.lists(st.integers(-10**12, 10**12), min_size=size, max_size=size))
+    else:
+        small = st.just(0) if kind == "zeros" else st.integers(-3, 3)
+        roots = draw(st.lists(small, min_size=size, max_size=size))
+        if roots and kind == "one huge":
+            huge = st.one_of(st.integers(-10**12, 10**12),
+                             st.integers(0, 60).map(lambda m: 2**m))
+            roots[draw(st.integers(0, size - 1))] = draw(huge)
+    n = draw(st.one_of(st.just(0), st.just(size), st.integers(0, size + 3)))
+    return n, roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_kernel_inputs())
+@example((1, [2**40]))                          # e_1 = 2^40 needs the field's top bit,
+@example((1, [2**40, 0, 0]))                    # in either window
+@example((2, [2**41 - 2, 2**41 - 2]))           # a product close to the field bound
+@example((3, [-10**12, 10**12, -10**12, 5]))
+@example((0, [0] * 40))
+@example((41, [7] * 40))                        # n > L
+def test_packed_top_chern_at_the_field_edges(inputs):
+    from fanocount.planes import _top_chern
+    n, roots = inputs
+    assert _top_chern(n, roots, ()) == plain_top_chern(n, roots, ())
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 5), st.lists(kernel_scalars, min_size=1, max_size=4))
 def test_roots_are_the_weight_vector_pairings(d, point):
@@ -187,6 +222,31 @@ def test_deg_planes_dm_matches_dense_oracle(drk):
 def test_deg_planes_bott_fixed_weight_examples():
     assert deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
     assert deg_planes_bott(4, 3, 1, (0, 3, 11, -4)) == 320
+
+
+def test_deg_planes_bott_fraction_weights():
+    # every term has degree 0 in the weights, so rational weights give the same sum
+    f = Fraction
+    assert deg_planes_bott(4, 3, 1, (f(1, 2), 2, f(5, 3), 7)) == 320
+    assert deg_planes_bott(3, 5, 2, (f(1, 2), 2, f(5, 3), 7, f(-9, 4), 11)) == 3402
+
+
+def test_deg_planes_bott_integrality_and_positivity_guards(monkeypatch):
+    # a wrong value at one fixed point leaves a remainder; negated values a quotient < 0
+    import fanocount.planes as planes_module
+    kernel = planes_module._top_chern
+    calls = count()
+
+    def one_off(n, roots, divisors):
+        return kernel(n, roots, divisors) + (next(calls) == 3)
+
+    monkeypatch.setattr(planes_module, "_top_chern", one_off)
+    with pytest.raises(InconsistencyError, match=r"is -?\d+/\d+; expected a positive integer"):
+        deg_planes_bott(4, 3, 1, (1, 2, 5, 7))
+    monkeypatch.setattr(planes_module, "_top_chern",
+                        lambda n, roots, divisors: -kernel(n, roots, divisors))
+    with pytest.raises(InconsistencyError, match=r"is -320; expected a positive integer"):
+        deg_planes_bott(4, 3, 1, (1, 2, 5, 7))
 
 
 @st.composite
@@ -250,7 +310,7 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
         pytest.fail("one route reached the other route's kernel")
 
     with monkeypatch.context() as patch:
-        for helper in ("_roots", "_top_chern"):
+        for helper in ("_roots", "_top_chern", "_integer_weights"):
             patch.setattr(planes_module, helper, forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
@@ -265,7 +325,8 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
 
 
 def test_deg_planes_bott_agrees_with_dm():
-    for drk in [(4, 3, 1), (5, 3, 1), (3, 5, 2)]:
+    # (6, 5, 2) has gamma > n, so its kernel packs the Z^n window, not the Y^gamma one
+    for drk in [(4, 3, 1), (5, 3, 1), (3, 5, 2), (6, 5, 2)]:
         d, r, k = drk
         for seed in (5, 6):
             weights = TorusWeights.random(r, seed)
