@@ -17,7 +17,9 @@ equation is only well defined up to scale, so the sub-bundle is twisted by
 the tautological line of the P^5 fiber.  The 3-variable form ``eta_form``
 ignores that twist (the twist contributes nothing when the fiber class is
 suppressed); the 4-variable form ``eta_form_twisted`` keeps it.  The torus
-fixed-point sums never expand these forms.  At the fixed conic x_a x_b = 0 the
+fixed-point sums never expand these forms.  The six fixed conics of a coordinate
+plane add up to an integer, the integral over its P^5 fiber, and the conic sum is
+``planes._plane_sum`` over those integrals.  At the fixed conic x_a x_b = 0 the
 twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel
 part of the numerator: the twisted term is the top elementary symmetric
 function of the 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme),
@@ -42,8 +44,8 @@ from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _integer_weights, _roots,
-                     _top_chern, _weight_tuple)
+from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _plane_sum, _roots, _top_chern,
+                     _weight_tuple)
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -236,8 +238,6 @@ def _validate_conic_weights(t: Sequence[ExactScalar], r: int, twisted: bool) -> 
             raise SingularWeightsError(
                 f"weights t_{a} and t_{b} sum to zero; fixed-point denominators vanish")
     if twisted:
-        if len(set(t)) != len(t):
-            raise SingularWeightsError("weights must be pairwise distinct")
         for plane in combinations(range(r + 1), 3):
             sums = {t[a] + t[b] for a, b in combinations_with_replacement(plane, 2)}
             if len(sums) != 6:
@@ -297,14 +297,13 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
       Chern-root values (-t_i, -t_j, -t_k), equal to ``eta_form_twisted``
       there with fiber class value t_a + t_b;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
-      times prod over the five pairs {p, q} != {a, b} of
+      times Q_c, the product over the five pairs {p, q} != {a, b} of
       (t_a + t_b) - (t_p + t_q).
 
-    The six conics of a plane share one denominator, the grass factor times the
-    Vandermonde product of the six pair sums (each conic's five-pair factor divides
-    it), so each plane adds one exact ``Fraction`` with an integer numerator.  Each
-    term has degree 0 in the weights, so ``Fraction`` weights are first scaled to
-    ints (``planes._integer_weights``).
+    A plane's six terms over Q_c add up to the integral over its P^5 fiber: an
+    integer (the push-forward of an integral class) over V6, the Vandermonde product
+    of the six pair sums, which each Q_c divides; a remainder raises
+    :class:`InconsistencyError`.  Times (-1)^r it is the plane's ``_plane_sum`` term.
 
     The sum is a constant positive integer; the raw rational is returned with
     an integrality flag, and halving for (d, r) = (4, 3) is the dispatcher's
@@ -313,22 +312,20 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
-    weights = _integer_weights(weights)
-    n = 3 * r - 1
-    total = Fraction(0)
-    for plane in combinations(range(r + 1), 3):
-        point = [-weights[i] for i in plane]
-        outside = [weights[j] for j in range(r + 1) if j not in plane]
-        grass = prod(tb - weights[i] for i in plane for tb in outside)
-        pair_sums = [weights[plane[a]] + weights[plane[b]] for a, b in _PAIRS]
-        # the six sums are distinct, checked above; each conic's pair-sum factor
-        # divides their Vandermonde product, the plane's shared denominator
+
+    def fiber(plane: list[int]) -> int:
+        pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
         vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
-        numerator = sum(_top_chern(n, roots, ())
+        numerator = sum(_top_chern(3 * r - 1, roots, ())
                         * (vandermonde // prod(shift - s for s in pair_sums if s != shift))
-                        for roots, shift in zip(_conic_roots(d, point), pair_sums))
-        total += Fraction(numerator, grass * vandermonde)
-    return BottSum(value=total, is_integral=total.denominator == 1)
+                        for roots, shift in zip(_conic_roots(d, [-w for w in plane]), pair_sums))
+        value, remainder = divmod(numerator, vandermonde)
+        if remainder:
+            raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")
+        return (-1) ** r * value
+
+    numerator, denominator = _plane_sum(r, 2, weights, fiber)
+    return BottSum(Fraction(numerator, denominator), numerator % denominator == 0)
 
 
 def deg_conics_untwisted_sum(d: int, r: int, t: WeightsLike) -> Fraction:

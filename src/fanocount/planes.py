@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from operator import le
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 from .polycore import (
@@ -167,6 +167,8 @@ def _weight_tuple(t: WeightsLike, r: int) -> tuple[ExactScalar, ...]:
     tt = tuple(t)
     if len(tt) != r + 1:
         raise SingularWeightsError(f"need r+1 = {r + 1} weights, got {len(tt)}")
+    if not all(isinstance(w, (int, Fraction)) for w in tt):
+        raise RegimeError("weights-not-exact", f"weights must be ints or Fractions, got {tt}")
     return tt
 
 
@@ -362,36 +364,38 @@ def _top_chern(n: int, roots: Sequence[ExactScalar],
     return coeffs[n]
 
 
+def _plane_sum(r: int, k: int, t: Sequence[ExactScalar], local: Callable) -> tuple[int, int]:
+    """sum_I local(t_I) / prod_{i in I, j not in I} (t_i - t_j) over the coordinate k-planes I,
+    as (numerator, D): with P_j = prod_{l != j} (t_j - t_l), a term is local(t_I) V(t_I)^2
+    prod_{j not in I} P_j / D, D = (-1)^C(k+1, 2) prod_j P_j.  Each has degree 0 in the weights,
+    so ``Fraction`` weights are scaled to ints (``_integer_weights``) before ``local`` sees them."""
+    if len(set(t)) != len(t):
+        raise SingularWeightsError(f"weights must be pairwise distinct, got {t}")
+    weights = _integer_weights(t)
+    p = [prod(tj - tl for tl in weights if tl != tj) for tj in weights]
+    numerator = sum(local([weights[i] for i in subset])
+                    * prod(weights[a] - weights[b] for a, b in combinations(subset, 2)) ** 2
+                    * prod(p[j] for j in range(r + 1) if j not in subset)
+                    for subset in fixed_planes(r, k))
+    return numerator, (-1) ** comb(k + 1, 2) * prod(p)
+
+
 def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
     """The same degree as :func:`deg_planes_dm`, by the torus fixed-point sum
 
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
 
     tau (:func:`tau_poly`) is never expanded: the integer kernel ``_top_chern``
-    gives its value at each fixed point.  With P_j = prod_{l != j} (t_j - t_l),
-    1 / prod_{i in I, j not in I} (t_i - t_j) = V(t_I)^2 prod_{j not in I} P_j / D,
-    D = (-1)^C(k+1, 2) prod_j P_j, so each fixed point adds an integer and the sum
-    ends in one exact division by D.  ``Fraction`` weights are first scaled to ints
-    (``_integer_weights``).
+    gives its value at each fixed point, and :func:`_plane_sum` adds them up.
 
     Each term is a rational function of the weights but the sum is a constant
     positive integer; a non-zero remainder or a quotient <= 0 raises
     :class:`InconsistencyError`.
     """
     _check_hypersurface_regime(d, r, k)
-    weights = _weight_tuple(t, r)
-    if len(set(weights)) != len(weights):
-        raise SingularWeightsError(f"weights must be pairwise distinct, got {weights}")
-    weights = _integer_weights(weights)
     n = (k + 1) * (r - k)
-    p = [prod(tj - tl for tl in weights if tl != tj) for tj in weights]
-    numerator = 0
-    for subset in fixed_planes(r, k):
-        point = [weights[i] for i in subset]
-        vandermonde = prod(a - b for a, b in combinations(point, 2))
-        numerator += (_top_chern(n, _roots(d, point), ()) * vandermonde * vandermonde
-                      * prod(p[j] for j in range(r + 1) if j not in subset))
-    denominator = (-1) ** comb(k + 1, 2) * prod(p)
+    numerator, denominator = _plane_sum(r, k, _weight_tuple(t, r),
+                                        lambda point: _top_chern(n, _roots(d, point), ()))
     total, remainder = divmod(numerator, denominator)
     if remainder or total <= 0:
         raise InconsistencyError(

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanocount.errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -23,6 +23,7 @@ from fanocount.conics import (
     fixed_point_census,
     generic_conic_weights,
 )
+from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
 from oracles import dense_conic_bott, dense_eta, divided_conic_top_chern
@@ -363,26 +364,96 @@ def test_bott_sum_fraction_weights_equal_the_scaled_integers():
 
 
 def test_conic_integrality_and_positivity_guards(monkeypatch):
-    # one conic off by one breaks the sum's integrality and the two-draw agreement;
+    # one conic off by one leaves its plane's fiber sum non-integral; one plane's
+    # fiber value off by one breaks the sum's integrality and the two-draw agreement;
     # negated values pass both and fail positivity
     import fanocount.conics as conics
-    kernel = conics._top_chern
+    kernel, plane_sum = conics._top_chern, conics._plane_sum
+    weights = generic_conic_weights(3, seed=11)
+    calls = itertools.count()
+    monkeypatch.setattr(conics, "_top_chern",
+                        lambda n, roots, divisors: kernel(n, roots, divisors) + (next(calls) == 5))
+    with pytest.raises(InconsistencyError, match="fiber sum at plane weights"):
+        deg_conics_bott(4, 3, weights)
+    monkeypatch.setattr(conics, "_top_chern", kernel)
 
-    def one_off():
-        calls = itertools.count()
-        return lambda n, roots, divisors: kernel(n, roots, divisors) + (next(calls) == 5)
+    def one_plane_off(r, k, t, local):
+        planes = itertools.count()
+        return plane_sum(r, k, t, lambda point: local(point) + (next(planes) == 2))
 
-    monkeypatch.setattr(conics, "_top_chern", one_off())
-    assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).is_integral is False
-    monkeypatch.setattr(conics, "_top_chern", one_off())
+    monkeypatch.setattr(conics, "_plane_sum", one_plane_off)
+    assert deg_conics_bott(4, 3, weights).is_integral is False
     with pytest.raises(InconsistencyError, match="not constant"):
         deg_conics(5, 3)
+    monkeypatch.setattr(conics, "_plane_sum", plane_sum)
     monkeypatch.setattr(conics, "_top_chern",
                         lambda n, roots, divisors: -kernel(n, roots, divisors))
     with pytest.raises(InconsistencyError, match="is -282880 <= 0"):
         deg_conics(5, 3)
     with pytest.raises(InconsistencyError, match="is -2508 <= 0"):
         deg_conics(4, 3)
+
+
+@st.composite
+def conic_sums_at_valid_weights(draw):
+    """A cell of RAW_BOTT and r + 1 integer weights passing the twisted sum's rules:
+    non-zero, no two summing to zero, six distinct pair sums in every plane.  The
+    draws include negative weights and vectors that are no Sidon set."""
+    d, r = draw(st.sampled_from([(4, 3), (5, 3), (6, 4)]))
+    t = draw(st.lists(st.integers(-40, 40), min_size=r + 1, max_size=r + 1))
+    assume(0 not in t)
+    assume(all(t[a] + t[b] for a, b in itertools.combinations(range(r + 1), 2)))
+    assume(all(len({t[a] + t[b] for a, b in itertools.combinations_with_replacement(plane, 2)})
+               == 6 for plane in itertools.combinations(range(r + 1), 3)))
+    return d, r, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(conic_sums_at_valid_weights())
+@example((5, 3, [-7, 2, 5, 14]))    # -7 + 14 = 2 + 5
+def test_bott_sum_is_the_frozen_integer_at_any_valid_weights(inputs):
+    # every plane's fiber sum divides exactly, and the total is the same integer
+    d, r, t = inputs
+    assert deg_conics_bott(d, r, t) == (RAW_BOTT[(d, r)], True)
+
+
+@pytest.mark.parametrize("plane_cell,conic_cell,raw", [((4, 3, 1), (4, 3), 5016),
+                                                      ((3, 5, 2), (7, 5), 85393742658)])
+def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_cell, raw):
+    # the plane sum builds no Fraction, and the conic sum one per call: its value
+    import fanocount.conics as conics
+    import fanocount.planes as planes
+    plane_degree = deg_planes_dm(*plane_cell)
+    real_plane_sum = planes._plane_sum
+    fractions, plane_sums = [], []
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    def counted_plane_sum(*args):
+        plane_sums.append(args[:2])
+        return real_plane_sum(*args)
+
+    for module in (conics, planes):
+        monkeypatch.setattr(module, "Fraction", counted_fraction)
+        monkeypatch.setattr(module, "_plane_sum", counted_plane_sum)
+    d, r, k = plane_cell
+    assert deg_planes_bott(d, r, k, TorusWeights.random(r, 3)) == plane_degree
+    assert (len(fractions), plane_sums) == (0, [(r, k)])
+    d, r = conic_cell
+    assert deg_conics_bott(d, r, generic_conic_weights(r, seed=3)) == (raw, True)
+    assert (len(fractions), plane_sums) == (1, [(r, k), (r, 2)])
+
+
+def test_float_weights_raise_a_coded_error():
+    weights = (0.5, 2, 5, 7)
+    for call in (lambda: deg_planes_bott(4, 3, 1, weights),
+                 lambda: deg_conics_bott(4, 3, weights),
+                 lambda: deg_conics_untwisted_sum(4, 3, weights)):
+        with pytest.raises(RegimeError) as err:
+            call()
+        assert err.value.code == "weights-not-exact"
 
 
 def test_bott_weight_validation():
