@@ -23,7 +23,12 @@ plane add up to an integer, the integral over its P^5 fiber, and the conic sum i
 twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel
 part of the numerator: the twisted term is the top elementary symmetric
 function of the 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme),
-which the integer kernel ``planes._top_chern`` evaluates without division.
+read without division from a packed truncated product (``planes._pack``).
+Every root is at most R = d max |t| in absolute value, so one window and one
+field width serve the whole sum.  The roots of each half, degree d with v_a = 0
+and x_a times degree d - 1 with v_b = 0, form an arithmetic progression on two
+coordinates, and the three a-halves of a plane are packed once for its six
+conics: 9d + 3 big-int steps per plane.
 The forms remain as the references the tests check it against.  The
 dispatcher validates the sum by recomputing at a second weight set and, for
 quartic surfaces, halves the result (the general quartic surface in the
@@ -44,8 +49,8 @@ from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _plane_sum, _roots, _top_chern,
-                     _weight_tuple)
+from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _integer_weights, _pack,
+                     _plane_sum, _roots, _top_chern, _unpack, _weight_tuple, _z_width)
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -205,7 +210,7 @@ def fixed_point_census(r: int) -> int:
     """Count the torus-fixed conics by enumeration and check the closed form
     r(r^2 - 1) = 6 C(r+1, 3)."""
     if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
+        raise RegimeError("ambient-too-small", f"need r >= 2, got r={r}")
     count = sum(1 for _ in conic_fixed_points(r))
     if count != r * (r * r - 1):
         raise InconsistencyError(
@@ -259,18 +264,28 @@ def _eta(d: int, r: int, point: Sequence[ExactScalar]) -> ExactScalar:
 
 # the six fixed conics x_a x_b = 0 of a plane, a <= b indexing its three coordinates
 _PAIRS = tuple(combinations_with_replacement(range(3), 2))
+# the two coordinates left when coordinate a of a plane is dropped
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
-def _conic_roots(d: int, point: Sequence[ExactScalar]) -> list[list[ExactScalar]]:
-    """Chern roots of H^0(O_C(d)) at the six fixed conics x_a x_b = 0 of a plane
-    with Chern-root values ``point``, in ``_PAIRS`` order: <v, point> for the
-    2d + 1 degree-d monomials x^v not divisible by x_a x_b, those with v_a = 0
-    and x_a times those of degree d - 1 with v_b = 0.  The multiples x_a x_b x^w
-    are the twisted divisor's roots, so they cancel instead of being divided out.
-    The six lists share three lists of each degree, one per dropped variable."""
-    high = [_roots(d, point[:a] + point[a + 1:]) for a in range(3)]
-    low = [_roots(d - 1, point[:b] + point[b + 1:]) for b in range(3)]
-    return [high[a] + [point[a] + x for x in low[b]] for a, b in _PAIRS]
+# an arithmetic progression of roots, (start, step)
+Progression = tuple[ExactScalar, ExactScalar]
+
+
+def _conic_roots(d: int,
+                 point: Sequence[ExactScalar]) -> list[tuple[Progression, list[Progression]]]:
+    """Chern roots of H^0(O_C(d)) at the six fixed conics x_a x_b = 0 (a <= b) of a plane
+    with Chern-root values ``point``: <v, point> for the 2d + 1 degree-d monomials x^v not
+    divisible by x_a x_b, those with v_a = 0 and x_a times those of degree d - 1 with
+    v_b = 0.  The multiples x_a x_b x^w are the twisted divisor's roots, so they cancel
+    instead of being divided out.
+
+    On two coordinates (x, y) the degree-m roots are m y + i (x - y), i = 0..m, so each
+    half is an arithmetic progression (start, step).  For each a in turn: the d + 1 roots
+    with v_a = 0, shared by the conics with that a, then the d roots of each b >= a."""
+    return [((d * point[j], point[i] - point[j]),
+             [(point[a] + (d - 1) * point[l], point[k] - point[l]) for k, l in _OTHERS[a:]])
+            for a, (i, j) in enumerate(_OTHERS)]
 
 
 def _check_conic_degree_regime(d: int, r: int) -> None:
@@ -295,7 +310,11 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
 
     * local Chern contribution: e_{3r-1} of the 2d + 1 ``_conic_roots`` at
       Chern-root values (-t_i, -t_j, -t_k), equal to ``eta_form_twisted``
-      there with fiber class value t_a + t_b;
+      there with fiber class value t_a + t_b.  Each is the top field of a
+      ``_pack``ed product whose window and width hold for every root of the sum:
+      with L = 2d + 1, epsilon = L - (3r - 1) and R = d max |t| over the
+      integer-scaled weights, B = L (R+1).bit_length() + 1 in the Y^epsilon
+      window, else ``_z_width`` of S = L R in the Z^(3r-1) window;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
       times Q_c, the product over the five pairs {p, q} != {a, b} of
       (t_a + t_b) - (t_p + t_q).
@@ -312,13 +331,26 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
+    n, count = 3 * r - 1, 2 * d + 1
+    epsilon = count - n
+    bound = d * max(map(abs, _integer_weights(weights)))   # |root| <= d max |t|
+    if epsilon <= n:
+        window, width = epsilon, count * (bound + 1).bit_length() + 1
+    else:
+        window, width = n, _z_width(n, count * bound)
+    mask, low, y = (1 << width * (window + 1)) - 1, width * window, epsilon <= n
 
     def fiber(plane: list[int]) -> int:
         pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
         vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
-        numerator = sum(_top_chern(3 * r - 1, roots, ())
-                        * (vandermonde // prod(shift - s for s in pair_sums if s != shift))
-                        for roots, shift in zip(_conic_roots(d, [-w for w in plane]), pair_sums))
+        cofactors = iter([vandermonde // prod(c - s for s in pair_sums if s != c)
+                          for c in pair_sums])
+        numerator = 0
+        for (start, step), lows in _conic_roots(d, [-w for w in plane]):
+            high = _pack(1, range(start, start + (d + 1) * step, step), width, mask, y)
+            for start, step in lows:
+                conic = _pack(high, range(start, start + d * step, step), width, mask, y)
+                numerator += _unpack(conic, width, low) * next(cofactors)
         value, remainder = divmod(numerator, vandermonde)
         if remainder:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")

@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from operator import le
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 from .polycore import (
@@ -308,27 +308,49 @@ def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
     return [sum(c) for c in combinations_with_replacement(point, d)]
 
 
+def _z_width(n: int, size: int) -> int:
+    """B for the Z window: each kept e_m, m <= n, of roots with sum |a| <= S = size has
+    |e_m| <= S^m / m! <= S^q // q! < 2^(B-1), q = min(n, S)."""
+    top = min(n, size)
+    return (size ** top // factorial(top)).bit_length() + 1
+
+
+def _pack(packed: int, roots: Iterable[int], width: int, mask: int, y: bool) -> int:
+    """``packed`` times the linear factor of every root, in a window of w + 1 B-bit
+    fields, mask = 2^(B(w+1)) - 1: (a + Y) for each root with ``y``, else (1 + a Z).
+    Reducing mod 2^(B(w+1)) after every step keeps only the window and changes nothing
+    modulo that power of two, so only the full product's coefficients need a bound."""
+    if y:
+        for a in roots:
+            packed = (a * packed + (packed << width)) & mask
+    else:
+        for a in roots:
+            packed = (packed + (a * packed << width)) & mask
+    return packed
+
+
+def _unpack(packed: int, width: int, low: int) -> int:
+    """Field w, at bit low = B*w, as a signed value.  When B leaves a sign bit above every
+    kept coefficient, the fields below it sum to less than 2^(B*w - 1) in absolute value,
+    which the rounding half absorbs."""
+    field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
+    return field - (1 << width) if field >> (width - 1) else field
+
+
 def _top_chern(n: int, roots: Sequence[ExactScalar],
                divisors: Sequence[ExactScalar]) -> ExactScalar:
     """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
     a top Chern form at one torus-fixed point; only the untwisted conic form divides.
 
-    Integer roots and no divisors (every fixed point of both Bott sums): the product,
+    Integer roots and no divisors (every fixed plane of the plane sum): the product,
     truncated to a window of w + 1 coefficients, is held as one int, coefficient j in
-    a B-bit field at bit B*j, so each root is one big-int step.  With L roots and
-    gamma = L - n the window is the narrower of two:
+    a B-bit field at bit B*j, so each root is one big-int step (:func:`_pack`, read by
+    :func:`_unpack`).  With L roots and gamma = L - n the window is the narrower of two:
 
     * gamma <= n: prod (a + Y) mod Y^(gamma+1), w = gamma.  Its Y^gamma coefficient
       is e_n, and each kept coefficient is some e_m, m >= n >= 1, with
       |e_m| <= prod (1 + |a|) - 1 < 2^(B-1) for B = sum (|a|+1).bit_length() + 1.
-    * gamma > n: prod (1 + a Z) mod Z^(n+1), w = n.  Each kept e_m, m <= n, has
-      |e_m| <= S^m / m! <= S^q // q! < 2^(B-1) for S = sum |a|, q = min(n, S) and
-      B = (S^q // q!).bit_length() + 1.
-
-    So field w holds the answer as a signed value, and the fields below it sum to
-    less than 2^(B*w - 1) in absolute value, which the rounding half absorbs.
-    Reducing mod 2^(B(w+1)) after every step keeps only the window and changes
-    nothing modulo that power of two.
+    * gamma > n: prod (1 + a Z) mod Z^(n+1), w = n, and B from :func:`_z_width`.
 
     Otherwise (a divisor, or a Fraction root) a loop over a coefficient list: after i
     roots only Z^j with j <= i is non-zero, so each root updates those only.  Divisors
@@ -340,20 +362,9 @@ def _top_chern(n: int, roots: Sequence[ExactScalar],
         if gamma <= n:
             window, width = gamma, sum((abs(a) + 1).bit_length() for a in roots) + 1
         else:
-            size = sum(map(abs, roots))
-            top = min(n, size)
-            window, width = n, (size ** top // factorial(top)).bit_length() + 1
+            window, width = n, _z_width(n, sum(map(abs, roots)))
         mask = (1 << width * (window + 1)) - 1
-        packed = 1
-        if window == gamma:
-            for a in roots:
-                packed = (a * packed + (packed << width)) & mask
-        else:
-            for a in roots:
-                packed = (packed + (a * packed << width)) & mask
-        low = width * window
-        field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
-        return field - (1 << width) if field >> (width - 1) else field
+        return _unpack(_pack(1, roots, width, mask, gamma <= n), width, width * window)
     coeffs = [1] + [0] * n
     for i, a in enumerate(roots, start=1):
         for j in range(min(i, n), 0, -1):

@@ -212,6 +212,34 @@ def dense_conic_bott(d, r, t):
     return total
 
 
+def divided_conic_bott(d, r, t):
+    """Twisted fixed-point sum with one Fraction per fixed conic, each local value
+    the divided form ``divided_conic_top_chern``.  Every term has degree 0 in the
+    weights, so they are scaled to ints first, here by the product of the denominators."""
+    scale = 1
+    for w in t:
+        scale *= Fraction(w).denominator
+    t = [int(Fraction(w) * scale) for w in t]
+    n = 3 * r - 1
+    pairs = list(itertools.combinations_with_replacement(range(3), 2))
+    total = Fraction(0)
+    for plane in itertools.combinations(range(r + 1), 3):
+        point = [-t[i] for i in plane]
+        grass = 1
+        for alpha in plane:
+            for beta in range(r + 1):
+                if beta not in plane:
+                    grass *= t[beta] - t[alpha]
+        sums = [-(point[a] + point[b]) for a, b in pairs]
+        for (a, b), shift in zip(pairs, sums):
+            euler = grass
+            for other in sums:
+                if other != shift:
+                    euler *= shift - other
+            total += Fraction(divided_conic_top_chern(n, d, point, a, b), euler)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # plain top-Chern loop for the fixed-point kernel
 # ---------------------------------------------------------------------------

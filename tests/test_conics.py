@@ -26,7 +26,7 @@ from fanocount.conics import (
 from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
-from oracles import dense_conic_bott, dense_eta, divided_conic_top_chern
+from oracles import dense_conic_bott, dense_eta, divided_conic_bott, divided_conic_top_chern
 
 
 # frozen values: validated by constancy over independent weight draws,
@@ -213,15 +213,20 @@ def conic_kernel_inputs(draw):
 @example((4, 11, [0, 0, 0]))
 @example((2, 5, [3, 3, -3]))
 def test_conic_roots_are_the_divided_form(inputs):
-    # the 2d + 1 roots left once the conic's multiples cancel give the divided value
+    # the 2d + 1 roots left once the conic's multiples cancel give the divided value;
+    # each conic's roots are its a-half (d + 1 terms) and its b-half (d terms), both
+    # progressions (start, step), in the order the sum packs them
     from fanocount.conics import _conic_roots
     from fanocount.planes import _top_chern
     d, n, point = inputs
-    per_conic = _conic_roots(d, point)
-    assert len(per_conic) == 6
-    for (a, b), roots in zip(itertools.combinations_with_replacement(range(3), 2), per_conic):
-        assert len(roots) == 2 * d + 1
-        assert _top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
+    halves = _conic_roots(d, point)
+    conics = [(a, b) for a, (_, lows) in enumerate(halves) for b in range(a, a + len(lows))]
+    assert conics == list(itertools.combinations_with_replacement(range(3), 2))
+    for a, ((start, step), lows) in enumerate(halves):
+        high = [start + i * step for i in range(d + 1)]
+        for b, (start, step) in enumerate(lows, start=a):
+            roots = high + [start + i * step for i in range(d)]
+            assert _top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
 
 
 def test_kernel_at_shift_zero_is_eta():
@@ -269,6 +274,13 @@ def test_fixed_point_census_values():
 def test_fixed_point_census_closed_form():
     for r in range(2, 9):
         assert fixed_point_census(r) == r * (r * r - 1) == 6 * comb(r + 1, 3)
+
+
+@pytest.mark.parametrize("r", [1, 0, -3])
+def test_fixed_point_census_rejects_small_ambients_with_a_code(r):
+    with pytest.raises(RegimeError) as err:
+        fixed_point_census(r)
+    assert err.value.code == "ambient-too-small"
 
 
 def test_generic_weights_are_a_sidon_set():
@@ -366,16 +378,17 @@ def test_bott_sum_fraction_weights_equal_the_scaled_integers():
 def test_conic_integrality_and_positivity_guards(monkeypatch):
     # one conic off by one leaves its plane's fiber sum non-integral; one plane's
     # fiber value off by one breaks the sum's integrality and the two-draw agreement;
-    # negated values pass both and fail positivity
+    # negated values pass both and fail positivity.  Each fixed conic's value is read
+    # from its packed product by one ``_unpack``.
     import fanocount.conics as conics
-    kernel, plane_sum = conics._top_chern, conics._plane_sum
+    unpack, plane_sum = conics._unpack, conics._plane_sum
     weights = generic_conic_weights(3, seed=11)
     calls = itertools.count()
-    monkeypatch.setattr(conics, "_top_chern",
-                        lambda n, roots, divisors: kernel(n, roots, divisors) + (next(calls) == 5))
+    monkeypatch.setattr(conics, "_unpack",
+                        lambda *field: unpack(*field) + (next(calls) == 5))
     with pytest.raises(InconsistencyError, match="fiber sum at plane weights"):
         deg_conics_bott(4, 3, weights)
-    monkeypatch.setattr(conics, "_top_chern", kernel)
+    monkeypatch.setattr(conics, "_unpack", unpack)
 
     def one_plane_off(r, k, t, local):
         planes = itertools.count()
@@ -386,25 +399,30 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
     with pytest.raises(InconsistencyError, match="not constant"):
         deg_conics(5, 3)
     monkeypatch.setattr(conics, "_plane_sum", plane_sum)
-    monkeypatch.setattr(conics, "_top_chern",
-                        lambda n, roots, divisors: -kernel(n, roots, divisors))
+    monkeypatch.setattr(conics, "_unpack", lambda *field: -unpack(*field))
     with pytest.raises(InconsistencyError, match="is -282880 <= 0"):
         deg_conics(5, 3)
     with pytest.raises(InconsistencyError, match="is -2508 <= 0"):
         deg_conics(4, 3)
 
 
+def valid_conic_weights(t):
+    """Non-zero, no two summing to zero, six distinct pair sums in every plane."""
+    r = len(t) - 1
+    return (0 not in t
+            and all(t[a] + t[b] for a, b in itertools.combinations(range(r + 1), 2))
+            and all(len({t[a] + t[b] for a, b in itertools.combinations_with_replacement(plane, 2)})
+                    == 6 for plane in itertools.combinations(range(r + 1), 3)))
+
+
 @st.composite
 def conic_sums_at_valid_weights(draw):
-    """A cell of RAW_BOTT and r + 1 integer weights passing the twisted sum's rules:
-    non-zero, no two summing to zero, six distinct pair sums in every plane.  The
-    draws include negative weights and vectors that are no Sidon set."""
+    """A cell of RAW_BOTT and r + 1 integer weights passing the twisted sum's rules
+    (``valid_conic_weights``).  The draws include negative weights and vectors that
+    are no Sidon set."""
     d, r = draw(st.sampled_from([(4, 3), (5, 3), (6, 4)]))
     t = draw(st.lists(st.integers(-40, 40), min_size=r + 1, max_size=r + 1))
-    assume(0 not in t)
-    assume(all(t[a] + t[b] for a, b in itertools.combinations(range(r + 1), 2)))
-    assume(all(len({t[a] + t[b] for a, b in itertools.combinations_with_replacement(plane, 2)})
-               == 6 for plane in itertools.combinations(range(r + 1), 3)))
+    assume(valid_conic_weights(t))
     return d, r, t
 
 
@@ -415,6 +433,33 @@ def test_bott_sum_is_the_frozen_integer_at_any_valid_weights(inputs):
     # every plane's fiber sum divides exactly, and the total is the same integer
     d, r, t = inputs
     assert deg_conics_bott(d, r, t) == (RAW_BOTT[(d, r)], True)
+
+
+@st.composite
+def conic_sums_at_extreme_weights(draw):
+    """A Y-window cell, (7, 5) with epsilon = 1, or a Z-window cell, (8, 3) with
+    epsilon = 9 > 3r - 1 = 8, and valid weights up to 10^6 in absolute value: ints and
+    Fractions, negative ones, and one huge weight among small ones."""
+    d, r = draw(st.sampled_from([(7, 5), (8, 3)]))
+    big = st.integers(-10**6, 10**6)
+    scalars = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)),
+                        st.integers(-3, 3))
+    t = draw(st.lists(scalars, min_size=r + 1, max_size=r + 1))
+    assume(valid_conic_weights(t))
+    return d, r, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(conic_sums_at_extreme_weights())
+@example((7, 5, [10**6, -10**6 + 1, 3, -999_998, 7, 999_983]))
+@example((8, 3, [-10**6, 1, Fraction(10**6 - 1, 10**6), 999_999]))
+@example((8, 3, [Fraction(1, 10**6), Fraction(-2, 999_999), 10**6, -3]))
+def test_bott_sum_at_extreme_weights_is_the_divided_sum(inputs):
+    # one packing width for the whole sum covers the largest root of every conic,
+    # in either window, also after Fraction weights are scaled to ints
+    d, r, t = inputs
+    raw = 85393742658 if (d, r) == (7, 5) else 894156560
+    assert deg_conics_bott(d, r, t) == (divided_conic_bott(d, r, t), True) == (raw, True)
 
 
 @pytest.mark.parametrize("plane_cell,conic_cell,raw", [((4, 3, 1), (4, 3), 5016),
@@ -462,7 +507,9 @@ def test_bott_weight_validation():
     with pytest.raises(SingularWeightsError):
         deg_conics_bott(4, 3, (1, -1, 2, 3))
     with pytest.raises(SingularWeightsError):
-        deg_conics_bott(4, 3, (1, 2, 3, 4))    # 1+4 = 2+3: sums collide in a plane
+        deg_conics_bott(4, 3, (1, 2, 3, 4))    # 2+2 = 1+3: sums collide in the plane {0, 1, 2}
+    # 1+6 = 3+4 is the only collision, and its four indices span no plane
+    assert deg_conics_bott(4, 3, (1, 3, 4, 6)) == (5016, True)
 
 
 @pytest.mark.parametrize("dr,expected", sorted(CONIC_DEGREES.items()))

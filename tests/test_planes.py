@@ -310,7 +310,8 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
         pytest.fail("one route reached the other route's kernel")
 
     with monkeypatch.context() as patch:
-        for helper in ("_roots", "_top_chern", "_integer_weights", "_plane_sum"):
+        for helper in ("_roots", "_top_chern", "_integer_weights", "_plane_sum", "_z_width",
+                       "_pack", "_unpack"):
             patch.setattr(planes_module, helper, forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
