@@ -25,10 +25,11 @@ part of the numerator: the twisted term is the top elementary symmetric
 function of the 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme),
 read without division from a packed truncated product (``planes._pack``).
 Every root is at most R = d max |t| in absolute value, so one window and one
-field width serve the whole sum.  The roots of each half, degree d with v_a = 0
-and x_a times degree d - 1 with v_b = 0, form an arithmetic progression on two
-coordinates, and the three a-halves of a plane are packed once for its six
-conics: 9d + 3 big-int steps per plane.
+field width serve the whole sum (``planes._layout``, as in the plane sum).  The
+roots of each half, degree d with v_a = 0 and x_a times degree d - 1 with
+v_b = 0, form an arithmetic progression on two coordinates, and the three
+a-halves of a plane are packed once for its six conics: 9d + 3 big-int steps
+per plane.
 The forms remain as the references the tests check it against.  The
 dispatcher validates the sum by recomputing at a second weight set and, for
 quartic surfaces, halves the result (the general quartic surface in the
@@ -49,8 +50,8 @@ from math import comb, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _integer_weights, _pack,
-                     _plane_sum, _roots, _top_chern, _unpack, _weight_tuple, _z_width)
+from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _integer_weights, _layout,
+                     _pack, _plane_sum, _roots, _top_chern, _unpack, _weight_tuple)
 from .polycore import (
     ExactScalar,
     MultiPoly,
@@ -139,9 +140,9 @@ def chern_Ed_series(d: int, bound: int) -> TruncatedSeries:
     d = 1 is the rank-3 bundle itself; d = 2 divides by the empty product.
     """
     if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+        raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
     if bound < 1:
-        raise ValueError(f"need bound >= 1, got bound={bound}")
+        raise RegimeError("series-bound-too-small", f"need bound >= 1, got bound={bound}")
     numerator = TruncatedSeries(weighted_linear_product(2, d, affine=True, bound=bound),
                                 bound)
     if d <= 2:
@@ -311,10 +312,10 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     * local Chern contribution: e_{3r-1} of the 2d + 1 ``_conic_roots`` at
       Chern-root values (-t_i, -t_j, -t_k), equal to ``eta_form_twisted``
       there with fiber class value t_a + t_b.  Each is the top field of a
-      ``_pack``ed product whose window and width hold for every root of the sum:
-      with L = 2d + 1, epsilon = L - (3r - 1) and R = d max |t| over the
-      integer-scaled weights, B = L (R+1).bit_length() + 1 in the Y^epsilon
-      window, else ``_z_width`` of S = L R in the Z^(3r-1) window;
+      ``_pack``ed product in one ``_layout`` for the whole sum: L = 2d + 1
+      roots, each at most R = d max |t| over the integer-scaled weights, in
+      the Y^epsilon window when epsilon = L - (3r - 1) <= 3r - 1, else in the
+      Z^(3r-1) window;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
       times Q_c, the product over the five pairs {p, q} != {a, b} of
       (t_a + t_b) - (t_p + t_q).
@@ -331,14 +332,8 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
-    n, count = 3 * r - 1, 2 * d + 1
-    epsilon = count - n
-    bound = d * max(map(abs, _integer_weights(weights)))   # |root| <= d max |t|
-    if epsilon <= n:
-        window, width = epsilon, count * (bound + 1).bit_length() + 1
-    else:
-        window, width = n, _z_width(n, count * bound)
-    mask, low, y = (1 << width * (window + 1)) - 1, width * window, epsilon <= n
+    width, mask, low, y = _layout(3 * r - 1, 2 * d + 1,
+                                  d * max(map(abs, _integer_weights(weights))))
 
     def fiber(plane: list[int]) -> int:
         pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]

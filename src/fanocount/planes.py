@@ -252,7 +252,7 @@ def _vq_factors(k: int, degrees: Sequence[int]) -> list[tuple[tuple[int, ...], i
     return factors + [(v, 0) for d in degrees for v in weight_vectors(k + 1, d)]
 
 
-def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], ExactScalar]],
+def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int]],
              start: dict[ExponentVector, ExactScalar]) -> ExactScalar:
     """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), start a
     map from exponent tuples to coefficients, by a sparse left-to-right fold keeping only
@@ -260,44 +260,75 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], Exa
     an exponent, even with negative v_i (exponent box: drop e_i > target_i), and each
     raises the degree by at most 1 (degree floor: drop degree + factors left < |target|).
 
-    An exponent vector e is packed into one int with a B-bit field per variable, field i
-    holding e_i + G - 1 - target_i (G = 2^(B-1)).  Multiplying by x_i adds 1 << B*i, and
+    Each term is a head x_0^e_0 ... x_{k-1}^e_{k-1} times a polynomial in the last
+    variable, whose target t_k is the smallest.  That polynomial is held as one int,
+    x_k = 2^B, modulo 2^(B (t_k + 1)), coefficient j in the B-bit field at bit B*j: the
+    reduction is a ring map from Z[x_k] / (x_k^(t_k + 1)), so a factor is one big-int
+    step and signed coefficients stay exact.  Every coefficient of every entry, pruned or
+    not, is a sum over paths through the factors, so the sum of their absolute values is
+    at most M = sum |start| * prod max(1, |c| + sum |v_i|).  With B = M.bit_length() + 1
+    the field of x_k^t_k is below 2^(B-1) and the fields under it sum to less than half
+    a unit of it, which the rounding readout absorbs.  ``Fraction`` start coefficients
+    are scaled to ints by the lcm of their denominators and divided back at the end.
+
+    A head e is packed into one int with a C-bit field per variable, field i holding
+    e_i + G - 1 - target_i (G = 2^(C-1)).  Multiplying by x_i adds 1 << C*i, and
     e_i > target_i is exactly the top bit of field i, so the box test is ``key & guard``.
-    Terms sit in buckets keyed by total degree, so the floor drops or keeps whole buckets.
+    Terms sit in buckets keyed by head degree, and the floor drops or keeps whole buckets
+    on head degree plus t_k, the most the x_k polynomial can add.
     """
-    width = max(target, default=0).bit_length() + 2
-    top = 1 << (width - 1)
-    shifts = [width * i for i in range(len(target))]
-    offset = sum((top - 1 - ti) << sh for ti, sh in zip(target, shifts))
+    *head, last = target
+    scale = lcm(*(coeff.denominator for coeff in start.values()))
+    start = {e: int(coeff * scale) for e, coeff in start.items()}
+    size = sum(map(abs, start.values()))
+    for v, c in factors:
+        size *= max(1, abs(c) + sum(map(abs, v)))
+    width = size.bit_length() + 1
+    mask = (1 << width * (last + 1)) - 1
+    cols = max(head, default=0).bit_length() + 2
+    top = 1 << (cols - 1)
+    shifts = [cols * i for i in range(len(head))]
+    offset = sum((top - 1 - ti) << sh for ti, sh in zip(head, shifts))
     guard = sum(top << sh for sh in shifts)
-    floor = sum(target) - len(factors)
-    buckets: dict[int, dict[int, ExactScalar]] = {}
+    floor = sum(head) - len(factors)
+    buckets: dict[int, dict[int, int]] = {}
     for e, coeff in start.items():
-        s = sum(e)
+        s = sum(e[:-1])
         if s >= floor and all(map(le, e, target)):
-            buckets.setdefault(s, {})[offset + sum(ei << sh for ei, sh in zip(e, shifts))] = coeff
+            bucket = buckets.setdefault(s, {})
+            key = offset + sum(ei << sh for ei, sh in zip(e, shifts))
+            bucket[key] = bucket.get(key, 0) + (coeff << width * e[-1])
     for v, c in factors:
         floor += 1
+        vk = v[-1]
         steps = [(1 << sh, vi) for vi, sh in zip(v, shifts) if vi]
-        out: dict[int, dict[int, ExactScalar]] = {}
+        out: dict[int, dict[int, int]] = {}
         # top degree first: bucket s fills out[s] before bucket s - 1 adds to it
         for s in sorted(buckets, reverse=True):
             if s + 1 < floor:
                 break
             bucket = buckets[s]
-            if c and s >= floor:
-                out[s] = dict(bucket) if c == 1 else {key: c * coeff for key, coeff in bucket.items()}
-            up = out.setdefault(s + 1, {})
-            get = up.get
-            for key, coeff in bucket.items():
-                if coeff:   # a cancelled term spawns nothing
-                    for step, vi in steps:
-                        raised = key + step
-                        if not raised & guard:
-                            up[raised] = get(raised, 0) + vi * coeff
+            if s >= floor and (c or vk):
+                if vk:
+                    out[s] = {key: (c * p + (vk * p << width)) & mask for key, p in bucket.items()}
+                else:
+                    out[s] = dict(bucket) if c == 1 else {key: c * p for key, p in bucket.items()}
+            if steps:
+                up = out.setdefault(s + 1, {})
+                get = up.get
+                for key, p in bucket.items():
+                    if p:   # a cancelled term spawns nothing
+                        for step, vi in steps:
+                            raised = key + step
+                            if not raised & guard:
+                                up[raised] = get(raised, 0) + vi * p
         buckets = out
-    # every field of the target's key reads top - 1
-    return buckets.get(sum(target), {}).get(sum((top - 1) << sh for sh in shifts), 0)
+    # every field of the target's head key reads top - 1; x_k^t_k is field t_k
+    packed = buckets.get(sum(head), {}).get(sum((top - 1) << sh for sh in shifts), 0)
+    low = width * last
+    field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
+    value = field - (1 << width) if field >> (width - 1) else field
+    return value if scale == 1 else Fraction(value, scale)
 
 
 def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
@@ -313,6 +344,28 @@ def _z_width(n: int, size: int) -> int:
     |e_m| <= S^m / m! <= S^q // q! < 2^(B-1), q = min(n, S)."""
     top = min(n, size)
     return (size ** top // factorial(top)).bit_length() + 1
+
+
+def _layout(n: int, count: int, size: int) -> tuple[int, int, int, bool]:
+    """One packing of e_n of ``count`` integer roots, each at most ``size`` in absolute
+    value, as (B, mask, low, y) for :func:`_pack` and :func:`_unpack`: a window of w + 1
+    B-bit fields, the narrower of two, with gamma = count - n.
+
+    * 0 <= gamma <= n, count > 0: prod (a + Y) mod Y^(gamma+1), w = gamma.  Its Y^gamma
+      coefficient is e_n, and each kept coefficient is some e_m, |e_m| <= prod (1 + |a|)
+      <= (size + 1)^count < 2^(B-1) for B = count (size + 1).bit_length() + 1.
+    * otherwise: prod (1 + a Z) mod Z^(n+1), w = n, and B from :func:`_z_width`
+      (for gamma < 0 the readout is e_n = 0).
+
+    The bounds hold for every root list of that count and size, so a fixed-point sum
+    fixes one layout for all its fixed points."""
+    gamma = count - n
+    y = count > 0 and 0 <= gamma <= n
+    if y:
+        window, width = gamma, count * (size + 1).bit_length() + 1
+    else:
+        window, width = n, _z_width(n, count * size)
+    return width, (1 << width * (window + 1)) - 1, width * window, y
 
 
 def _pack(packed: int, roots: Iterable[int], width: int, mask: int, y: bool) -> int:
@@ -341,30 +394,10 @@ def _top_chern(n: int, roots: Sequence[ExactScalar],
                divisors: Sequence[ExactScalar]) -> ExactScalar:
     """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
     a top Chern form at one torus-fixed point; only the untwisted conic form divides.
-
-    Integer roots and no divisors (every fixed plane of the plane sum): the product,
-    truncated to a window of w + 1 coefficients, is held as one int, coefficient j in
-    a B-bit field at bit B*j, so each root is one big-int step (:func:`_pack`, read by
-    :func:`_unpack`).  With L roots and gamma = L - n the window is the narrower of two:
-
-    * gamma <= n: prod (a + Y) mod Y^(gamma+1), w = gamma.  Its Y^gamma coefficient
-      is e_n, and each kept coefficient is some e_m, m >= n >= 1, with
-      |e_m| <= prod (1 + |a|) - 1 < 2^(B-1) for B = sum (|a|+1).bit_length() + 1.
-    * gamma > n: prod (1 + a Z) mod Z^(n+1), w = n, and B from :func:`_z_width`.
-
-    Otherwise (a divisor, or a Fraction root) a loop over a coefficient list: after i
-    roots only Z^j with j <= i is non-zero, so each root updates those only.  Divisors
-    read every coefficient.  Each has constant term 1, so int values stay int."""
-    if n and not divisors and set(map(type, roots)) <= {int}:
-        gamma = len(roots) - n
-        if gamma < 0:
-            return 0
-        if gamma <= n:
-            window, width = gamma, sum((abs(a) + 1).bit_length() for a in roots) + 1
-        else:
-            window, width = n, _z_width(n, sum(map(abs, roots)))
-        mask = (1 << width * (window + 1)) - 1
-        return _unpack(_pack(1, roots, width, mask, gamma <= n), width, width * window)
+    The Bott sums pack their roots instead (:func:`_layout`); this is the general loop
+    over a coefficient list.  After i roots only Z^j with j <= i is non-zero, so each
+    root updates those only.  Divisors read every coefficient.  Each has constant term
+    1, so int values stay int."""
     coeffs = [1] + [0] * n
     for i, a in enumerate(roots, start=1):
         for j in range(min(i, n), 0, -1):
@@ -396,17 +429,22 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
 
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
 
-    tau (:func:`tau_poly`) is never expanded: the integer kernel ``_top_chern``
-    gives its value at each fixed point, and :func:`_plane_sum` adds them up.
+    tau (:func:`tau_poly`) is never expanded: its value at each fixed point is the
+    top field of the roots' ``_pack``ed product, in one :func:`_layout` for the whole
+    sum (every root is at most R = d max |t| over the integer-scaled weights), and
+    :func:`_plane_sum` adds them up.
 
     Each term is a rational function of the weights but the sum is a constant
     positive integer; a non-zero remainder or a quotient <= 0 raises
     :class:`InconsistencyError`.
     """
     _check_hypersurface_regime(d, r, k)
-    n = (k + 1) * (r - k)
-    numerator, denominator = _plane_sum(r, k, _weight_tuple(t, r),
-                                        lambda point: _top_chern(n, _roots(d, point), ()))
+    weights = _weight_tuple(t, r)
+    width, mask, low, y = _layout((k + 1) * (r - k), comb(d + k, k),
+                                  d * max(map(abs, _integer_weights(weights))))
+    numerator, denominator = _plane_sum(
+        r, k, weights,
+        lambda point: _unpack(_pack(1, _roots(d, point), width, mask, y), width, low))
     total, remainder = divmod(numerator, denominator)
     if remainder or total <= 0:
         raise InconsistencyError(

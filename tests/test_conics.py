@@ -112,6 +112,15 @@ def test_chern_series_rejects_degree_zero():
         chern_Ed_series(0, 3)
 
 
+@pytest.mark.parametrize("d,bound,code", [(0, 3, "degree-too-small"), (-2, 3, "degree-too-small"),
+                                          (3, 0, "series-bound-too-small"),
+                                          (1, -1, "series-bound-too-small")])
+def test_chern_series_regime_codes(d, bound, code):
+    with pytest.raises(RegimeError) as caught:
+        chern_Ed_series(d, bound)
+    assert caught.value.code == code
+
+
 def test_chern_series_matches_dense_oracle_layers():
     series = chern_Ed_series(3, 5)
     dense = dense_eta(3, 2)   # degree-5 layer of the same quotient series

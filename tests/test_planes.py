@@ -114,7 +114,7 @@ def test_tau_symmetric_under_swap():
 
 @pytest.mark.parametrize("d,r,k", [(4, 3, 1), (3, 5, 2), (3, 7, 3)])
 def test_kernel_matches_tau_poly(d, r, k):
-    # the Bott route's integer kernel against the symbolic form it replaces
+    # the list kernel against the symbolic form it replaces
     from fanocount.planes import _roots, _top_chern
     tau = tau_poly(d, r, k)
     rng = random.Random(100 * d + 10 * r + k)
@@ -168,9 +168,11 @@ def packed_kernel_inputs(draw):
 @example((0, [0] * 40))
 @example((41, [7] * 40))                        # n > L
 def test_packed_top_chern_at_the_field_edges(inputs):
-    from fanocount.planes import _top_chern
+    # the layout a Bott sum fixes from its roots' count and largest size
+    from fanocount.planes import _layout, _pack, _unpack
     n, roots = inputs
-    assert _top_chern(n, roots, ()) == plain_top_chern(n, roots, ())
+    width, mask, low, y = _layout(n, len(roots), max(map(abs, roots), default=0))
+    assert _unpack(_pack(1, roots, width, mask, y), width, low) == plain_top_chern(n, roots, ())
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,18 +235,18 @@ def test_deg_planes_bott_fraction_weights():
 
 def test_deg_planes_bott_integrality_and_positivity_guards(monkeypatch):
     # a wrong value at one fixed point leaves a remainder; negated values a quotient < 0
+    # (the value at each fixed plane is read from its packed product by one ``_unpack``)
     import fanocount.planes as planes_module
-    kernel = planes_module._top_chern
+    unpack = planes_module._unpack
     calls = count()
 
-    def one_off(n, roots, divisors):
-        return kernel(n, roots, divisors) + (next(calls) == 3)
+    def one_off(*field):
+        return unpack(*field) + (next(calls) == 3)
 
-    monkeypatch.setattr(planes_module, "_top_chern", one_off)
+    monkeypatch.setattr(planes_module, "_unpack", one_off)
     with pytest.raises(InconsistencyError, match=r"is -?\d+/\d+; expected a positive integer"):
         deg_planes_bott(4, 3, 1, (1, 2, 5, 7))
-    monkeypatch.setattr(planes_module, "_top_chern",
-                        lambda n, roots, divisors: -kernel(n, roots, divisors))
+    monkeypatch.setattr(planes_module, "_unpack", lambda *field: -unpack(*field))
     with pytest.raises(InconsistencyError, match=r"is -320; expected a positive integer"):
         deg_planes_bott(4, 3, 1, (1, 2, 5, 7))
 
@@ -274,30 +276,45 @@ def extraction_inputs(draw):
     """A target, linear factors (v, c) and a start term map in 1-5 variables.
 
     Target entries 0..8 take in 0, 1, 3, 4, 7 and 8, at and next to powers of
-    two, where the packed field width changes; start exponents are small or
-    near the target, up to 1 above it, where the guard bit of a field is set;
-    start coefficients may be Fractions."""
-    n = draw(st.integers(1, 5))
-    target = draw(st.tuples(*[st.integers(0, 8)] * n))
+    two, where the packed head field width changes; one variable (an empty
+    head) and a last entry 0 (a one-field polynomial) are drawn often.  Start
+    exponents are small or near the target, up to 1 above it, where the guard
+    bit of a field is set; start coefficients may be Fractions.  Factors are
+    small, or wide (c up to 10^6, v_i up to 10^3), or constant (v = 0), whose
+    products meet the bound the packed field width is taken from."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 5)))
+    target = draw(st.tuples(*[st.integers(0, 8)] * (n - 1),
+                            st.one_of(st.just(0), st.integers(0, 8))))
     exponents = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(max(0, t - 2), t + 1))
                             for t in target])
     coefficients = st.one_of(st.integers(-3, 3),
                              st.fractions(min_value=-3, max_value=3, max_denominator=5))
     start = draw(st.dictionaries(exponents, coefficients, max_size=4))
-    factors = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * n),
-                                      st.sampled_from((0, 1, 3))), max_size=6))
+    small = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.sampled_from((0, 1, 3)))
+    wide = st.tuples(st.tuples(*[st.integers(-10**3, 10**3)] * n), st.integers(-10**6, 10**6))
+    constant = st.tuples(st.just((0,) * n), st.integers(-10**6, 10**6))
+    factors = draw(st.lists(st.one_of(small, wide, constant), max_size=6))
     return target, factors, start
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(extraction_inputs())
+@example(((0,), [((0,), 10**6)] * 3, {(0,): 1}))            # the value is the width bound
+@example(((0,), [((0,), -10**6)] * 3, {(0,): 1}))
+@example(((3,), [((10**3,), 0)] * 3, {(0,): 1}))            # the same in the top field
+@example(((2,), [((-10**3,), 10**3)] * 2, {(0,): 1}))       # large fields under the top one
+@example(((2, 0), [((1, 0), 0)] * 2, {(0, 0): 5, (0, 1): 7}))
+@example(((1, 1), [((1, 1), 2)], {(0, 1): Fraction(1, 3), (1, 0): Fraction(-2, 5)}))
 def test_extract_equals_unpruned_fold(inputs):
     from fanocount.planes import _extract
     target, factors, start = inputs
     product = MultiPoly(len(target), start)
     for v, c in factors:
         product = product.mul(MultiPoly.linear_form(v, c))
-    assert _extract(target, factors, start) == product.coefficient(target)
+    value = _extract(target, factors, start)
+    assert value == product.coefficient(target)
+    if all(isinstance(coeff, int) for coeff in start.values()):
+        assert isinstance(value, int)
 
 
 def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
@@ -323,6 +340,11 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
     assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
     assert deg_conics_closed(5, 3).consistent is False
     assert _eta(4, 3, (1, 1, 1)) == 14528256
+
+
+def test_dm_equals_bott_at_the_k4_frontier():
+    # the largest DM cell in tier 1: about a second by the fold
+    assert deg_planes_dm(5, 10, 4) == deg_planes_bott(5, 10, 4, TorusWeights.random(10, 4))
 
 
 def test_deg_planes_bott_agrees_with_dm():
