@@ -14,8 +14,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the order of loading; a name is looked up in each module's __all__ in turn
-_MODULES = ("errors", "polycore", "planes", "invariants", "conics")
+# the order of loading; a name is looked up in each module's __all__ in turn, and
+# the symbolic reference layer comes last, so no runtime name loads it
+_MODULES = ("errors", "planes", "invariants", "conics", "polycore")
 
 
 def __getattr__(name: str):

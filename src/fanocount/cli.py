@@ -210,7 +210,7 @@ def run(request: CommandRequest) -> ResultEnvelope:
             deg = (conics.deg_conics(d, r, seed=request.seed) if comparison is None
                    else comparison.fixed_point_value)
             envelope.put("deg", deg, "twisted-fixed-point-sum")
-            if (d, r) == (4, 3):
+            if conics.ConicProblem(d, r).two_conics:
                 envelope.put("halved", True, "two-conics-on-general-quartic")
         if comparison is not None:
             envelope.put("closed_form", comparison.value, "closed-form-eta(1,1,1)")

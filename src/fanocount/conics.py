@@ -47,18 +47,15 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _integer_weights, _layout,
-                     _pack, _plane_sum, _roots, _top_chern, _unpack, _weight_tuple)
-from .polycore import (
-    ExactScalar,
-    MultiPoly,
-    TruncatedSeries,
-    weight_vectors,
-    weighted_linear_product,
-)
+from .planes import (DEFAULT_SEED, ExactScalar, TorusWeights, WeightsLike, _check_weight_count,
+                     _integer, _integer_weights, _layout, _pack, _plane_sum, _roots, _top_chern,
+                     _unpack, _weight_tuple, weight_vectors)
+
+if TYPE_CHECKING:   # the reference forms import the symbolic layer when they run
+    from .polycore import MultiPoly, TruncatedSeries
 
 __all__ = [
     "BottSum",
@@ -87,6 +84,7 @@ class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
     __slots__ = ()
 
     def __new__(cls, d: int, r: int):
+        d, r = _integer("d", d), _integer("r", r)
         if d < 2:
             raise RegimeError("degree-too-small", f"need d >= 2, got d={d}")
         if r < 3:
@@ -103,6 +101,15 @@ class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
         """Expected dimension of the space of conics on a general member."""
         return 3 * self.r - 2 * self.d - 2
 
+    @property
+    def two_conics(self) -> bool:
+        """Whether the general member of the locus carries two conics, so the
+        fixed-point sum counts it twice and :func:`deg_conics` halves it.  The plane
+        of a conic cuts a degree-d member in that conic plus a residual curve of
+        degree d - 2, a second conic when d = 4; with epsilon > 0 that is
+        (d, r) = (4, 3), quartic surfaces."""
+        return self.d == 4 and self.epsilon > 0
+
 
 class ConicRegime(NamedTuple):
     epsilon: int
@@ -112,13 +119,15 @@ class ConicRegime(NamedTuple):
 
 def conic_regime(problem: ConicProblem) -> ConicRegime:
     """Codimension bookkeeping plus the uniqueness statement for the general
-    member of the locus."""
+    member of the locus: for epsilon > 0 its conic is unique, except where the
+    residual curve in the conic's plane is a second conic
+    (:attr:`ConicProblem.two_conics`)."""
     eps = problem.epsilon
-    if eps > 0 and (problem.d, problem.r) != (4, 3):
-        note = "the general member of the locus contains a unique conic, and it is smooth"
-    elif (problem.d, problem.r) == (4, 3):
+    if problem.two_conics:
         note = ("the general quartic surface in the locus contains exactly two "
                 "distinct conics, smooth and coplanar")
+    elif eps > 0:
+        note = "the general member of the locus contains a unique conic, and it is smooth"
     elif eps == 0:
         note = ("boundary regime: the locus fills the whole parameter space and "
                 "members carry finitely many conics, but no degree is defined")
@@ -139,6 +148,7 @@ def chern_Ed_series(d: int, bound: int) -> TruncatedSeries:
 
     d = 1 is the rank-3 bundle itself; d = 2 divides by the empty product.
     """
+    from .polycore import TruncatedSeries, weighted_linear_product
     if d < 1:
         raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
     if bound < 1:
@@ -152,16 +162,10 @@ def chern_Ed_series(d: int, bound: int) -> TruncatedSeries:
     return numerator * denominator.inverse()
 
 
-def _check_epsilon_nonnegative(d: int, r: int) -> None:
-    if ConicProblem(d, r).epsilon < 0:
-        raise RegimeError("epsilon-negative",
-                          f"epsilon({d},{r}) = {2 * d + 2 - 3 * r} < 0")
-
-
 def eta_form(d: int, r: int) -> MultiPoly:
     """Homogeneous component of degree 3r - 1 of :func:`chern_Ed_series`:
     a symmetric form in 3 variables."""
-    _check_epsilon_nonnegative(d, r)
+    _conic_problem(d, r)
     n = 3 * r - 1
     return chern_Ed_series(d, n).homogeneous_component(n)
 
@@ -177,7 +181,8 @@ def eta_form_twisted(d: int, r: int) -> MultiPoly:
     prod_{|w| = d - 2} (1 + <w, x> - z).  Setting z = 0 recovers
     :func:`eta_form`.
     """
-    _check_epsilon_nonnegative(d, r)
+    from .polycore import MultiPoly, TruncatedSeries
+    _conic_problem(d, r)
     n = 3 * r - 1
     numerator = MultiPoly.one(4)
     for v in weight_vectors(3, d):
@@ -210,7 +215,7 @@ def conic_fixed_points(r: int) -> Iterator[ConicFixedPoint]:
 def fixed_point_census(r: int) -> int:
     """Count the torus-fixed conics by enumeration and check the closed form
     r(r^2 - 1) = 6 C(r+1, 3)."""
-    if r < 2:
+    if _integer("r", r) < 2:
         raise RegimeError("ambient-too-small", f"need r >= 2, got r={r}")
     count = sum(1 for _ in conic_fixed_points(r))
     if count != r * (r * r - 1):
@@ -229,6 +234,7 @@ def generic_conic_weights(r: int, seed: int) -> TorusWeights:
     and c a seeded unit mod p (a pair sum fixes i + j and i^2 + j^2 mod p, hence
     {i, j}), plus a seeded positive shift, so no draw is rejected.  At r + 1 = p two
     seeds can give the same set; ``deg_conics`` redraws then."""
+    _check_weight_count(r)
     p = next(q for q in range(max(r + 1, 2), 2 * r + 3) if all(q % f for f in range(2, q)))
     rng = random.Random(seed)
     unit, shift = rng.randint(1, p - 1), rng.randint(1, 2 * p * p)
@@ -289,19 +295,26 @@ def _conic_roots(d: int,
             for a, (i, j) in enumerate(_OTHERS)]
 
 
-def _check_conic_degree_regime(d: int, r: int) -> None:
+def _conic_problem(d: int, r: int) -> ConicProblem:
+    """``ConicProblem(d, r)``, refused when epsilon < 0."""
     problem = ConicProblem(d, r)
-    if problem.epsilon == 0:
-        raise RegimeError(
-            "boundary-regime",
-            f"epsilon({d},{r}) = 0: members carry finitely many conics but the "
-            "uniqueness statement needs epsilon > 0; no validated degree is returned")
     if problem.epsilon < 0:
         raise RegimeError(
             "conic-family",
             f"epsilon({d},{r}) = {problem.epsilon} < 0: conics move in positive-"
             "dimensional families and the locus degree is undefined")
+    return problem
+
+
+def _check_conic_degree_regime(d: int, r: int) -> ConicProblem:
+    problem = _conic_problem(d, r)
+    if problem.epsilon == 0:
+        raise RegimeError(
+            "boundary-regime",
+            f"epsilon({d},{r}) = 0: members carry finitely many conics but the "
+            "uniqueness statement needs epsilon > 0; no validated degree is returned")
     # epsilon > 0 is exactly rank(E_d) = 2d+1 > 3r-1 = dim of the parameter space
+    return problem
 
 
 def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
@@ -389,11 +402,11 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     containing a conic.
 
     Runs the twisted fixed-point sum at two seeded weight assignments that
-    differ as sets, checks the two values agree and are integral, halves for
-    (d, r) = (4, 3) (two conics on the general member there), and returns a
-    positive integer.
+    differ as sets, checks the two values agree and are integral, halves where
+    the general member carries two conics (:attr:`ConicProblem.two_conics`),
+    and returns a positive integer.
     """
-    _check_conic_degree_regime(d, r)
+    problem = _check_conic_degree_regime(d, r)
     rng = random.Random(seed)
     weights = other = generic_conic_weights(r, rng.randrange(2**30))
     # permuted weights give the same sum even from a wrong kernel: redraw a repeated set
@@ -406,7 +419,7 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     if not first.is_integral:
         raise InconsistencyError(f"fixed-point sum for ({d},{r}) is not an integer: {first.value}")
     value = int(first.value)
-    if (d, r) == (4, 3):
+    if problem.two_conics:
         if value % 2 != 0:
             raise InconsistencyError(f"quartic-surface count {value} is odd; cannot halve")
         value //= 2
@@ -431,8 +444,7 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
     The two disagree (see :func:`conic_factor_report`); the comparison records
     the exact ratio.  Advisory only: the dispatcher never uses this value.
     """
-    _check_conic_degree_regime(d, r)
-    if (d, r) == (4, 3):
+    if _check_conic_degree_regime(d, r).two_conics:
         raise RegimeError("halving-case",
                           "the closed form excludes (4, 3), where the count halves")
     value = -Fraction(5, 32) * comb(r + 1, 3) * _eta(d, r, (1, 1, 1))

@@ -65,24 +65,26 @@ class SymPowerCoeffs(NamedTuple):
     gamma: int
 
 
-def sym_power_coeffs(n: int, k: int) -> SymPowerCoeffs:
-    """alpha, beta, gamma for Sym^n of a rank-(k+1) bundle.
+def _check_sym_power(n: int, k: int) -> None:
+    if n < 1:
+        raise RegimeError("degree-too-small", f"need a symmetric power n >= 1, got n={n}")
+    if k < 0:
+        raise RegimeError("plane-dimension", f"need a bundle rank k + 1 >= 1, got k={k}")
 
-    alpha is assembled over exact rationals (two 1/2 factors) and asserted
-    integral; the halves always cancel.
-    """
-    if n < 1 or k < 0:
-        raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+
+def sym_power_coeffs(n: int, k: int) -> SymPowerCoeffs:
+    """alpha, beta, gamma for Sym^n of a rank-(k+1) bundle, with
+    g = gamma = C(n + k, k + 1) and alpha = C(g, 2) - C(n + k, k + 2)."""
+    _check_sym_power(n, k)
     g = comb(n + k, k + 1)
-    alpha = Fraction(g * g, 2) - Fraction(g, 2) - comb(n + k, k + 2)
-    if alpha.denominator != 1:
-        raise InconsistencyError(f"alpha({n},{k}) = {alpha} is not an integer")
-    return SymPowerCoeffs(n=n, k=k, alpha=int(alpha), beta=comb(n + k + 1, k + 2), gamma=g)
+    return SymPowerCoeffs(n=n, k=k, alpha=comb(g, 2) - comb(n + k, k + 2),
+                          beta=comb(n + k + 1, k + 2), gamma=g)
 
 
 def sym_power_coeffs_small(n: int, k: int) -> tuple[int, int]:
     """Closed forms for (alpha, beta) in ranks 2 and 3 (k = 1, 2); cross-check
     of :func:`sym_power_coeffs` only."""
+    _check_sym_power(n, k)
     if k == 1:
         alpha = Fraction(3 * n + 2, 4) * comb(n + 1, 3)
         beta = comb(n + 2, 3)
@@ -90,7 +92,7 @@ def sym_power_coeffs_small(n: int, k: int) -> tuple[int, int]:
         alpha = Fraction(5 * (n + 1), 3) * comb(n + 3, 5)
         beta = comb(n + 3, 4)
     else:
-        raise ValueError(f"closed forms exist only for k in (1, 2), got k={k}")
+        raise RegimeError("no-closed-form", f"closed forms exist only for k in (1, 2), got k={k}")
     if alpha.denominator != 1:
         raise InconsistencyError(f"closed-form alpha({n},{k}) = {alpha} is not an integer")
     return int(alpha), beta
@@ -100,7 +102,7 @@ def combinatorial_identity(n: int, m: int, k: int) -> tuple[int, int]:
     """Both sides of sum_{i=1}^{n} C(i-1, m-1) C(n-i+k, k) = C(n+k, m+k);
     exposed for property testing."""
     if not (n >= m >= 1 and k >= 0):
-        raise ValueError(f"need n >= m >= 1 and k >= 0, got n={n}, m={m}, k={k}")
+        raise RegimeError("identity-range", f"need n >= m >= 1 and k >= 0, got n={n}, m={m}, k={k}")
     lhs = sum(comb(i - 1, m - 1) * comb(n - i + k, k) for i in range(1, n + 1))
     return lhs, comb(n + k, m + k)
 
@@ -116,7 +118,7 @@ def AB_coeffs(spec: ProblemSpec) -> tuple[int, int]:
     """
     r, k = spec.r, spec.k
     coeffs = [sym_power_coeffs(d, k) for d in spec.degrees]
-    c1_normal = sum(comb(d + k, k + 1) for d in spec.degrees)
+    c1_normal = sum(c.gamma for c in coeffs)
     a = (comb(r + 1, 2) + k
          - sum(c.alpha for c in coeffs)
          - sum(x.gamma * y.gamma for x, y in combinations(coeffs, 2))
@@ -134,8 +136,8 @@ def canonical_coefficient(spec: ProblemSpec) -> int:
 
 def is_smooth_fano(spec: ProblemSpec) -> bool:
     """Whether the Fano scheme itself is a smooth Fano variety: the canonical
-    coefficient is negative as soon as sum_i C(d_i + k, k + 1) <= r."""
-    return sum(comb(d + spec.k, spec.k + 1) for d in spec.degrees) <= spec.r
+    coefficient is negative."""
+    return canonical_coefficient(spec) < 0
 
 
 def canonical_degree(spec: ProblemSpec, deg_f: int) -> int:

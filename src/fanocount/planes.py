@@ -30,20 +30,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
-from operator import le
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from operator import index, le
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .polycore import (
-    ExactScalar,
-    ExponentVector,
-    MultiPoly,
-    weight_vectors,
-    weighted_linear_product,
-)
+
+if TYPE_CHECKING:   # the reference form tau_poly imports the symbolic layer when it runs
+    from .polycore import MultiPoly
 
 __all__ = [
     "DEFAULT_SEED",
+    "ExactScalar",
+    "ExponentVector",
     "FixedPlane",
     "ProblemSpec",
     "RegimeReport",
@@ -57,12 +55,39 @@ __all__ = [
     "linear_system_dim",
     "regime_report",
     "tau_poly",
+    "weight_vectors",
 ]
 
 # Fixed documented seed for reproducible torus-weight draws.
 DEFAULT_SEED = 1729
 
+ExactScalar = Union[int, Fraction]
+ExponentVector = tuple[int, ...]
 FixedPlane = tuple[int, ...]
+
+
+def weight_vectors(nvars: int, total: int) -> Iterator[ExponentVector]:
+    """All tuples of ``nvars`` non-negative ints summing to ``total``, in
+    lexicographic order (stars and bars)."""
+    if nvars <= 0:
+        raise ValueError("nvars must be positive")
+    for bars in combinations(range(total + nvars - 1), nvars - 1):
+        prev = -1
+        vec = []
+        for b in bars:
+            vec.append(b - prev - 1)
+            prev = b
+        vec.append(total + nvars - 2 - prev)
+        yield tuple(vec)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``: ints and int-like values pass, while a
+    float, a string or a ``Fraction`` is refused rather than truncated or left to crash."""
+    try:
+        return index(value)
+    except TypeError:
+        raise RegimeError("not-an-integer", f"{name} must be an integer, got {value!r}") from None
 
 
 class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k", int)])):
@@ -77,7 +102,8 @@ class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k
     __slots__ = ()
 
     def __new__(cls, degrees: Sequence[int], r: int, k: int):
-        degrees = tuple(int(d) for d in degrees)
+        degrees = tuple(_integer("a degree", d) for d in degrees)
+        r, k = _integer("r", r), _integer("k", k)
         if not degrees:
             raise RegimeError("degrees-empty", "degrees must be non-empty")
         if any(d < 2 for d in degrees):
@@ -155,12 +181,18 @@ class TorusWeights(tuple):
     def random(cls, r: int, seed: int) -> "TorusWeights":
         """r+1 distinct random integer weights from [-b, b], b = max(50, r);
         deterministic in ``seed``."""
+        _check_weight_count(r)
         bound = max(50, r)
         rng = random.Random(seed)
         return cls(rng.sample(range(-bound, bound + 1), r + 1))
 
 
 WeightsLike = Sequence[ExactScalar]
+
+
+def _check_weight_count(r: int) -> None:
+    if _integer("r", r) < 0:
+        raise RegimeError("ambient-too-small", f"need r >= 0 to draw r + 1 weights, got r={r}")
 
 
 def _weight_tuple(t: WeightsLike, r: int) -> tuple[ExactScalar, ...]:
@@ -202,6 +234,7 @@ def tau_poly(d: int, r: int, k: int) -> MultiPoly:
     belongs to the degree computations, not to the form itself.  Only tests
     expand it, as the reference for the kernel :func:`deg_planes_bott` uses.
     """
+    from .polycore import weighted_linear_product
     if d < 1:
         raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
     _check_plane_dimension(r, k)
@@ -215,6 +248,8 @@ def _check_plane_dimension(r: int, k: int) -> None:
 
 
 def _check_hypersurface_regime(d: int, r: int, k: int) -> None:
+    for name, value in (("d", d), ("r", r), ("k", k)):
+        _integer(name, value)
     if d < 3:
         raise RegimeError(
             "degree-too-small",

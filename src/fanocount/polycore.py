@@ -3,11 +3,16 @@
 All arithmetic is exact: coefficients are Python ints or
 :class:`fractions.Fraction` values (automatically kept in lowest terms with a
 positive denominator), and floating point never enters.  A polynomial is a
-sparse map from exponent vectors to nonzero coefficients.  Sparse storage is
-the right shape for this package: every degree formula here extracts a single
-coefficient sitting at one high-degree exponent vector of a product of many
-linear forms, and with per-step truncation the intermediate expansions stay
-small.
+sparse map from exponent vectors to nonzero coefficients.
+
+This is the reference layer, and no runtime route uses it: the degree
+formulas extract single coefficients (``planes._extract``) and sum torus
+fixed points over integers, without expanding a polynomial.  What expands
+here is what the tests check those routes against, the reference forms
+``planes.tau_poly``, ``conics.eta_form``, ``conics.eta_form_twisted`` and
+``conics.chern_Ed_series`` (each loads this module when it runs), and the
+``MultiPoly.mul`` that the benchmark's tracer wraps.  The dependency runs
+one way: this module imports ``planes``, and no runtime module imports it.
 
 Conventions:
 
@@ -25,20 +30,14 @@ unit constant term can be inverted by geometric-series iteration.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, NotInvertibleError
-
-ExactScalar = Union[int, Fraction]
-ExponentVector = tuple[int, ...]
+from .planes import ExactScalar, ExponentVector, weight_vectors
 
 __all__ = [
-    "ExactScalar",
-    "ExponentVector",
     "MultiPoly",
     "TruncatedSeries",
-    "weight_vectors",
     "weighted_linear_product",
 ]
 
@@ -386,21 +385,6 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-def weight_vectors(nvars: int, total: int) -> Iterator[ExponentVector]:
-    """All tuples of ``nvars`` non-negative ints summing to ``total``, in
-    lexicographic order (stars and bars)."""
-    if nvars <= 0:
-        raise ValueError("nvars must be positive")
-    for bars in combinations(range(total + nvars - 1), nvars - 1):
-        prev = -1
-        vec = []
-        for b in bars:
-            vec.append(b - prev - 1)
-            prev = b
-        vec.append(total + nvars - 2 - prev)
-        yield tuple(vec)
-
 
 def weighted_linear_product(k: int, d: int, affine: bool,
                             bound: int | None = None) -> MultiPoly:

@@ -61,6 +61,15 @@ def test_conic_regime_examples():
     assert quadric.epsilon == -3 and "family" in quadric.note
 
 
+def test_two_conics_only_on_quartic_surfaces():
+    # the one halving case: where the residual curve in the conic's plane is a conic
+    cells = [(d, r) for d in range(2, 12) for r in range(3, 8)]
+    assert [cell for cell in cells if ConicProblem(*cell).two_conics] == [(4, 3)]
+    for cell in cells:
+        note = conic_regime(ConicProblem(*cell)).note
+        assert ("two" in note) == ConicProblem(*cell).two_conics
+
+
 def test_conic_problem_validation():
     with pytest.raises(ValueError):
         ConicProblem(1, 3)
@@ -183,6 +192,13 @@ def test_eta_regime():
         eta_form(3, 3)     # epsilon = -1
 
 
+@pytest.mark.parametrize("form", [eta_form, eta_form_twisted, deg_conics])
+def test_epsilon_negative_has_one_code(form):
+    with pytest.raises(RegimeError) as err:
+        form(3, 3)         # epsilon = -1
+    assert err.value.code == "conic-family"
+
+
 def test_twisted_eta_restricts_to_eta():
     twisted = eta_form_twisted(4, 3)
     spine = MultiPoly(3, {e[:3]: c for e, c in twisted.terms.items() if e[3] == 0})
@@ -302,6 +318,12 @@ def test_generic_weights_are_a_sidon_set():
             assert len(set(sums)) == len(sums)
             if r <= 5:
                 assert max(t) < 40 * (r + 2)
+
+
+def test_generic_weights_refuse_a_negative_ambient_with_a_code():
+    with pytest.raises(RegimeError) as err:
+        generic_conic_weights(-1, 3)
+    assert err.value.code == "ambient-too-small"
 
 
 def test_deg_conics_sums_at_two_different_weight_sets(monkeypatch):

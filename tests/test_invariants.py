@@ -43,8 +43,19 @@ def test_sym_power_coeffs_small(n, k, expected):
 
 
 def test_sym_power_coeffs_small_only_low_rank():
-    with pytest.raises(ValueError):
-        sym_power_coeffs_small(3, 3)
+    for k in (0, 3):
+        with pytest.raises(RegimeError) as err:
+            sym_power_coeffs_small(3, k)
+        assert err.value.code == "no-closed-form"
+
+
+@pytest.mark.parametrize("function", [sym_power_coeffs, sym_power_coeffs_small])
+@pytest.mark.parametrize("n,k,code", [(0, 1, "degree-too-small"), (-2, 1, "degree-too-small"),
+                                      (3, -1, "plane-dimension")])
+def test_sym_power_coeffs_range_codes(function, n, k, code):
+    with pytest.raises(RegimeError) as err:
+        function(n, k)
+    assert err.value.code == code
 
 
 def test_simplified_forms_agree_with_general():
@@ -69,6 +80,13 @@ def test_combinatorial_identity_examples():
     assert combinatorial_identity(3, 2, 1) == (4, 4)
     lhs, rhs = combinatorial_identity(6, 3, 2)
     assert lhs == rhs == 56
+
+
+@pytest.mark.parametrize("n,m,k", [(1, 2, 0), (3, 0, 1), (3, 2, -1)])
+def test_combinatorial_identity_range_code(n, m, k):
+    with pytest.raises(RegimeError) as err:
+        combinatorial_identity(n, m, k)
+    assert err.value.code == "identity-range"
 
 
 def test_combinatorial_identity_grid():

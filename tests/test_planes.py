@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fanocount import conics
 from fanocount.errors import InconsistencyError, RegimeError, SingularWeightsError
 from fanocount.planes import (
     ProblemSpec,
@@ -20,8 +21,9 @@ from fanocount.planes import (
     linear_system_dim,
     regime_report,
     tau_poly,
+    weight_vectors,
 )
-from fanocount.polycore import MultiPoly, weight_vectors, weighted_linear_product
+from fanocount.polycore import MultiPoly, weighted_linear_product
 
 from oracles import (
     plain_top_chern,
@@ -73,6 +75,28 @@ def test_spec_validation_codes(args, code):
     with pytest.raises(RegimeError) as err:
         ProblemSpec(*args)
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProblemSpec((3.7,), 4, 1),          # int() would make it degree 3
+    lambda: ProblemSpec(("3",), 4, 1),
+    lambda: ProblemSpec((Fraction(3),), 4, 1),
+    lambda: ProblemSpec((3,), 4, 1.0),
+    lambda: conics.ConicProblem(4.5, 3),
+    lambda: deg_fano(ProblemSpec((3,), 4.0, 1)),
+    lambda: deg_planes_dm(3.0, 4, 1),
+    lambda: deg_planes_bott(4, 3, 1.0, (1, 2, 5, 7)),
+    lambda: conics.deg_conics(4, 3.0),
+    lambda: TorusWeights.random(3.0, 1),
+    lambda: conics.generic_conic_weights(3.0, 1),
+    lambda: conics.fixed_point_census(3.0),
+], ids=["spec-degree", "spec-degree-str", "spec-degree-fraction", "spec-k", "conic-d",
+        "deg-fano-r", "dm-d", "bott-k", "conics-r", "torus-weights-r", "conic-weights-r",
+        "census-r"])
+def test_non_integer_parameters_are_refused_with_a_code(call):
+    with pytest.raises(RegimeError) as err:
+        call()
+    assert err.value.code == "not-an-integer"
 
 
 def test_gamma_delta_sum_to_zero():
@@ -360,6 +384,14 @@ def test_random_weights_are_distinct_beyond_the_default_range():
     weights = TorusWeights.random(150, 1)
     assert len(set(weights)) == len(weights) == 151
     assert all(isinstance(w, int) for w in weights)
+
+
+def test_random_weights_refuse_a_negative_ambient_with_a_code():
+    assert len(TorusWeights.random(0, 3)) == 1
+    for r in (-1, -2):
+        with pytest.raises(RegimeError) as err:
+            TorusWeights.random(r, 3)
+        assert err.value.code == "ambient-too-small"
 
 
 def test_deg_planes_bott_weight_validation():

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanocount.errors import DimensionError, NotInvertibleError
-from fanocount.polycore import (
-    MultiPoly,
-    TruncatedSeries,
-    weight_vectors,
-    weighted_linear_product,
-)
+from fanocount.planes import weight_vectors
+from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
 
 def x(nvars, i):

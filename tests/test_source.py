@@ -88,3 +88,51 @@ def test_regime_codes_are_documented():
                 offenders.append(f"{path.name}:{call.lineno}")
     assert offenders == []
     assert codes == documented_regime_codes()
+
+
+def _import_time_statements(body):
+    """The statements that run when a module is imported: function bodies and
+    ``if TYPE_CHECKING:`` blocks excluded, class bodies and other blocks included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "TYPE_CHECKING":
+            yield from _import_time_statements(node.orelse)
+            continue
+        yield node
+        for block in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(node, block, []))
+
+
+def test_only_the_reference_forms_import_polycore():
+    # the symbolic layer is a leaf: a runtime module imports it only inside the
+    # reference forms that expand it, so no CLI process compiles it
+    offenders = []
+    for path, tree in _modules():
+        for node in _import_time_statements(tree.body):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                names = {base, *(f"{base}.{alias.name}" if node.module else base + alias.name
+                                 for alias in node.names)}
+            else:
+                continue
+            if names & {".polycore", "fanocount.polycore"}:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_shared_scalar_names_have_one_definition():
+    # moved into planes, not copied: polycore imports them from there
+    defined = {"weight_vectors": [], "ExactScalar": [], "ExponentVector": []}
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in defined:
+                defined[node.name].append(path.name)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id in defined:
+                        defined[target.id].append(path.name)
+    assert defined == dict.fromkeys(defined, ["planes.py"])

@@ -12,9 +12,8 @@ import pytest
 import fanocount
 
 SRC = str(Path(fanocount.__file__).resolve().parents[1])
-MODULES = ("errors", "polycore", "planes", "invariants", "conics")
-CORE = {"fanocount", "fanocount.cli", "fanocount.errors", "fanocount.polycore",
-        "fanocount.planes"}
+MODULES = ("errors", "planes", "invariants", "conics", "polycore")
+CORE = {"fanocount", "fanocount.cli", "fanocount.errors", "fanocount.planes"}
 
 # runs main() as ``python -m fanocount`` does, then prints the exit code and
 # the modules the run added to those the interpreter started with
@@ -56,6 +55,15 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
     assert code == 0
     assert "dataclasses" not in loaded
     assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
+
+
+def test_runtime_modules_do_not_load_the_symbolic_layer():
+    # polycore is the reference layer: only the reference forms import it, when they run
+    _, loaded = loaded_by("import sys; before = set(sys.modules); "
+                          "import fanocount.planes, fanocount.conics, fanocount.invariants, "
+                          "fanocount.cli; print(0, *sorted(set(sys.modules) - before))")
+    assert "fanocount.polycore" not in loaded
+    assert {"fanocount.planes", "fanocount.conics", "fanocount.invariants"} <= loaded
 
 
 def test_importing_the_package_loads_no_module():
