@@ -348,7 +348,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     width, mask, low, y = _layout(3 * r - 1, 2 * d + 1,
                                   d * max(map(abs, _integer_weights(weights))))
 
-    def fiber(plane: list[int]) -> int:
+    def fiber(plane: list[int], _: int) -> int:
         pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
         vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
         cofactors = iter([vandermonde // prod(c - s for s in pair_sums if s != c)
@@ -364,6 +364,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")
         return (-1) ** r * value
 
+    # with d = 0 the plane walk packs no roots, and fiber ignores its product
     numerator, denominator = _plane_sum(r, 2, weights, fiber)
     return BottSum(Fraction(numerator, denominator), numerator % denominator == 0)
 

@@ -14,8 +14,10 @@ one coefficient of an explicit symmetric polynomial:
   coefficient-extraction routes below work;
 * independently, the same numbers arise as fixed-point sums for the torus
   acting on the Grassmannian by rescaling coordinates (one term per
-  coordinate k-plane).  The two routes must agree exactly, which the test
-  suite exercises on a grid.
+  coordinate k-plane).  Those planes are walked as a prefix tree of index
+  sets, so each plane's local value extends its parent prefix's packed
+  product by only the roots that involve its newest coordinate.  The two
+  routes must agree exactly, which the test suite exercises on a grid.
 
 Codimension bookkeeping: gamma = sum_j C(d_j + k, k) - (k+1)(r-k) is the
 codimension (in the parameter space of complete intersections) of the locus
@@ -66,11 +68,14 @@ ExponentVector = tuple[int, ...]
 FixedPlane = tuple[int, ...]
 
 
-def weight_vectors(nvars: int, total: int) -> Iterator[ExponentVector]:
+def weight_vectors(nvars: int, total: int) -> list[ExponentVector]:
     """All tuples of ``nvars`` non-negative ints summing to ``total``, in
-    lexicographic order (stars and bars)."""
+    lexicographic order (stars and bars), as a list."""
+    nvars, total = _integer("nvars", nvars), _integer("total", total)
     if nvars <= 0:
-        raise ValueError("nvars must be positive")
+        raise RegimeError("plane-dimension",
+                          f"need nvars = k + 1 >= 1 variables, got nvars={nvars}")
+    vectors = []
     for bars in combinations(range(total + nvars - 1), nvars - 1):
         prev = -1
         vec = []
@@ -78,7 +83,8 @@ def weight_vectors(nvars: int, total: int) -> Iterator[ExponentVector]:
             vec.append(b - prev - 1)
             prev = b
         vec.append(total + nvars - 2 - prev)
-        yield tuple(vec)
+        vectors.append(tuple(vec))
+    return vectors
 
 
 def _integer(name: str, value) -> int:
@@ -224,7 +230,7 @@ def _psi_target(r: int, k: int) -> tuple[int, ...]:
     return tuple(r - i for i in range(k + 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: 4.0 must not hit the entry of 4
 def tau_poly(d: int, r: int, k: int) -> MultiPoly:
     """Top Chern form for k-planes in degree-d hypersurfaces of P^r: the
     homogeneous degree-(k+1)(r-k) component of
@@ -235,6 +241,7 @@ def tau_poly(d: int, r: int, k: int) -> MultiPoly:
     expand it, as the reference for the kernel :func:`deg_planes_bott` uses.
     """
     from .polycore import weighted_linear_product
+    d, r, k = _integer("d", d), _integer("r", r), _integer("k", k)
     if d < 1:
         raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
     _check_plane_dimension(r, k)
@@ -370,7 +377,8 @@ def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
     """Values <v, point>, |v| = d: the Chern roots of the d-th symmetric power
     of a bundle whose Chern roots take the values ``point``.  Each v is a
     multiset of d indices, so <v, point> is the sum of a d-combination with
-    replacement of the point's entries."""
+    replacement of the point's entries.  Only ``conics._eta`` and the tests build
+    roots this way; the plane sum grows them along its prefix walk (:func:`_plane_sum`)."""
     return [sum(c) for c in combinations_with_replacement(point, d)]
 
 
@@ -443,20 +451,58 @@ def _top_chern(n: int, roots: Sequence[ExactScalar],
     return coeffs[n]
 
 
-def _plane_sum(r: int, k: int, t: Sequence[ExactScalar], local: Callable) -> tuple[int, int]:
-    """sum_I local(t_I) / prod_{i in I, j not in I} (t_i - t_j) over the coordinate k-planes I,
-    as (numerator, D): with P_j = prod_{l != j} (t_j - t_l), a term is local(t_I) V(t_I)^2
-    prod_{j not in I} P_j / D, D = (-1)^C(k+1, 2) prod_j P_j.  Each has degree 0 in the weights,
-    so ``Fraction`` weights are scaled to ints (``_integer_weights``) before ``local`` sees them."""
+def _plane_sum(r: int, k: int, t: Sequence[ExactScalar], local: Callable, d: int = 0,
+               layout: tuple[int, int, int, bool] = (0, 0, 0, False)) -> tuple[int, int]:
+    """sum_I local(t_I, packed_I) / prod_{i in I, j not in I} (t_i - t_j) over the coordinate
+    k-planes I, as (numerator, D): with P_j = prod_{l != j} (t_j - t_l), a term is
+    local(t_I, packed_I) V(t_I)^2 prod_{j not in I} P_j / D, D = (-1)^C(k+1, 2) prod_j P_j.
+    Each has degree 0 in the weights, so ``Fraction`` weights are scaled to ints
+    (``_integer_weights``) before ``local`` sees them.  packed_I is the product of the
+    C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed from 1 in ``layout``; with d = 0 it is 1,
+    and ``layout`` is not read.
+
+    The (k+1)-subsets are walked in lexicographic order as a prefix tree, one depth at a time.
+    A node extends its parent's prefix by one index i and its parent's packed product by only
+    the roots with a positive multiple of t_i, c t_i + (a degree-(d-c) root of the prefix),
+    c = 1..d: C(d-1+j, j) steps at depth j instead of C(d+k, k) at every plane, so the sum packs
+    sum_j C(r-k+j+1, j+1) C(d-1+j, j) roots.  An inner node also keeps its roots of each degree
+    below d for its children.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied
+    in along the path, and prod_{j > max I} P_j comes from a suffix table."""
     if len(set(t)) != len(t):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {t}")
     weights = _integer_weights(t)
     p = [prod(tj - tl for tl in weights if tl != tj) for tj in weights]
-    numerator = sum(local([weights[i] for i in subset])
-                    * prod(weights[a] - weights[b] for a, b in combinations(subset, 2)) ** 2
-                    * prod(p[j] for j in range(r + 1) if j not in subset)
-                    for subset in fixed_planes(r, k))
-    return numerator, (-1) ** comb(k + 1, 2) * prod(p)
+    suffix = [1] * (r + 2)   # suffix[j] = prod_{l >= j} P_l
+    for j in range(r, -1, -1):
+        suffix[j] = suffix[j + 1] * p[j]
+    width, mask, _, y = layout
+    numerator = 0
+    # the prefixes of one depth: (least next index, t_prefix, packed product, roots of each
+    # degree below d, V(t_prefix)^2 times the P_l of the indices skipped)
+    level = [(0, [], 1, [[0]] + [[]] * (d - 1), 1)]
+    for depth in range(k + 1):
+        grown = []
+        for start, point, packed, lower, factor in level:
+            for i in range(start, r - k + depth + 1):
+                ti = weights[i]
+                weight = factor * prod([ti - s for s in point]) ** 2
+                factor *= p[i]
+                here, below = packed, []
+                if d and depth < k:   # below[m]: the degree-m roots with t_i, from degree 0 up
+                    roots = []
+                    for m in range(d):
+                        roots = lower[m] + [ti + v for v in roots]
+                        below.append(roots)
+                    here = _pack(packed, [ti + v for v in roots], width, mask, y)
+                elif d:               # a plane keeps no roots
+                    here = _pack(packed, [c * ti + v for c in range(1, d + 1)
+                                          for v in lower[d - c]], width, mask, y)
+                if depth < k:
+                    grown.append((i + 1, point + [ti], here, below, weight))
+                else:
+                    numerator += local(point + [ti], here) * weight * suffix[i + 1]
+        level = grown
+    return numerator, (-1) ** comb(k + 1, 2) * suffix[0]
 
 
 def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
@@ -465,9 +511,10 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
 
     tau (:func:`tau_poly`) is never expanded: its value at each fixed point is the
-    top field of the roots' ``_pack``ed product, in one :func:`_layout` for the whole
-    sum (every root is at most R = d max |t| over the integer-scaled weights), and
-    :func:`_plane_sum` adds them up.
+    top field of the product of the C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed in one
+    :func:`_layout` for the whole sum (every root is at most R = d max |t| over the
+    integer-scaled weights).  :func:`_plane_sum` builds those products along its prefix
+    walk, each plane extending its parent prefix's product, and adds up the values.
 
     Each term is a rational function of the weights but the sum is a constant
     positive integer; a non-zero remainder or a quotient <= 0 raises
@@ -475,11 +522,10 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
     """
     _check_hypersurface_regime(d, r, k)
     weights = _weight_tuple(t, r)
-    width, mask, low, y = _layout((k + 1) * (r - k), comb(d + k, k),
-                                  d * max(map(abs, _integer_weights(weights))))
+    layout = width, _, low, _ = _layout((k + 1) * (r - k), comb(d + k, k),
+                                        d * max(map(abs, _integer_weights(weights))))
     numerator, denominator = _plane_sum(
-        r, k, weights,
-        lambda point: _unpack(_pack(1, _roots(d, point), width, mask, y), width, low))
+        r, k, weights, lambda point, packed: _unpack(packed, width, low), d, layout)
     total, remainder = divmod(numerator, denominator)
     if remainder or total <= 0:
         raise InconsistencyError(

@@ -9,7 +9,9 @@ Deliberately different computational routes from the ones in the package:
   rather than geometric-series iteration;
 * the fixed-point kernel's top Chern coefficient through the plain,
   unwindowed coefficient loop, and each fixed conic's local value through the
-  divided form: every degree-d weight over the shifted degree-(d-2) weights.
+  divided form: every degree-d weight over the shifted degree-(d-2) weights;
+* the plane fixed-point sum with one Fraction per fixed plane, each plane's
+  roots built from scratch.
 
 These stay oracle-side: the package never imports them.
 """
@@ -237,6 +239,29 @@ def divided_conic_bott(d, r, t):
                 if other != shift:
                     euler *= shift - other
             total += Fraction(divided_conic_top_chern(n, d, point, a, b), euler)
+    return total
+
+
+def divided_plane_bott(d, r, k, t):
+    """Plane fixed-point sum with one Fraction per fixed plane I: the top Chern value of the
+    weights of the degree-d monomials at t_I, by the plain loop, over
+    prod_{i in I, j not in I} (t_i - t_j).  No packing and no shared prefixes.  Every term
+    has degree 0 in the weights, so they are scaled to ints first, by the product of the
+    denominators."""
+    scale = 1
+    for w in t:
+        scale *= Fraction(w).denominator
+    t = [int(Fraction(w) * scale) for w in t]
+    n = (k + 1) * (r - k)
+    total = Fraction(0)
+    for plane in itertools.combinations(range(r + 1), k + 1):
+        roots = [sum(vi * t[i] for vi, i in zip(v, plane)) for v in compositions(k + 1, d)]
+        euler = 1
+        for i in plane:
+            for j in range(r + 1):
+                if j not in plane:
+                    euler *= t[i] - t[j]
+        total += Fraction(plain_top_chern(n, roots, ()), euler)
     return total
 
 

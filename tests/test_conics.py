@@ -421,9 +421,10 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
         deg_conics_bott(4, 3, weights)
     monkeypatch.setattr(conics, "_unpack", unpack)
 
-    def one_plane_off(r, k, t, local):
+    def one_plane_off(r, k, t, local, *packing):
         planes = itertools.count()
-        return plane_sum(r, k, t, lambda point: local(point) + (next(planes) == 2))
+        return plane_sum(r, k, t, lambda point, packed: local(point, packed) + (next(planes) == 2),
+                         *packing)
 
     monkeypatch.setattr(conics, "_plane_sum", one_plane_off)
     assert deg_conics_bott(4, 3, weights).is_integral is False

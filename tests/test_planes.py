@@ -26,6 +26,7 @@ from fanocount.planes import (
 from fanocount.polycore import MultiPoly, weighted_linear_product
 
 from oracles import (
+    divided_plane_bott,
     plain_top_chern,
     sympy_c2_fano,
     sympy_deg_ci_planes,
@@ -214,6 +215,28 @@ def test_tau_regime_errors():
         tau_poly(0, 4, 1)
 
 
+CODED_HELPER_CALLS = [
+    (weight_vectors, (0, 3), "plane-dimension"),        # nvars = k + 1 <= 0
+    (weight_vectors, (-2, 3), "plane-dimension"),
+    (weight_vectors, (2.0, 3), "not-an-integer"),
+    (weight_vectors, (2, Fraction(3)), "not-an-integer"),
+    (tau_poly, (4.0, 3, 1), "not-an-integer"),
+    (tau_poly, (4, "3", 1), "not-an-integer"),
+    (tau_poly, (4, 3, Fraction(1)), "not-an-integer"),
+]
+
+
+@pytest.mark.parametrize("helper,args,code", CODED_HELPER_CALLS,
+                         ids=[f"{helper.__name__}{args}" for helper, args, _ in CODED_HELPER_CALLS])
+def test_reference_helpers_raise_coded_errors(helper, args, code):
+    # the cache is typed: 4.0 does not reach the entry of 4 once it is filled
+    assert tau_poly(4, 3, 1) is tau_poly(4, 3, 1)
+    with pytest.raises(RegimeError) as err:
+        helper(*args)
+    assert err.value.code == code
+    assert tau_poly.cache_info().currsize >= 1
+
+
 # ---------------------------------------------------------------------------
 # hypersurface degrees, both routes
 # ---------------------------------------------------------------------------
@@ -364,6 +387,64 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
     assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
     assert deg_conics_closed(5, 3).consistent is False
     assert _eta(4, 3, (1, 1, 1)) == 14528256
+
+
+@pytest.mark.parametrize("d,r,k,steps", [(4, 8, 3, 3170), (7, 9, 2, 3620), (4, 3, 1, 27)])
+def test_plane_sum_extends_each_parent_product(monkeypatch, d, r, k, steps):
+    # a node at depth j packs only the C(d-1+j, j) roots with a positive multiple of its
+    # newest weight, and each fixed plane's value is read once
+    import fanocount.planes as planes_module
+    pack, unpack = planes_module._pack, planes_module._unpack
+    packed, reads = [], count()
+
+    def counted_pack(product, roots, *layout):
+        roots = list(roots)
+        packed.append(len(roots))
+        return pack(product, roots, *layout)
+
+    def counted_unpack(*field):
+        next(reads)
+        return unpack(*field)
+
+    monkeypatch.setattr(planes_module, "_pack", counted_pack)
+    monkeypatch.setattr(planes_module, "_unpack", counted_unpack)
+    assert deg_planes_bott(d, r, k, TorusWeights.random(r, 1)) == deg_planes_dm(d, r, k)
+    assert sum(packed) == steps \
+        == sum(comb(r - k + j + 1, j + 1) * comb(d - 1 + j, j) for j in range(k + 1))
+    assert next(reads) == comb(r + 1, k + 1)
+
+
+@st.composite
+def plane_sums_at_extreme_weights(draw):
+    """A Y-window cell, (4, 3, 1), (5, 3, 1), (4, 5, 2) or (3, 7, 3), or a Z-window cell,
+    (6, 5, 2) with gamma = 19 > n = 9 or (12, 3, 1) with gamma = 9 > n = 4, and distinct
+    weights up to 10^6 in absolute value: ints and Fractions, negative ones, and one huge
+    weight among small ones.  The field width is tight only where a kept coefficient can
+    reach its bound: e_L = prod a next to the read field when gamma = 1, as at (4, 3, 1),
+    and e_n when L is large against n, as at (12, 3, 1)."""
+    d, r, k = draw(st.sampled_from([(4, 3, 1), (5, 3, 1), (4, 5, 2), (3, 7, 3), (6, 5, 2),
+                                    (12, 3, 1)]))
+    big = st.integers(-10**6, 10**6)
+    scalars = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)),
+                        st.integers(-3, 3))
+    return d, r, k, draw(st.lists(scalars, min_size=r + 1, max_size=r + 1, unique=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(plane_sums_at_extreme_weights())
+@example((4, 3, 1, [10**6, 999_999, 1, 2]))             # one bit less overflows e_5
+@example((12, 3, 1, [944_911, 944_910, 1, 2]))         # one bit less overflows e_4
+@example((5, 3, 1, [10**6, 999_999, 999_998, 999_997]))
+@example((5, 3, 1, [-10**6, 1, Fraction(10**6 - 1, 10**6), 999_999]))
+@example((4, 5, 2, [10**6, 0, 1, -1, 2, -2]))
+@example((3, 7, 3, [-10**6, -999_999, -999_998, -999_997, -999_996, -999_995, -999_994, 10**6]))
+@example((6, 5, 2, [Fraction(1, 10**6), Fraction(-2, 999_999), 10**6, -3, 5, -10**6]))
+@example((6, 5, 2, [10**6, 999_999, 999_998, 999_997, 999_996, 999_995]))
+def test_plane_sum_at_extreme_weights_is_the_divided_sum(inputs):
+    # one layout for the whole walk covers the largest root of every plane, in either
+    # window, also after Fraction weights are scaled to ints
+    d, r, k, t = inputs
+    assert deg_planes_bott(d, r, k, t) == divided_plane_bott(d, r, k, t) == deg_planes_dm(d, r, k)
 
 
 def test_dm_equals_bott_at_the_k4_frontier():
