@@ -405,35 +405,32 @@ def main(argv: Sequence[str] | None = None) -> int:
             degree_items = _parse_items(args.d, multidegree=True)
             r_values, k_values = ([n for (n,) in _parse_items(text, multidegree=False)]
                                   for text in (args.r, args.k))
-        else:
-            try:
-                degrees = tuple(int(chunk) for chunk in args.d.split(","))
-            except ValueError as exc:
-                raise ValueError(f"cannot parse degrees {args.d!r}: {exc}") from None
-            request = CommandRequest(
-                subcommand=args.subcommand,
-                degrees=degrees,
-                r=args.r,
-                k=getattr(args, "k", 0),
-                method=getattr(args, "method", None),
-                format=args.format,
-                seed=args.seed,
-            )
-            envelope = run(request)
+            print(CSV_HEADER)
+            for row in sweep_rows(args.target, degree_items, r_values, k_values,
+                                  skip_log=lambda msg: print(msg, file=sys.stderr)):
+                print(row)
+            return 0
+        try:
+            degrees = tuple(int(chunk) for chunk in args.d.split(","))
+        except ValueError as exc:
+            raise ValueError(f"cannot parse degrees {args.d!r}: {exc}") from None
+        request = CommandRequest(
+            subcommand=args.subcommand,
+            degrees=degrees,
+            r=args.r,
+            k=getattr(args, "k", 0),
+            method=getattr(args, "method", None),
+            format=args.format,
+            seed=args.seed,
+        )
+        envelope = run(request)
     except (ValueError, InconsistencyError) as exc:
         status, label, code = next(f[1:] for f in _FAILURES if isinstance(exc, f[0]))
         if request is not None:
             print(ResultEnvelope(_echo_inputs(request), status=status).render(request.format))
         print(f"{label}: {exc}", file=sys.stderr)
         return code
-
-    if args.subcommand != "sweep":
-        print(envelope.render(request.format))
-        return 0
-    print(CSV_HEADER)
-    for row in sweep_rows(args.target, degree_items, r_values, k_values,
-                          skip_log=lambda msg: print(msg, file=sys.stderr)):
-        print(row)
+    print(envelope.render(request.format))
     return 0
 
 

@@ -51,8 +51,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 from .planes import (DEFAULT_SEED, ExactScalar, TorusWeights, WeightsLike, _check_weight_count,
-                     _integer, _integer_weights, _layout, _pack, _plane_sum, _roots, _top_chern,
-                     _unpack, _weight_tuple, weight_vectors)
+                     _integer, _layout, _pack, _plane_sum, _roots, _unpack, _weight_tuple,
+                     weight_vectors)
 
 if TYPE_CHECKING:   # the reference forms import the symbolic layer when they run
     from .polycore import MultiPoly, TruncatedSeries
@@ -264,9 +264,22 @@ class BottSum(NamedTuple):
     is_integral: bool
 
 
-def _eta(d: int, r: int, point: Sequence[ExactScalar]) -> ExactScalar:
-    """``eta_form(d, r).evaluate(point)``, by the integer kernel."""
-    return _top_chern(3 * r - 1, _roots(d, point), _roots(d - 2, point))
+def _eta(d: int, r: int, point: Sequence[int]) -> int:
+    """``eta_form(d, r).evaluate(point)`` at an int point, by the packed kernel: the Z^n
+    coefficient, n = 3r - 1, of prod (1 + aZ) over the roots a = <v, point>, |v| = d, over
+    prod (1 + bZ) over the degree-(d-2) roots b.  Both are ``_pack``ed in the Z^n window
+    and divided by one modular inverse: packing is a ring map from Z[Z]/(Z^(n+1)), and the
+    packed divisor product is 1 mod 2^B, so odd and invertible.  With N roots and divisors,
+    each at most M, every quotient coefficient h_m, m <= n, has |h_m| <= C(N+m-1, m) M^m,
+    so this B leaves a sign bit and the rounding readout absorbs the fields below h_n."""
+    n = 3 * r - 1
+    roots, divisors = _roots(d, point), _roots(d - 2, point)
+    size = max(1, *map(abs, roots), *map(abs, divisors))
+    width = (comb(len(roots) + len(divisors) + n - 1, n) * size ** n).bit_length() + 2
+    modulus = 1 << width * (n + 1)
+    numerator = _pack(1, roots, width, modulus - 1, False)
+    inverse = pow(_pack(1, divisors, width, modulus - 1, False), -1, modulus)
+    return _unpack(numerator * inverse, width, width * n)
 
 
 # the six fixed conics x_a x_b = 0 of a plane, a <= b indexing its three coordinates
@@ -326,7 +339,8 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
       Chern-root values (-t_i, -t_j, -t_k), equal to ``eta_form_twisted``
       there with fiber class value t_a + t_b.  Each is the top field of a
       ``_pack``ed product in one ``_layout`` for the whole sum: L = 2d + 1
-      roots, each at most R = d max |t| over the integer-scaled weights, in
+      roots, each at most R = d max |t| over the integer-scaled weights
+      (``_weight_tuple``), in
       the Y^epsilon window when epsilon = L - (3r - 1) <= 3r - 1, else in the
       Z^(3r-1) window;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
@@ -345,8 +359,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
-    width, mask, low, y = _layout(3 * r - 1, 2 * d + 1,
-                                  d * max(map(abs, _integer_weights(weights))))
+    width, mask, low, y = _layout(3 * r - 1, 2 * d + 1, d * max(map(abs, weights)))
 
     def fiber(plane: list[int], _: int) -> int:
         pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
@@ -381,20 +394,18 @@ def deg_conics_untwisted_sum(d: int, r: int, t: WeightsLike) -> Fraction:
     weights; at the all-ones assignment it collapses to
     -(6/32) C(r+1, 3) eta(1,1,1), the per-plane factor documented by
     :func:`conic_factor_report`.
+
+    Each plane adds one exact term: sum_c 1/prod_{c' != c} s_c' = (sum_c s_c)/prod_c s_c
+    over its six pair sums s_c, and those add up to 4(t_i + t_j + t_k).
     """
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=False)
     total = Fraction(0)
-    for plane in combinations(range(r + 1), 3):
-        tvals = [weights[i] for i in plane]
-        eta_value = _eta(d, r, tvals)
-        base = (tvals[0] * tvals[1] * tvals[2]) ** (r - 2)
-        pair_sums = [weights[a] + weights[b]
-                     for a, b in combinations_with_replacement(plane, 2)]
-        for idx in range(6):
-            denom = base * prod(pair_sums[:idx] + pair_sums[idx + 1:])
-            total += Fraction(eta_value, denom)
+    for plane in combinations(weights, 3):
+        pair_sums = [a + b for a, b in combinations_with_replacement(plane, 2)]
+        total += Fraction(_eta(d, r, plane) * 4 * sum(plane),
+                          prod(plane) ** (r - 2) * prod(pair_sums))
     return -total
 
 

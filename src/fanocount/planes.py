@@ -201,20 +201,17 @@ def _check_weight_count(r: int) -> None:
         raise RegimeError("ambient-too-small", f"need r >= 0 to draw r + 1 weights, got r={r}")
 
 
-def _weight_tuple(t: WeightsLike, r: int) -> tuple[ExactScalar, ...]:
+def _weight_tuple(t: WeightsLike, r: int) -> tuple[int, ...]:
+    """The r + 1 weights as ints, times the lcm of their denominators: the one place where
+    weights become ints.  A fixed-point sum whose every term has degree 0 in the weights is
+    unchanged, and its kernels then see only ints."""
     tt = tuple(t)
     if len(tt) != r + 1:
         raise SingularWeightsError(f"need r+1 = {r + 1} weights, got {len(tt)}")
     if not all(isinstance(w, (int, Fraction)) for w in tt):
         raise RegimeError("weights-not-exact", f"weights must be ints or Fractions, got {tt}")
-    return tt
-
-
-def _integer_weights(weights: Sequence[ExactScalar]) -> list[int]:
-    """The weights times the lcm of their denominators.  A fixed-point sum whose every
-    term has degree 0 in the weights is unchanged, and its kernel then sees only ints."""
-    scale = lcm(*(w.denominator for w in weights))
-    return [int(w * scale) for w in weights]
+    scale = lcm(*(w.denominator for w in tt))
+    return tuple(int(w * scale) for w in tt)
 
 
 def fixed_planes(r: int, k: int) -> Iterator[FixedPlane]:
@@ -295,9 +292,9 @@ def _vq_factors(k: int, degrees: Sequence[int]) -> list[tuple[tuple[int, ...], i
 
 
 def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int]],
-             start: dict[ExponentVector, ExactScalar]) -> ExactScalar:
+             start: dict[ExponentVector, int]) -> int:
     """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), start a
-    map from exponent tuples to coefficients, by a sparse left-to-right fold keeping only
+    map from exponent tuples to int coefficients, by a sparse left-to-right fold keeping only
     terms that can still reach the target.  Both prunings are lossless: no factor lowers
     an exponent, even with negative v_i (exponent box: drop e_i > target_i), and each
     raises the degree by at most 1 (degree floor: drop degree + factors left < |target|).
@@ -310,8 +307,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     not, is a sum over paths through the factors, so the sum of their absolute values is
     at most M = sum |start| * prod max(1, |c| + sum |v_i|).  With B = M.bit_length() + 1
     the field of x_k^t_k is below 2^(B-1) and the fields under it sum to less than half
-    a unit of it, which the rounding readout absorbs.  ``Fraction`` start coefficients
-    are scaled to ints by the lcm of their denominators and divided back at the end.
+    a unit of it, which the rounding readout absorbs.
 
     A head e is packed into one int with a C-bit field per variable, field i holding
     e_i + G - 1 - target_i (G = 2^(C-1)).  Multiplying by x_i adds 1 << C*i, and
@@ -320,8 +316,6 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     on head degree plus t_k, the most the x_k polynomial can add.
     """
     *head, last = target
-    scale = lcm(*(coeff.denominator for coeff in start.values()))
-    start = {e: int(coeff * scale) for e, coeff in start.items()}
     size = sum(map(abs, start.values()))
     for v, c in factors:
         size *= max(1, abs(c) + sum(map(abs, v)))
@@ -369,8 +363,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     packed = buckets.get(sum(head), {}).get(sum((top - 1) << sh for sh in shifts), 0)
     low = width * last
     field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
-    value = field - (1 << width) if field >> (width - 1) else field
-    return value if scale == 1 else Fraction(value, scale)
+    return field - (1 << width) if field >> (width - 1) else field
 
 
 def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
@@ -433,33 +426,14 @@ def _unpack(packed: int, width: int, low: int) -> int:
     return field - (1 << width) if field >> (width - 1) else field
 
 
-def _top_chern(n: int, roots: Sequence[ExactScalar],
-               divisors: Sequence[ExactScalar]) -> ExactScalar:
-    """Z^n coefficient of prod_{a in roots} (1 + a Z) / prod_{b in divisors} (1 + b Z):
-    a top Chern form at one torus-fixed point; only the untwisted conic form divides.
-    The Bott sums pack their roots instead (:func:`_layout`); this is the general loop
-    over a coefficient list.  After i roots only Z^j with j <= i is non-zero, so each
-    root updates those only.  Divisors read every coefficient.  Each has constant term
-    1, so int values stay int."""
-    coeffs = [1] + [0] * n
-    for i, a in enumerate(roots, start=1):
-        for j in range(min(i, n), 0, -1):
-            coeffs[j] += a * coeffs[j - 1]
-    for b in divisors:
-        for j in range(1, n + 1):
-            coeffs[j] -= b * coeffs[j - 1]
-    return coeffs[n]
-
-
-def _plane_sum(r: int, k: int, t: Sequence[ExactScalar], local: Callable, d: int = 0,
+def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
                layout: tuple[int, int, int, bool] = (0, 0, 0, False)) -> tuple[int, int]:
     """sum_I local(t_I, packed_I) / prod_{i in I, j not in I} (t_i - t_j) over the coordinate
     k-planes I, as (numerator, D): with P_j = prod_{l != j} (t_j - t_l), a term is
     local(t_I, packed_I) V(t_I)^2 prod_{j not in I} P_j / D, D = (-1)^C(k+1, 2) prod_j P_j.
-    Each has degree 0 in the weights, so ``Fraction`` weights are scaled to ints
-    (``_integer_weights``) before ``local`` sees them.  packed_I is the product of the
-    C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed from 1 in ``layout``; with d = 0 it is 1,
-    and ``layout`` is not read.
+    The weights are ints (:func:`_weight_tuple` scales them), so ``local`` sees ints only.
+    packed_I is the product of the C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed from 1 in
+    ``layout``; with d = 0 it is 1, and ``layout`` is not read.
 
     The (k+1)-subsets are walked in lexicographic order as a prefix tree, one depth at a time.
     A node extends its parent's prefix by one index i and its parent's packed product by only
@@ -470,8 +444,7 @@ def _plane_sum(r: int, k: int, t: Sequence[ExactScalar], local: Callable, d: int
     in along the path, and prod_{j > max I} P_j comes from a suffix table."""
     if len(set(t)) != len(t):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {t}")
-    weights = _integer_weights(t)
-    p = [prod(tj - tl for tl in weights if tl != tj) for tj in weights]
+    p = [prod(tj - tl for tl in t if tl != tj) for tj in t]
     suffix = [1] * (r + 2)   # suffix[j] = prod_{l >= j} P_l
     for j in range(r, -1, -1):
         suffix[j] = suffix[j + 1] * p[j]
@@ -484,7 +457,7 @@ def _plane_sum(r: int, k: int, t: Sequence[ExactScalar], local: Callable, d: int
         grown = []
         for start, point, packed, lower, factor in level:
             for i in range(start, r - k + depth + 1):
-                ti = weights[i]
+                ti = t[i]
                 weight = factor * prod([ti - s for s in point]) ** 2
                 factor *= p[i]
                 here, below = packed, []
@@ -513,8 +486,9 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
     tau (:func:`tau_poly`) is never expanded: its value at each fixed point is the
     top field of the product of the C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed in one
     :func:`_layout` for the whole sum (every root is at most R = d max |t| over the
-    integer-scaled weights).  :func:`_plane_sum` builds those products along its prefix
-    walk, each plane extending its parent prefix's product, and adds up the values.
+    integer-scaled weights of :func:`_weight_tuple`).  :func:`_plane_sum` builds those
+    products along its prefix walk, each plane extending its parent prefix's product, and
+    adds up the values.
 
     Each term is a rational function of the weights but the sum is a constant
     positive integer; a non-zero remainder or a quotient <= 0 raises
@@ -523,7 +497,7 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
     _check_hypersurface_regime(d, r, k)
     weights = _weight_tuple(t, r)
     layout = width, _, low, _ = _layout((k + 1) * (r - k), comb(d + k, k),
-                                        d * max(map(abs, _integer_weights(weights))))
+                                        d * max(map(abs, weights)))
     numerator, denominator = _plane_sum(
         r, k, weights, lambda point, packed: _unpack(packed, width, low), d, layout)
     total, remainder = divmod(numerator, denominator)
@@ -610,7 +584,7 @@ def _ci_extraction(degrees: tuple[int, ...], r: int, k: int) -> int:
     :func:`_extract`, with Q the product for d_1, ..., d_{m-1}."""
     factors = _vq_factors(k, degrees[:-1]) + [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
     value = _extract(_psi_target(r, k), factors, {(0,) * (k + 1): 1})
-    if not isinstance(value, int) or value <= 0:
+    if value <= 0:
         raise InconsistencyError(
             f"deg for degrees {degrees}, r={r}, k={k} computed as {value}; expected a "
             "positive integer (implementation bug)")
@@ -638,10 +612,7 @@ def _fano_extraction(spec: ProblemSpec, start: dict[ExponentVector, int], ones: 
     if totals != {sum(target)}:
         raise InconsistencyError(f"a product of degree {sorted(totals)} misses "
                                  f"the target degree {sum(target)} for {spec}")
-    value = _extract(target, factors, start)
-    if not isinstance(value, int):
-        raise InconsistencyError(f"non-integer extraction {value} for {spec}")
-    return value
+    return _extract(target, factors, start)
 
 
 def deg_fano(spec: ProblemSpec) -> int:

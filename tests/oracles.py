@@ -291,3 +291,27 @@ def divided_conic_top_chern(n, d, point, a, b):
         return [sum(vi * p for vi, p in zip(v, point)) for v in compositions(3, degree)]
     shift = point[a] + point[b]
     return plain_top_chern(n, weights(d), [w + shift for w in weights(d - 2)])
+
+
+def six_term_untwisted_sum(d, r, t):
+    """The untwisted conic shortcut term by term: for each plane and each of its six fixed
+    conics, eta(t_I) / [(t_i t_j t_k)^(r-2) prod of the other five pair sums], with eta the
+    plain loop over the weights of the degree-d monomials divided by those of degree d - 2.
+    The weights are used as given, Fractions included."""
+    n = 3 * r - 1
+    total = Fraction(0)
+    for plane in itertools.combinations(range(r + 1), 3):
+        point = [Fraction(t[i]) for i in plane]
+
+        def weights(degree):
+            return [sum(vi * p for vi, p in zip(v, point)) for v in compositions(3, degree)]
+        eta = plain_top_chern(n, weights(d), weights(d - 2))
+        base = (point[0] * point[1] * point[2]) ** (r - 2)
+        sums = [point[a] + point[b] for a, b in itertools.combinations_with_replacement(range(3), 2)]
+        for idx in range(6):
+            denominator = base
+            for jdx, s in enumerate(sums):
+                if jdx != idx:
+                    denominator *= s
+            total += eta / denominator
+    return -total

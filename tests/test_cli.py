@@ -338,6 +338,24 @@ def test_sweep_skips_only_regime_errors(monkeypatch):
         list(sweep_rows("fano-degree", [(3,)], [4], [1], skip_log=lambda msg: None))
 
 
+def test_sweep_maps_a_cell_inconsistency_like_every_subcommand(capsys, monkeypatch):
+    # an InconsistencyError in a cell prints the rows before it and exits 1, not a traceback
+    import fanocount.planes as planes_module
+    from fanocount.errors import InconsistencyError
+    dm = planes_module.deg_planes_dm
+
+    def broken(d, r, k):
+        if d == 5:
+            raise InconsistencyError("cell broke")
+        return dm(d, r, k)
+
+    monkeypatch.setattr(planes_module, "deg_planes_dm", broken)
+    code, out, err = invoke(capsys, "sweep", "planes", "--d", "4..5", "--r", "3", "--k", "1")
+    assert code == 1
+    assert out.splitlines() == [CSV_HEADER, "4,3,1,1,-1,320,dm"]
+    assert err == "internal inconsistency: cell broke\n"
+
+
 def test_sweep_skips_cells_that_spec_validation_rejects():
     skipped = []
     rows = list(sweep_rows("fano-degree", [(1,), (3,)], [2, 4], [1], skip_log=skipped.append))

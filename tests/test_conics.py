@@ -26,7 +26,8 @@ from fanocount.conics import (
 from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
-from oracles import dense_conic_bott, dense_eta, divided_conic_bott, divided_conic_top_chern
+from oracles import (dense_conic_bott, dense_eta, divided_conic_bott, divided_conic_top_chern,
+                     plain_top_chern, six_term_untwisted_sum)
 
 
 # frozen values: validated by constancy over independent weight draws,
@@ -213,14 +214,14 @@ def test_twisted_eta_matches_dense_oracle():
 
 def test_twisted_eta_agrees_with_local_series_route():
     # the per-fixed-point univariate evaluation must equal the symbolic form
-    from fanocount.planes import _roots, _top_chern
+    from fanocount.planes import _roots
     twisted = eta_form_twisted(4, 3)
     rng = random.Random(4)
     for _ in range(5):
         roots = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
         shift = Fraction(rng.randint(1, 12), rng.randint(1, 3))
         divisors = [b - shift for b in _roots(2, roots)]
-        assert _top_chern(8, _roots(4, roots), divisors) == twisted.evaluate((*roots, shift))
+        assert plain_top_chern(8, _roots(4, roots), divisors) == twisted.evaluate((*roots, shift))
 
 
 @st.composite
@@ -242,7 +243,6 @@ def test_conic_roots_are_the_divided_form(inputs):
     # each conic's roots are its a-half (d + 1 terms) and its b-half (d terms), both
     # progressions (start, step), in the order the sum packs them
     from fanocount.conics import _conic_roots
-    from fanocount.planes import _top_chern
     d, n, point = inputs
     halves = _conic_roots(d, point)
     conics = [(a, b) for a, (_, lows) in enumerate(halves) for b in range(a, a + len(lows))]
@@ -251,19 +251,39 @@ def test_conic_roots_are_the_divided_form(inputs):
         high = [start + i * step for i in range(d + 1)]
         for b, (start, step) in enumerate(lows, start=a):
             roots = high + [start + i * step for i in range(d)]
-            assert _top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
+            assert plain_top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
 
 
 def test_kernel_at_shift_zero_is_eta():
     # shift 0 drops the twist: the kernel reproduces eta(1,1,1) and eta_form
-    from fanocount.planes import _roots, _top_chern
+    from fanocount.conics import _eta
     for (d, r), expected in sorted(ETA_ONES.items()):
-        assert _top_chern(3 * r - 1, _roots(d, (1, 1, 1)), _roots(d - 2, (1, 1, 1))) == expected
+        assert _eta(d, r, (1, 1, 1)) == expected
     eta = eta_form(4, 3)
     rng = random.Random(8)
     for _ in range(5):
         point = [rng.randint(-30, 30) for _ in range(3)]
-        assert _top_chern(8, _roots(4, point), _roots(2, point)) == eta.evaluate(point)
+        assert _eta(4, 3, point) == eta.evaluate(point)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 9), st.integers(2, 8),
+       st.lists(st.one_of(st.integers(-30, 30), st.integers(-10**6, 10**6)),
+                min_size=3, max_size=3))
+@example(9, 8, [10**6, 10**6, 10**6])       # the widest quotient field
+@example(9, 8, [-10**6, -10**6, -10**6])
+@example(9, 8, [10**6, -10**6, 10**6])
+@example(7, 2, [10**6, -10**6, 999_999])
+@example(5, 3, [0, 0, 0])                   # the zero point: every root and divisor 0
+@example(2, 3, [3, -1, 7])                  # d = 2: the one divisor is 0
+@example(2, 8, [-10**6, 10**6, 1])
+def test_eta_equals_plain_top_chern(d, r, point):
+    # one modular inverse of the packed divisor product gives the divided form's e_n
+    from fanocount.conics import _eta
+    from fanocount.planes import _roots
+    value = _eta(d, r, point)
+    assert type(value) is int
+    assert value == plain_top_chern(3 * r - 1, _roots(d, point), _roots(d - 2, point))
 
 
 def test_fixed_point_sums_never_expand_symbolic_forms(monkeypatch):
@@ -404,6 +424,64 @@ def test_bott_sum_fraction_weights_equal_the_scaled_integers():
     assert deg_conics_bott(6, 4, rational) \
         == deg_conics_bott(6, 4, [int(w * scale) for w in rational]) \
         == deg_conics_bott(6, 4, weights) == (188068995, True)
+
+
+def test_fraction_weights_reach_the_kernels_as_ints(monkeypatch):
+    # weights become ints in one place: the plane sum and eta see only ints, the values
+    # equal those at the integer-scaled weights, and the extraction routes and eta build
+    # no Fraction
+    import fanocount.conics as conics
+    import fanocount.planes as planes
+    from fanocount.planes import ProblemSpec, c2_fano_integral, deg_ci_planes, deg_fano
+    real_plane_sum, real_eta = planes._plane_sum, conics._eta
+    seen = []
+
+    def int_plane_sum(r, k, t, local, *packing):
+        def int_local(point, packed):
+            seen.append(point)
+            return local(point, packed)
+
+        seen.append(t)
+        return real_plane_sum(r, k, t, int_local, *packing)
+
+    def int_eta(d, r, point):
+        seen.append(point)
+        return real_eta(d, r, point)
+
+    for module in (conics, planes):
+        monkeypatch.setattr(module, "_plane_sum", int_plane_sum)
+    monkeypatch.setattr(conics, "_eta", int_eta)
+    f = Fraction
+    rational, scaled = (f(1, 2), 2, f(5, 3), 7), (3, 12, 10, 42)
+    assert deg_planes_bott(4, 3, 1, rational) == deg_planes_bott(4, 3, 1, scaled) == 320
+    assert deg_conics_bott(4, 3, rational) == deg_conics_bott(4, 3, scaled) == (5016, True)
+    assert deg_conics_untwisted_sum(4, 3, rational) == deg_conics_untwisted_sum(4, 3, scaled)
+    weights = generic_conic_weights(4, seed=5)
+    rational = [f(w, 6 + i) for i, w in enumerate(weights)]
+    scaled = [int(w * lcm(*(v.denominator for v in rational))) for w in rational]
+    assert deg_planes_bott(6, 4, 1, rational) == deg_planes_bott(6, 4, 1, scaled) == 50400
+    assert deg_conics_bott(6, 4, rational) == deg_conics_bott(6, 4, scaled) \
+        == (188068995, True)
+    assert deg_conics_untwisted_sum(6, 4, rational) == deg_conics_untwisted_sum(6, 4, scaled)
+    assert len(seen) > 6 and all(type(w) is int for values in seen for w in values)
+
+    fractions = []
+
+    def counted_fraction(*args):
+        fractions.append(args)
+        return Fraction(*args)
+
+    for module in (conics, planes):
+        monkeypatch.setattr(module, "Fraction", counted_fraction)
+    assert deg_planes_dm(4, 3, 1) == 320
+    assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
+    assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
+    assert c2_fano_integral(ProblemSpec((3,), 4, 1)) == 27
+    assert real_eta(4, 3, (1, 1, 1)) == ETA_ONES[(4, 3)]
+    assert real_eta(6, 4, (-5, 0, 10**6)) == plain_top_chern(11, *(
+        [sum(c) for c in itertools.combinations_with_replacement((-5, 0, 10**6), m)]
+        for m in (6, 4)))
+    assert fractions == []
 
 
 def test_conic_integrality_and_positivity_guards(monkeypatch):
@@ -570,6 +648,29 @@ def test_untwisted_sum_at_unit_weights():
     for (d, r) in [(4, 3), (5, 3)]:
         value = deg_conics_untwisted_sum(d, r, [1] * (r + 1))
         assert value == -Fraction(6, 32) * comb(r + 1, 3) * ETA_ONES[(d, r)]
+
+
+@st.composite
+def untwisted_sums(draw):
+    """A cell and r + 1 weights the untwisted sum takes: ints and Fractions up to 10^6,
+    repeats allowed, none zero and no two summing to zero."""
+    d, r = draw(st.sampled_from([(4, 3), (5, 3), (6, 4), (7, 5)]))
+    big = st.integers(-10**6, 10**6)
+    scalars = st.one_of(big, st.integers(-5, 5), st.builds(Fraction, big, st.integers(1, 99)))
+    t = draw(st.lists(scalars, min_size=r + 1, max_size=r + 1))
+    assume(0 not in t and all(a + b for a, b in itertools.combinations(t, 2)))
+    return d, r, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(untwisted_sums())
+@example((4, 3, [1, 1, 1, 1]))
+@example((5, 3, [Fraction(1, 2), 2, Fraction(5, 3), 7]))
+@example((7, 5, [10**6, -999_999, 3, Fraction(-1, 7), 5, 11]))
+def test_untwisted_sum_adds_one_term_per_plane(inputs):
+    # (sum of the six pair sums) / (their product) is the six-term sum of the cofactors
+    d, r, t = inputs
+    assert deg_conics_untwisted_sum(d, r, t) == six_term_untwisted_sum(d, r, t)
 
 
 def test_untwisted_sum_is_not_constant():
