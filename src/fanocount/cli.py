@@ -78,10 +78,9 @@ class ResultEnvelope:
 
     __slots__ = ("inputs", "results", "status")
 
-    def __init__(self, inputs: dict[str, str],
-                 results: dict[str, dict[str, str]] | None = None, status: str = "ok"):
+    def __init__(self, inputs: dict[str, str], status: str = "ok"):
         self.inputs = inputs
-        self.results = {} if results is None else results
+        self.results: dict[str, dict[str, str]] = {}
         self.status = status
 
     def __eq__(self, other):
@@ -121,9 +120,8 @@ def _echo_inputs(request: CommandRequest) -> dict[str, str]:
             "seed": str(request.seed)}
     if request.degrees:
         echo["d"] = ",".join(str(d) for d in request.degrees)
-    if request.r:
-        echo["r"] = str(request.r)
-    if request.k:
+    echo["r"] = str(request.r)
+    if request.subcommand != "conics":   # the one envelope subcommand without --k
         echo["k"] = str(request.k)
     if request.subcommand in _METHODS:
         echo["method"] = request.method

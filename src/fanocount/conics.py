@@ -62,11 +62,9 @@ __all__ = [
     "ClosedFormComparison",
     "ConicFixedPoint",
     "ConicProblem",
-    "ConicRegime",
     "chern_Ed_series",
     "conic_factor_report",
     "conic_fixed_points",
-    "conic_regime",
     "deg_conics",
     "deg_conics_bott",
     "deg_conics_closed",
@@ -97,11 +95,6 @@ class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
         return 2 * self.d + 2 - 3 * self.r
 
     @property
-    def mu(self) -> int:
-        """Expected dimension of the space of conics on a general member."""
-        return 3 * self.r - 2 * self.d - 2
-
-    @property
     def two_conics(self) -> bool:
         """Whether the general member of the locus carries two conics, so the
         fixed-point sum counts it twice and :func:`deg_conics` halves it.  The plane
@@ -109,32 +102,6 @@ class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
         degree d - 2, a second conic when d = 4; with epsilon > 0 that is
         (d, r) = (4, 3), quartic surfaces."""
         return self.d == 4 and self.epsilon > 0
-
-
-class ConicRegime(NamedTuple):
-    epsilon: int
-    mu: int
-    note: str
-
-
-def conic_regime(problem: ConicProblem) -> ConicRegime:
-    """Codimension bookkeeping plus the uniqueness statement for the general
-    member of the locus: for epsilon > 0 its conic is unique, except where the
-    residual curve in the conic's plane is a second conic
-    (:attr:`ConicProblem.two_conics`)."""
-    eps = problem.epsilon
-    if problem.two_conics:
-        note = ("the general quartic surface in the locus contains exactly two "
-                "distinct conics, smooth and coplanar")
-    elif eps > 0:
-        note = "the general member of the locus contains a unique conic, and it is smooth"
-    elif eps == 0:
-        note = ("boundary regime: the locus fills the whole parameter space and "
-                "members carry finitely many conics, but no degree is defined")
-    else:
-        note = ("every member carries a positive-dimensional family of conics; "
-                "no locus degree is defined")
-    return ConicRegime(epsilon=eps, mu=problem.mu, note=note)
 
 
 # ---------------------------------------------------------------------------

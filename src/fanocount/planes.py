@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
 from operator import index, le
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 
@@ -44,18 +44,14 @@ __all__ = [
     "DEFAULT_SEED",
     "ExactScalar",
     "ExponentVector",
-    "FixedPlane",
     "ProblemSpec",
-    "RegimeReport",
     "TorusWeights",
     "c2_fano_integral",
     "deg_ci_planes",
     "deg_fano",
     "deg_planes_bott",
     "deg_planes_dm",
-    "fixed_planes",
     "linear_system_dim",
-    "regime_report",
     "tau_poly",
     "weight_vectors",
 ]
@@ -65,16 +61,17 @@ DEFAULT_SEED = 1729
 
 ExactScalar = Union[int, Fraction]
 ExponentVector = tuple[int, ...]
-FixedPlane = tuple[int, ...]
 
 
 def weight_vectors(nvars: int, total: int) -> list[ExponentVector]:
     """All tuples of ``nvars`` non-negative ints summing to ``total``, in
-    lexicographic order (stars and bars), as a list."""
+    lexicographic order (stars and bars), as a list: none for a negative total."""
     nvars, total = _integer("nvars", nvars), _integer("total", total)
     if nvars <= 0:
         raise RegimeError("plane-dimension",
                           f"need nvars = k + 1 >= 1 variables, got nvars={nvars}")
+    if total < 0:   # one variable would otherwise take the whole negative total
+        return []
     vectors = []
     for bars in combinations(range(total + nvars - 1), nvars - 1):
         prev = -1
@@ -136,35 +133,8 @@ class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k
         """Expected dimension of the Fano scheme of k-planes (= -gamma)."""
         return -self.gamma
 
-    @property
-    def two_k_below_r(self) -> bool:
-        """Whether 2k < r, the half-dimension inequality several regimes need."""
-        return 2 * self.k < self.r
-
     def sorted_degrees(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees))
-
-
-class RegimeReport(NamedTuple):
-    gamma: int
-    delta: int
-    empty: bool
-    fano_dimension: int | None
-
-
-def regime_report(spec: ProblemSpec) -> RegimeReport:
-    """Codimension/dimension bookkeeping for a spec.
-
-    The Fano scheme of the general member is empty iff gamma > 0 or
-    2k > r - m; otherwise its dimension is delta.
-    """
-    empty = spec.gamma > 0 or 2 * spec.k > spec.r - spec.m
-    return RegimeReport(
-        gamma=spec.gamma,
-        delta=spec.delta,
-        empty=empty,
-        fano_dimension=None if empty else spec.delta,
-    )
 
 
 class TorusWeights(tuple):
@@ -212,11 +182,6 @@ def _weight_tuple(t: WeightsLike, r: int) -> tuple[int, ...]:
         raise RegimeError("weights-not-exact", f"weights must be ints or Fractions, got {tt}")
     scale = lcm(*(w.denominator for w in tt))
     return tuple(int(w * scale) for w in tt)
-
-
-def fixed_planes(r: int, k: int) -> Iterator[FixedPlane]:
-    """Index sets of the coordinate k-planes: all (k+1)-subsets of {0..r}."""
-    return combinations(range(r + 1), k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ Deliberately different computational routes from the ones in the package:
   unwindowed coefficient loop, and each fixed conic's local value through the
   divided form: every degree-d weight over the shifted degree-(d-2) weights;
 * the plane fixed-point sum with one Fraction per fixed plane, each plane's
-  roots built from scratch.
+  roots built from scratch;
+* the emptiness of a Fano scheme straight from its defining inequalities.
 
 These stay oracle-side: the package never imports them.
 """
@@ -101,6 +102,12 @@ def sympy_c2_fano(degrees, r, k):
     """c2 integral over a Fano surface: Q * e_2 * V."""
     return _sympy_fano(degrees, r, k, lambda X: sum(
         X[i] * X[j] for i in range(k + 1) for j in range(i + 1, k + 1)))
+
+
+def fano_scheme_empty(spec):
+    """Whether the Fano scheme of k-planes on the general member is empty:
+    gamma > 0, or 2k > r - m."""
+    return spec.gamma > 0 or 2 * spec.k > spec.r - spec.m
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,19 @@ def test_multi_degree_hypersurface_command_is_regime_error(capsys, argv):
     assert "regime error: hypersurface-only:" in err
 
 
+@pytest.mark.parametrize("argv,echo", [(("planes", "--d", "4", "--r", "3", "--k", "0"),
+                                        {"r": "3", "k": "0"}),
+                                       (("fano-degree", "--d", "3", "--r", "0", "--k", "1"),
+                                        {"r": "0", "k": "1"}),
+                                       (("conics", "--d", "4", "--r", "0"), {"r": "0"})],
+                         ids=["planes-k0", "fano-degree-r0", "conics-r0"])
+def test_regime_error_envelope_echoes_a_zero_r_and_k(capsys, argv, echo):
+    # a sweep reads the failing inputs back from the echo, zeros included; conics has no --k
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    inputs = json.loads(out)["inputs"]
+    assert code == 2 and {name: inputs[name] for name in ("r", "k") if name in inputs} == echo
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

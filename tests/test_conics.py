@@ -13,7 +13,6 @@ from fanocount.conics import (
     chern_Ed_series,
     conic_factor_report,
     conic_fixed_points,
-    conic_regime,
     deg_conics,
     deg_conics_bott,
     deg_conics_closed,
@@ -53,22 +52,10 @@ ETA_ONES = {(4, 3): 14528256, (5, 3): 1374702885}
 # regimes
 # ---------------------------------------------------------------------------
 
-def test_conic_regime_examples():
-    quartic = conic_regime(ConicProblem(4, 3))
-    assert quartic.epsilon == 1 and "two" in quartic.note
-    quintic = conic_regime(ConicProblem(5, 3))
-    assert quintic.epsilon == 3 and "unique" in quintic.note
-    quadric = conic_regime(ConicProblem(2, 3))
-    assert quadric.epsilon == -3 and "family" in quadric.note
-
-
 def test_two_conics_only_on_quartic_surfaces():
     # the one halving case: where the residual curve in the conic's plane is a conic
     cells = [(d, r) for d in range(2, 12) for r in range(3, 8)]
     assert [cell for cell in cells if ConicProblem(*cell).two_conics] == [(4, 3)]
-    for cell in cells:
-        note = conic_regime(ConicProblem(*cell)).note
-        assert ("two" in note) == ConicProblem(*cell).two_conics
 
 
 def test_conic_problem_validation():
@@ -85,18 +72,13 @@ def test_conic_problem_validation_codes(d, r, code):
     assert err.value.code == code
 
 
-def test_epsilon_mu_sum_to_zero():
-    for d in range(2, 9):
-        for r in range(3, 7):
-            p = ConicProblem(d, r)
-            assert p.epsilon + p.mu == 0
-
-
 def test_positive_epsilon_matches_rank_inequality():
     # epsilon > 0 is exactly rank 2d+1 > 3r-1 = dim of the conic parameter space
     for d in range(2, 12):
         for r in range(3, 8):
-            assert (2 * d + 2 - 3 * r > 0) == (2 * d + 1 > 3 * r - 1)
+            assert (ConicProblem(d, r).epsilon > 0) == (2 * d + 1 > 3 * r - 1)
+    # quartic and quintic surfaces: a locus; quadric surfaces: families of conics
+    assert [ConicProblem(*cell).epsilon for cell in [(4, 3), (5, 3), (2, 3)]] == [1, 3, -3]
 
 
 # ---------------------------------------------------------------------------

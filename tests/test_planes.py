@@ -17,9 +17,7 @@ from fanocount.planes import (
     deg_fano,
     deg_planes_bott,
     deg_planes_dm,
-    fixed_planes,
     linear_system_dim,
-    regime_report,
     tau_poly,
     weight_vectors,
 )
@@ -40,22 +38,6 @@ from test_source import documented_regime_codes
 # ---------------------------------------------------------------------------
 # specs and regimes
 # ---------------------------------------------------------------------------
-
-def test_regime_report_cubic_fourfolds_with_plane():
-    report = regime_report(ProblemSpec((3,), 5, 2))
-    assert report.gamma == 1 and report.empty
-
-
-def test_regime_report_cubic_threefold():
-    report = regime_report(ProblemSpec((3,), 4, 1))
-    assert report.delta == 2 and not report.empty and report.fano_dimension == 2
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_regime_report_two_quadrics_family(k):
-    report = regime_report(ProblemSpec((2, 2), 2 * k + 3, k))
-    assert report.delta == k + 1 and report.fano_dimension == k + 1
-
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -101,14 +83,13 @@ def test_non_integer_parameters_are_refused_with_a_code(call):
 
 
 def test_gamma_delta_sum_to_zero():
-    for spec in [ProblemSpec((3,), 4, 1), ProblemSpec((2, 2, 3), 5, 1),
-                 ProblemSpec((4,), 9, 2)]:
-        assert spec.gamma + spec.delta == 0
-
-
-def test_half_dimension_flag():
-    assert ProblemSpec((3,), 5, 2).two_k_below_r
-    assert not ProblemSpec((3,), 4, 2).two_k_below_r
+    # (spec, delta): planes on cubic fourfolds have gamma = 1, lines on cubic threefolds
+    # form a surface, k-planes on two quadrics in P^(2k+3) a (k+1)-fold
+    cases = [(ProblemSpec((3,), 5, 2), -1), (ProblemSpec((3,), 4, 1), 2),
+             (ProblemSpec((2, 2, 3), 5, 1), -2), (ProblemSpec((4,), 9, 2), 6)]
+    cases += [(ProblemSpec((2, 2), 2 * k + 3, k), k + 1) for k in (1, 2, 3, 4)]
+    for spec, delta in cases:
+        assert spec.delta == delta and spec.gamma + spec.delta == 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +463,6 @@ def test_deg_planes_regime_errors():
     with pytest.raises(RegimeError) as err:
         deg_planes_dm(3, 4, 1)      # gamma < 0: cubic threefolds all contain lines
     assert err.value.code == "gamma-not-positive"
-
-
-def test_fixed_planes_enumeration():
-    planes = list(fixed_planes(4, 1))
-    assert len(planes) == 10 and planes[0] == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,7 @@ def test_weighted_product_parameter_validation():
 def test_weight_vectors_enumeration():
     assert list(weight_vectors(2, 3)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert len(list(weight_vectors(3, 3))) == 10
+    assert weight_vectors(1, -3) == weight_vectors(3, -2) == []
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ from pathlib import Path
 import fanocount
 
 PACKAGE = Path(fanocount.__file__).parent
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# the symbolic forms the README names as the references the tests expand
+REFERENCE_FORMS = {"tau_poly", "eta_form", "eta_form_twisted", "chern_Ed_series"}
 
 
 def _modules():
@@ -136,3 +140,53 @@ def test_shared_scalar_names_have_one_definition():
                     if isinstance(target, ast.Name) and target.id in defined:
                         defined[target.id].append(path.name)
     assert defined == dict.fromkeys(defined, ["planes.py"])
+
+
+def _defines(node, name):
+    """Whether the module-level statement ``node`` defines ``name``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == name for target in node.targets)
+
+
+def _referenced(nodes):
+    """The names the nodes use, bare or as an attribute.  A string is no use, so
+    neither is an entry of ``__all__``."""
+    used = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_user():
+    # a public name is used by the package outside its own definition, by an acceptance
+    # test or by the benchmark; only the reference forms are kept for the unit tests
+    users = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    outside = _referenced(ast.parse(path.read_text()) for path in users) | REFERENCE_FORMS
+    # (module, top-level statement, the names it uses)
+    statements = [(path, node, _referenced([node]))
+                  for path, tree in _modules() for node in tree.body]
+    public, unused = set(), []
+    for path, node, _ in statements:
+        for name in ast.literal_eval(node.value) if _defines(node, "__all__") else []:
+            public.add(name)
+            if name not in outside and not any(name in used for other, stmt, used in statements
+                                               if other != path or not _defines(stmt, name)):
+                unused.append(f"{path.name}:{name}")
+    assert unused == []
+    assert REFERENCE_FORMS <= public
+
+
+def test_readme_library_sketch_runs():
+    # every line "expr  # <int> ..." of the sketch gives that int
+    sketch = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(sketch, namespace)
+    claims = re.findall(r"^(\S.*?)\s+# (-?\d+)\b", sketch, re.MULTILINE)
+    assert claims
+    assert [eval(expr, namespace) for expr, _ in claims] == [int(value) for _, value in claims]
