@@ -301,12 +301,15 @@ def paper_check() -> bool:
 
 def _parse_items(text: str, multidegree: bool) -> list[tuple[int, ...]]:
     """A sweep column: comma-separated items, each an int or a lo..hi range of
-    ints, and with ``multidegree`` also degrees joined by '+' (e.g. 2+2)."""
+    ints with lo <= hi, and with ``multidegree`` also degrees joined by '+' (e.g. 2+2)."""
     items: set[tuple[int, ...]] = set()
     for chunk in text.split(","):
         lo, dots, hi = chunk.partition("..")
         if dots:
-            items.update((x,) for x in range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if hi < lo:
+                raise ValueError(f"empty range {chunk!r} in {text!r}")
+            items.update((x,) for x in range(lo, hi + 1))
         else:
             items.add(tuple(int(p) for p in (chunk.split("+") if multidegree else [chunk])))
     if not items:

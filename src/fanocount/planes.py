@@ -139,16 +139,12 @@ class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k
 
 class TorusWeights(tuple):
     """Weights t_0, ..., t_r of the torus rescaling the r+1 coordinates: a
-    tuple of the weights themselves, also readable as ``t``."""
+    tuple of the weights themselves."""
 
     __slots__ = ()
 
     def __new__(cls, t: Sequence[ExactScalar]):
         return super().__new__(cls, t)
-
-    @property
-    def t(self) -> tuple[ExactScalar, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"TorusWeights(t={tuple(self)!r})"
@@ -348,13 +344,23 @@ def _z_width(n: int, size: int) -> int:
 
 
 def _layout(n: int, count: int, size: int) -> tuple[int, int, int, bool]:
-    """One packing of e_n of ``count`` integer roots, each at most ``size`` in absolute
-    value, as (B, mask, low, y) for :func:`_pack` and :func:`_unpack`: a window of w + 1
-    B-bit fields, the narrower of two, with gamma = count - n.
+    """One packing of e_n of L = ``count`` integer roots, each at most R = ``size`` in
+    absolute value, as (B, mask, low, y) for :func:`_pack` and :func:`_unpack`: a window of
+    w + 1 B-bit fields, with gamma = L - n.
 
-    * 0 <= gamma <= n, count > 0: prod (a + Y) mod Y^(gamma+1), w = gamma.  Its Y^gamma
-      coefficient is e_n, and each kept coefficient is some e_m, |e_m| <= prod (1 + |a|)
-      <= (size + 1)^count < 2^(B-1) for B = count (size + 1).bit_length() + 1.
+    * 0 <= gamma <= n, L > 0: prod (a + Y) mod Y^(gamma+1), w = gamma.  Field j holds
+      e_(L-j), so the readout field w is e_n, and B = max(C(L,n) R^n, C(L,n') R^n')
+      .bit_length() + 2 with n' = min(n + 1, L).  The readout is exact because:
+
+      1. |e_m| <= C(L,m) R^m, a sum of C(L,m) products of m roots; so |e_n| < 2^(B-2)
+         fits with its sign, and e_(n+1), in field w - 1, is below 2^(B-2) too.
+      2. Each field under e_(n+1) is less than a quarter of the field above it: for
+         m >= n + 2, C(L,m) R^m 2^(B(L-m)) over C(L,m-1) R^(m-1) 2^(B(L-m+1)) is
+         R (L-m+1) / (m 2^B) < R / 2^B <= 1/4, as L-m+1 < gamma <= n < m and
+         R <= C(L,n') R^n' < 2^(B-2) for R >= 1 (R = 0 makes every e_m, m >= 1, zero).
+      3. So the fields under e_n sum to less than 2^(B(w-1)) 2^(B-2) (1 + 1/4 + 1/16 + ...)
+         < 2^(Bw-1) in absolute value, which the rounding readout absorbs.
+
     * otherwise: prod (1 + a Z) mod Z^(n+1), w = n, and B from :func:`_z_width`
       (for gamma < 0 the readout is e_n = 0).
 
@@ -363,7 +369,9 @@ def _layout(n: int, count: int, size: int) -> tuple[int, int, int, bool]:
     gamma = count - n
     y = count > 0 and 0 <= gamma <= n
     if y:
-        window, width = gamma, count * (size + 1).bit_length() + 1
+        above = min(n + 1, count)
+        window, width = gamma, max(comb(count, n) * size ** n,
+                                   comb(count, above) * size ** above).bit_length() + 2
     else:
         window, width = n, _z_width(n, count * size)
     return width, (1 << width * (window + 1)) - 1, width * window, y
@@ -373,7 +381,8 @@ def _pack(packed: int, roots: Iterable[int], width: int, mask: int, y: bool) -> 
     """``packed`` times the linear factor of every root, in a window of w + 1 B-bit
     fields, mask = 2^(B(w+1)) - 1: (a + Y) for each root with ``y``, else (1 + a Z).
     Reducing mod 2^(B(w+1)) after every step keeps only the window and changes nothing
-    modulo that power of two, so only the full product's coefficients need a bound."""
+    modulo that power of two, so only the full product's coefficients in the window need a
+    bound (:func:`_layout`)."""
     if y:
         for a in roots:
             packed = (a * packed + (packed << width)) & mask
@@ -384,9 +393,9 @@ def _pack(packed: int, roots: Iterable[int], width: int, mask: int, y: bool) -> 
 
 
 def _unpack(packed: int, width: int, low: int) -> int:
-    """Field w, at bit low = B*w, as a signed value.  When B leaves a sign bit above every
-    kept coefficient, the fields below it sum to less than 2^(B*w - 1) in absolute value,
-    which the rounding half absorbs."""
+    """Field w, at bit low = B*w, as a signed value.  It is exact when that field's value is
+    below 2^(B-1) and the fields below it sum to less than 2^(B*w - 1) in absolute value,
+    which the rounding half absorbs; :func:`_layout` sizes B so."""
     field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
     return field - (1 << width) if field >> (width - 1) else field
 

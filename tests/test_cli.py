@@ -382,6 +382,13 @@ def test_sweep_empty_range_is_parameter_error(capsys):
     assert code == 2 and "parameter error" in err
 
 
+@pytest.mark.parametrize("r", ["6..5", "4,6..5"])
+def test_sweep_reversed_range_is_parameter_error(capsys, r):
+    # a reversed range is refused even beside a valid item, before any row is printed
+    code, out, err = invoke(capsys, "sweep", "fano-degree", "--d", "3", "--r", r, "--k", "1")
+    assert code == 2 and out == "" and err.startswith("parameter error:")
+
+
 @pytest.mark.parametrize("r,k", [("4+5", "1"), ("4", "1+1")])
 def test_sweep_r_and_k_take_no_multidegrees(capsys, r, k):
     code, out, err = invoke(capsys, "sweep", "fano-degree", "--d", "3", "--r", r, "--k", k)

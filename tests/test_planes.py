@@ -158,18 +158,36 @@ def packed_kernel_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(packed_kernel_inputs())
-@example((1, [2**40]))                          # e_1 = 2^40 needs the field's top bit,
-@example((1, [2**40, 0, 0]))                    # in either window
+@example((1, [2**40]))                          # e_1 = R = 2^40 in the Y window,
+@example((1, [2**40, 0, 0]))                    # and in the Z window
 @example((2, [2**41 - 2, 2**41 - 2]))           # a product close to the field bound
 @example((3, [-10**12, 10**12, -10**12, 5]))
 @example((0, [0] * 40))
 @example((41, [7] * 40))                        # n > L
+# L roots all R or all -R reach |e_m| = C(L,m) R^m, the Y window's readout bound: two
+# bits fewer than the rule fails each of these, at gamma = 0, 1, 2 and n
+@example((8, [10**12] * 8))
+@example((8, [-10**12] * 8))
+@example((7, [10**12] * 8))
+@example((7, [-10**12] * 8))
+@example((6, [10**12] * 8))
+@example((6, [-10**12] * 8))
+@example((4, [-10**12] * 8))
+@example((20, [10**12] * 40))
 def test_packed_top_chern_at_the_field_edges(inputs):
     # the layout a Bott sum fixes from its roots' count and largest size
     from fanocount.planes import _layout, _pack, _unpack
     n, roots = inputs
     width, mask, low, y = _layout(n, len(roots), max(map(abs, roots), default=0))
     assert _unpack(_pack(1, roots, width, mask, y), width, low) == plain_top_chern(n, roots, ())
+
+
+def test_y_window_width_is_the_readout_bound():
+    # the layouts of (4, 8, 3) and (7, 9, 2) at weights in [-50, 50]; bounding every
+    # coefficient of the product by (R+1)^L instead would take 281 and 325 bits
+    from fanocount.planes import _layout
+    assert _layout(20, 35, 200)[0] == 194
+    assert _layout(21, 36, 350)[0] == 220
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,7 +361,7 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
         pytest.fail("one route reached the other route's kernel")
 
     with monkeypatch.context() as patch:
-        for helper in ("_roots", "_plane_sum", "_z_width", "_pack", "_unpack"):
+        for helper in ("_roots", "_plane_sum", "_layout", "_z_width", "_pack", "_unpack"):
             patch.setattr(planes_module, helper, forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
@@ -384,14 +402,15 @@ def test_plane_sum_extends_each_parent_product(monkeypatch, d, r, k, steps):
 
 @st.composite
 def plane_sums_at_extreme_weights(draw):
-    """A Y-window cell, (4, 3, 1), (5, 3, 1), (4, 5, 2) or (3, 7, 3), or a Z-window cell,
-    (6, 5, 2) with gamma = 19 > n = 9 or (12, 3, 1) with gamma = 9 > n = 4, and distinct
-    weights up to 10^6 in absolute value: ints and Fractions, negative ones, and one huge
-    weight among small ones.  The field width is tight only where a kept coefficient can
-    reach its bound: e_L = prod a next to the read field when gamma = 1, as at (4, 3, 1),
-    and e_n when L is large against n, as at (12, 3, 1)."""
-    d, r, k = draw(st.sampled_from([(4, 3, 1), (5, 3, 1), (4, 5, 2), (3, 7, 3), (6, 5, 2),
-                                    (12, 3, 1)]))
+    """A Y-window cell, (4, 3, 1), (5, 3, 1), (4, 5, 2), (5, 6, 2) with gamma = 9 or
+    (3, 7, 3), or a Z-window cell, (6, 5, 2) with gamma = 19 > n = 9 or (12, 3, 1) with
+    gamma = 9 > n = 4, and distinct weights up to 10^6 in absolute value: ints and
+    Fractions, negative ones, and one huge weight among small ones.  The field width is
+    tight only where a kept coefficient can reach its bound: e_(n+1), the field under the
+    read one, when the roots near R, as at (4, 3, 1) and (5, 6, 2), and e_n when L is
+    large against n, as at (12, 3, 1)."""
+    d, r, k = draw(st.sampled_from([(4, 3, 1), (5, 3, 1), (4, 5, 2), (5, 6, 2), (3, 7, 3),
+                                    (6, 5, 2), (12, 3, 1)]))
     big = st.integers(-10**6, 10**6)
     scalars = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)),
                         st.integers(-3, 3))
@@ -400,8 +419,11 @@ def plane_sums_at_extreme_weights(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(plane_sums_at_extreme_weights())
-@example((4, 3, 1, [10**6, 999_999, 1, 2]))             # one bit less overflows e_5
+@example((4, 3, 1, [10**6, 999_999, 1, 2]))             # two bits less overflow e_5
 @example((12, 3, 1, [944_911, 944_910, 1, 2]))         # one bit less overflows e_4
+# two bits less overflow e_13 at five planes; weights of one sign would overflow it at
+# every plane, and the same carry at every plane adds the sum of a constant, 0
+@example((5, 6, 2, [-10**6, 999_999, -999_998, 999_997, -999_996, 999_995, -999_994]))
 @example((5, 3, 1, [10**6, 999_999, 999_998, 999_997]))
 @example((5, 3, 1, [-10**6, 1, Fraction(10**6 - 1, 10**6), 999_999]))
 @example((4, 5, 2, [10**6, 0, 1, -1, 2, -2]))

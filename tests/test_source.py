@@ -13,6 +13,9 @@ README = ROOT / "README.md"
 
 # the symbolic forms the README names as the references the tests expand
 REFERENCE_FORMS = {"tau_poly", "eta_form", "eta_form_twisted", "chern_Ed_series"}
+# the members of the symbolic layer that only the unit tests of those forms use
+REFERENCE_MEMBERS = {"MultiPoly.variable", "MultiPoly.coefficient", "MultiPoly.permute_variables",
+                     "MultiPoly.terms"}
 
 
 def _modules():
@@ -163,11 +166,18 @@ def _referenced(nodes):
     return used
 
 
+def _attributes(nodes):
+    """The names the nodes use as an attribute, the one way to reach a method or property."""
+    return {node.attr for top in nodes for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+
+
 def test_every_public_name_has_a_user():
-    # a public name is used by the package outside its own definition, by an acceptance
-    # test or by the benchmark; only the reference forms are kept for the unit tests
+    # a public name, and each non-dunder method or property of a public class, is used by
+    # the package outside its own definition, by an acceptance test or by the benchmark;
+    # only the reference forms, and the symbolic layer's members, are kept for the unit tests
     users = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
-    outside = _referenced(ast.parse(path.read_text()) for path in users) | REFERENCE_FORMS
+    user_trees = [ast.parse(path.read_text()) for path in users]
+    outside = _referenced(user_trees) | REFERENCE_FORMS
     # (module, top-level statement, the names it uses)
     statements = [(path, node, _referenced([node]))
                   for path, tree in _modules() for node in tree.body]
@@ -178,8 +188,21 @@ def test_every_public_name_has_a_user():
             if name not in outside and not any(name in used for other, stmt, used in statements
                                                if other != path or not _defines(stmt, name)):
                 unused.append(f"{path.name}:{name}")
+    # a method or property of a public class is used as an attribute outside its own body
+    members = set()
+    for path, cls, _ in statements:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in public):
+            continue
+        used = _attributes([*user_trees, *(stmt for _, stmt, _ in statements if stmt is not cls)])
+        for member in cls.body:
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                name = f"{cls.name}.{member.name}"
+                members.add(name)
+                siblings = _attributes(other for other in cls.body if other is not member)
+                if member.name not in used | siblings and name not in REFERENCE_MEMBERS:
+                    unused.append(f"{path.name}:{name}")
     assert unused == []
-    assert REFERENCE_FORMS <= public
+    assert REFERENCE_FORMS <= public and REFERENCE_MEMBERS <= members
 
 
 def test_readme_library_sketch_runs():
