@@ -63,6 +63,14 @@ def format_exact(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with each inner quote doubled, only when it
+    holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 class CommandRequest(NamedTuple):
     subcommand: str
     degrees: tuple[int, ...] = ()
@@ -105,7 +113,7 @@ class ResultEnvelope:
             return self.to_json()
         if fmt == "csv":
             lines = ["name,value,provenance"]
-            lines += [f"{name},{entry['value']},{entry['provenance']}"
+            lines += [",".join(map(_csv_field, (name, entry["value"], entry["provenance"])))
                       for name, entry in self.results.items()]
             return "\n".join(lines)
         width = max((len(n) for n in self.results), default=0)

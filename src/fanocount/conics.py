@@ -25,11 +25,14 @@ part of the numerator: the twisted term is the top elementary symmetric
 function of the 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme),
 read without division from a packed truncated product (``planes._pack``).
 Every root is at most R = d max |t| in absolute value, so one window and one
-field width serve the whole sum (``planes._layout``, as in the plane sum).  The
-roots of each half, degree d with v_a = 0 and x_a times degree d - 1 with
-v_b = 0, form an arithmetic progression on two coordinates, and the three
-a-halves of a plane are packed once for its six conics: 9d + 3 big-int steps
-per plane.
+field width serve the whole sum (``planes._layout``, as in the plane sum).  A
+conic's roots lie on two edges of its plane: the degree-d roots with v_a = 0 are
+all those of the edge of the other two coordinates, and the rest are, for a != b,
+those of the edge {a, c} with v_a >= 1 (c the third coordinate), or, for the
+double line, x_a times degree d - 1 on the first edge.  So each coordinate edge
+is packed once per sum, in d + 2 big-int steps, and a conic is one product of two
+packed edges, or a double line's d more steps: (d + 2) C(r+1, 2) + 3d C(r+1, 3)
+steps and 3 C(r+1, 3) products per sum, not 9d + 3 steps per plane.
 The forms remain as the references the tests check it against.  The
 dispatcher validates the sum by recomputing at a second weight set and, for
 quartic surfaces, halves the result (the general quartic surface in the
@@ -236,16 +239,24 @@ def _eta(d: int, r: int, point: Sequence[int]) -> int:
     coefficient, n = 3r - 1, of prod (1 + aZ) over the roots a = <v, point>, |v| = d, over
     prod (1 + bZ) over the degree-(d-2) roots b.  Both are ``_pack``ed in the Z^n window
     and divided by one modular inverse: packing is a ring map from Z[Z]/(Z^(n+1)), and the
-    packed divisor product is 1 mod 2^B, so odd and invertible.  With N roots and divisors,
+    packed divisor product is 1 mod 2^B, so odd and invertible, and its inverse lifts from 1
+    by Newton-Hensel steps, each doubling the bits it is exact to.  With N roots and divisors,
     each at most M, every quotient coefficient h_m, m <= n, has |h_m| <= C(N+m-1, m) M^m,
     so this B leaves a sign bit and the rounding readout absorbs the fields below h_n."""
     n = 3 * r - 1
     roots, divisors = _roots(d, point), _roots(d - 2, point)
     size = max(1, *map(abs, roots), *map(abs, divisors))
     width = (comb(len(roots) + len(divisors) + n - 1, n) * size ** n).bit_length() + 2
-    modulus = 1 << width * (n + 1)
-    numerator = _pack(1, roots, width, modulus - 1, False)
-    inverse = pow(_pack(1, divisors, width, modulus - 1, False), -1, modulus)
+    bits = width * (n + 1)
+    mask = (1 << bits) - 1
+    numerator = _pack(1, roots, width, mask, False)
+    divisor = _pack(1, divisors, width, mask, False)
+    # Newton-Hensel: x (2 - divisor x) doubles the bits of an inverse, and 1 is one to B bits
+    inverse, known = 1, width
+    while known < bits:
+        known = min(2 * known, bits)
+        low_bits = (1 << known) - 1
+        inverse = inverse * (2 - (divisor & low_bits) * inverse) & low_bits
     return _unpack(numerator * inverse, width, width * n)
 
 
@@ -253,26 +264,11 @@ def _eta(d: int, r: int, point: Sequence[int]) -> int:
 _PAIRS = tuple(combinations_with_replacement(range(3), 2))
 # the two coordinates left when coordinate a of a plane is dropped
 _OTHERS = ((1, 2), (0, 2), (0, 1))
-
-
-# an arithmetic progression of roots, (start, step)
-Progression = tuple[ExactScalar, ExactScalar]
-
-
-def _conic_roots(d: int,
-                 point: Sequence[ExactScalar]) -> list[tuple[Progression, list[Progression]]]:
-    """Chern roots of H^0(O_C(d)) at the six fixed conics x_a x_b = 0 (a <= b) of a plane
-    with Chern-root values ``point``: <v, point> for the 2d + 1 degree-d monomials x^v not
-    divisible by x_a x_b, those with v_a = 0 and x_a times those of degree d - 1 with
-    v_b = 0.  The multiples x_a x_b x^w are the twisted divisor's roots, so they cancel
-    instead of being divided out.
-
-    On two coordinates (x, y) the degree-m roots are m y + i (x - y), i = 0..m, so each
-    half is an arithmetic progression (start, step).  For each a in turn: the d + 1 roots
-    with v_a = 0, shared by the conics with that a, then the d roots of each b >= a."""
-    return [((d * point[j], point[i] - point[j]),
-             [(point[a] + (d - 1) * point[l], point[k] - point[l]) for k, l in _OTHERS[a:]])
-            for a, (i, j) in enumerate(_OTHERS)]
+# each conic of _PAIRS by the edges that hold its 2d + 1 roots, as (a, (k, l), c): the d + 1
+# with v_a = 0 are all the degree-d roots of the edge (k, l) of the other two coordinates; for
+# a != b the d others are those of the edge (a, c) with v_a >= 1, c the third coordinate, and
+# for the double line x_a^2 = 0, c = a, they are x_a times the degree-(d-1) roots of (k, l)
+_CONICS = tuple((a, _OTHERS[a], 3 - a - b if a != b else a) for a, b in _PAIRS)
 
 
 def _conic_problem(d: int, r: int) -> ConicProblem:
@@ -302,12 +298,12 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
 
     For each fixed conic (plane I = {i, j, k}, equation x_a x_b = 0):
 
-    * local Chern contribution: e_{3r-1} of the 2d + 1 ``_conic_roots`` at
-      Chern-root values (-t_i, -t_j, -t_k), equal to ``eta_form_twisted``
-      there with fiber class value t_a + t_b.  Each is the top field of a
-      ``_pack``ed product in one ``_layout`` for the whole sum: L = 2d + 1
-      roots, each at most R = d max |t| over the integer-scaled weights
-      (``_weight_tuple``), in
+    * local Chern contribution: e_{3r-1} of the 2d + 1 roots <v, x> of the
+      degree-d monomials x^v not divisible by x_a x_b (``_CONICS``) at Chern-root
+      values x = (-t_i, -t_j, -t_k), equal to ``eta_form_twisted`` there with
+      fiber class value t_a + t_b.  Each is the top field of a ``_pack``ed
+      product in one ``_layout`` for the whole sum: L = 2d + 1 roots, each at
+      most R = d max |t| over the integer-scaled weights (``_weight_tuple``), in
       the Y^epsilon window when epsilon = L - (3r - 1) <= 3r - 1, else in the
       Z^(3r-1) window;
     * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
@@ -319,6 +315,14 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     of the six pair sums, which each Q_c divides; a remainder raises
     :class:`InconsistencyError`.  Times (-1)^r it is the plane's ``_plane_sum`` term.
 
+    Most roots depend on one edge {i, j} of the plane only, so each edge is packed once
+    per call, by weights: the d - 1 roots with v_i, v_j >= 1, then one root each for
+    F_i->j (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij,
+    d + 2 steps.  Packing is a ring map modulo 2^(B(w+1)), so the conic x_a x_b = 0,
+    a != b, is E_bc F_a->c & mask, one product, and the double line x_a^2 = 0 extends
+    E_bc by its d other roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3)
+    products per sum.
+
     The sum is a constant positive integer; the raw rational is returned with
     an integrality flag, and halving for (d, r) = (4, 3) is the dispatcher's
     job, not this function's.
@@ -327,18 +331,29 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     weights = _weight_tuple(t, r)
     _validate_conic_weights(weights, r, twisted=True)
     width, mask, low, y = _layout(3 * r - 1, 2 * d + 1, d * max(map(abs, weights)))
+    # (t_i, t_j) -> (E_ij, F_i->j), both orders of each edge; on root values (x, y) =
+    # (-t_i, -t_j) the degree-d roots are d y + m (x - y), m = 0..d
+    edges = {}
+    for ti, tj in combinations(weights, 2):
+        start, step = -ti - (d - 1) * tj, tj - ti
+        inner = _pack(1, range(start, start + (d - 1) * step, step), width, mask, y)
+        from_i, from_j = (_pack(inner, [-d * w], width, mask, y) for w in (ti, tj))
+        whole = _pack(from_i, [-d * tj], width, mask, y)
+        edges[ti, tj], edges[tj, ti] = (whole, from_i), (whole, from_j)
 
     def fiber(plane: list[int], _: int) -> int:
         pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
         vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
-        cofactors = iter([vandermonde // prod(c - s for s in pair_sums if s != c)
-                          for c in pair_sums])
+        cofactors = [vandermonde // prod(c - s for s in pair_sums if s != c) for c in pair_sums]
         numerator = 0
-        for (start, step), lows in _conic_roots(d, [-w for w in plane]):
-            high = _pack(1, range(start, start + (d + 1) * step, step), width, mask, y)
-            for start, step in lows:
-                conic = _pack(high, range(start, start + d * step, step), width, mask, y)
-                numerator += _unpack(conic, width, low) * next(cofactors)
+        for (a, (k, l), c), cofactor in zip(_CONICS, cofactors):
+            whole = edges[plane[k], plane[l]][0]
+            if c != a:
+                conic = whole * edges[plane[a], plane[c]][1] & mask
+            else:
+                start, step = -plane[a] - (d - 1) * plane[l], plane[l] - plane[k]
+                conic = _pack(whole, range(start, start + d * step, step), width, mask, y)
+            numerator += _unpack(conic, width, low) * cofactor
         value, remainder = divmod(numerator, vandermonde)
         if remainder:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")

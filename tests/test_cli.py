@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -178,6 +180,24 @@ def test_surface_rows_keep_their_order(capsys):
     names = [line.split(",")[0] for line in out.splitlines()[1:]]
     assert names == ["deg", "c2", "A", "B", "e", "K2", "chi", "p_a", "signature",
                      "c1_coeff", "alpha_1", "beta_1", "gamma_1"]
+
+
+@pytest.mark.parametrize("argv", [("irregularity", "--d", "2,2", "--r", "5", "--k", "1"),
+                                  ("picard", "--d", "2", "--r", "7", "--k", "3"),
+                                  ("conics", "--d", "5", "--r", "3", "--method", "both"),
+                                  ("surface", "--d", "3", "--r", "4", "--k", "1")])
+def test_csv_rows_parse_to_three_fields(capsys, argv):
+    # a note or a provenance holding commas is one quoted field, and every row reads back
+    # as the JSON envelope's entry
+    code, out, _ = invoke(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "value", "provenance"]
+    assert all(len(row) == 3 for row in rows)
+    _, out, _ = invoke(capsys, *argv, "--format", "json")
+    results = json.loads(out)["results"]
+    assert {name: [value, provenance] for name, value, provenance in rows[1:]} \
+        == {name: [entry["value"], entry["provenance"]] for name, entry in results.items()}
 
 
 def test_parameter_garbage_exits_two(capsys):

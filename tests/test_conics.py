@@ -220,20 +220,29 @@ def conic_kernel_inputs(draw):
 @given(conic_kernel_inputs())
 @example((4, 11, [0, 0, 0]))
 @example((2, 5, [3, 3, -3]))
-def test_conic_roots_are_the_divided_form(inputs):
-    # the 2d + 1 roots left once the conic's multiples cancel give the divided value;
-    # each conic's roots are its a-half (d + 1 terms) and its b-half (d terms), both
-    # progressions (start, step), in the order the sum packs them
-    from fanocount.conics import _conic_roots
+def test_conic_roots_are_edge_products(inputs):
+    # the 2d + 1 roots left once the conic's multiples cancel give the divided value; the
+    # sum multiplies them as E_kl, all degree-d roots of the edge of the two coordinates
+    # other than a, times F_a->c, those of the edge (a, c) with v_a >= 1, or, for the
+    # double line (c = a), extends E_kl by x_a times the degree-(d-1) roots of (k, l)
+    from fanocount.conics import _CONICS
+
+    def edge(m, i, j):   # degree-m roots on coordinates i, j, by v_i
+        return {v: v * point[i] + (m - v) * point[j] for v in range(m + 1)}
+
     d, n, point = inputs
-    halves = _conic_roots(d, point)
-    conics = [(a, b) for a, (_, lows) in enumerate(halves) for b in range(a, a + len(lows))]
-    assert conics == list(itertools.combinations_with_replacement(range(3), 2))
-    for a, ((start, step), lows) in enumerate(halves):
-        high = [start + i * step for i in range(d + 1)]
-        for b, (start, step) in enumerate(lows, start=a):
-            roots = high + [start + i * step for i in range(d)]
-            assert plain_top_chern(n, roots, ()) == divided_conic_top_chern(n, d, point, a, b)
+    assert [(a, c) for a, _, c in _CONICS] == [(0, 0), (0, 2), (0, 1), (1, 1), (1, 0), (2, 2)]
+    for (a, b), (_, (k, l), c) in zip(itertools.combinations_with_replacement(range(3), 2),
+                                      _CONICS):
+        assert {a, k, l} == {0, 1, 2}
+        whole = list(edge(d, k, l).values())
+        if c == a:
+            rest = [point[a] + root for root in edge(d - 1, k, l).values()]
+        else:
+            assert {a, b, c} == {0, 1, 2}
+            rest = [root for v, root in edge(d, a, c).items() if v >= 1]
+        assert len(whole) == d + 1 and len(rest) == d
+        assert plain_top_chern(n, whole + rest, ()) == divided_conic_top_chern(n, d, point, a, b)
 
 
 def test_kernel_at_shift_zero_is_eta():
@@ -259,6 +268,7 @@ def test_kernel_at_shift_zero_is_eta():
 @example(5, 3, [0, 0, 0])                   # the zero point: every root and divisor 0
 @example(2, 3, [3, -1, 7])                  # d = 2: the one divisor is 0
 @example(2, 8, [-10**6, 10**6, 1])
+@example(7, 5, [5, 11, 13])
 def test_eta_equals_plain_top_chern(d, r, point):
     # one modular inverse of the packed divisor product gives the divided form's e_n
     from fanocount.conics import _eta
@@ -496,6 +506,31 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
         deg_conics(5, 3)
     with pytest.raises(InconsistencyError, match="is -2508 <= 0"):
         deg_conics(4, 3)
+
+
+@pytest.mark.parametrize("d,r,steps,products", [(4, 3, 84, 12), (8, 5, 630, 60)])
+def test_conic_sum_packs_each_edge_once(monkeypatch, d, r, steps, products):
+    # each of the C(r+1, 2) edges packs its d + 2 roots once per sum; at each plane the
+    # three double lines pack d roots each and the three other conics are one product each
+    import fanocount.conics as conics
+    pack, weights = conics._pack, generic_conic_weights(r, seed=3)
+    raw = deg_conics_bott(d, r, weights)
+    packed, multiplied = [], itertools.count()
+
+    class Packed(int):   # a packed product: multiplying it by another counts one product
+        def __mul__(self, other):
+            next(multiplied)
+            return int(self) * other
+
+    def counted_pack(product, roots, *layout):
+        roots = list(roots)
+        packed.append(len(roots))
+        return Packed(pack(int(product), roots, *layout))
+
+    monkeypatch.setattr(conics, "_pack", counted_pack)
+    assert deg_conics_bott(d, r, weights) == raw
+    assert sum(packed) == steps == (d + 2) * comb(r + 1, 2) + 3 * d * comb(r + 1, 3)
+    assert next(multiplied) == products == 3 * comb(r + 1, 3)
 
 
 def valid_conic_weights(t):
