@@ -53,7 +53,7 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, ExactScalar, TorusWeights, WeightsLike, _check_weight_count,
+from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _check_weight_count,
                      _integer, _layout, _pack, _plane_sum, _roots, _unpack, _weight_tuple,
                      weight_vectors)
 
@@ -196,8 +196,9 @@ def fixed_point_census(r: int) -> int:
 
 def generic_conic_weights(r: int, seed: int) -> TorusWeights:
     """Distinct positive integer weights with all pairwise sums t_a + t_b (a <= b)
-    distinct, so the six inside every 3-subset are; deterministic in ``seed``.
-    Positivity keeps every denominator of both fixed-point sums away from zero.
+    distinct, so the six inside every 3-subset are, which is all the twisted sum
+    needs; deterministic in ``seed``.  Only the untwisted sum needs more, nonzero
+    weights and no opposite pairs, which positivity gives.
 
     The weights are r + 1 elements, in seeded order, of the Erdos-Turan Sidon set
     {2p i + (c i^2 mod p) : 0 <= i < p}, p the least prime > r (<= 2r + 2, Bertrand)
@@ -210,21 +211,6 @@ def generic_conic_weights(r: int, seed: int) -> TorusWeights:
     unit, shift = rng.randint(1, p - 1), rng.randint(1, 2 * p * p)
     return TorusWeights(tuple(2 * p * i + unit * i * i % p + shift
                               for i in rng.sample(range(p), r + 1)))
-
-
-def _validate_conic_weights(t: Sequence[ExactScalar], r: int, twisted: bool) -> None:
-    if any(x == 0 for x in t):
-        raise SingularWeightsError("conic fixed-point weights must be nonzero")
-    for a, b in combinations(range(r + 1), 2):
-        if t[a] + t[b] == 0:
-            raise SingularWeightsError(
-                f"weights t_{a} and t_{b} sum to zero; fixed-point denominators vanish")
-    if twisted:
-        for plane in combinations(range(r + 1), 3):
-            sums = {t[a] + t[b] for a, b in combinations_with_replacement(plane, 2)}
-            if len(sums) != 6:
-                raise SingularWeightsError(
-                    f"pairwise weight sums collide inside plane {plane}")
 
 
 class BottSum(NamedTuple):
@@ -323,20 +309,24 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     E_bc by its d other roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3)
     products per sum.
 
+    No denominator holds t_a or t_a + t_b, so zero weights and opposite pairs are valid.
+    A repeated weight (``_plane_sum``) and two equal pair sums in one plane (V6 = 0)
+    are the singular cases, and raise :class:`SingularWeightsError`.
+
     The sum is a constant positive integer; the raw rational is returned with
     an integrality flag, and halving for (d, r) = (4, 3) is the dispatcher's
     job, not this function's.
     """
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
-    _validate_conic_weights(weights, r, twisted=True)
     width, mask, low, y = _layout(3 * r - 1, 2 * d + 1, d * max(map(abs, weights)))
     # (t_i, t_j) -> (E_ij, F_i->j), both orders of each edge; on root values (x, y) =
     # (-t_i, -t_j) the degree-d roots are d y + m (x - y), m = 0..d
     edges = {}
     for ti, tj in combinations(weights, 2):
         start, step = -ti - (d - 1) * tj, tj - ti
-        inner = _pack(1, range(start, start + (d - 1) * step, step), width, mask, y)
+        # not a range, whose step may not be 0: a repeated weight is _plane_sum's to refuse
+        inner = _pack(1, [start + m * step for m in range(d - 1)], width, mask, y)
         from_i, from_j = (_pack(inner, [-d * w], width, mask, y) for w in (ti, tj))
         whole = _pack(from_i, [-d * tj], width, mask, y)
         edges[ti, tj], edges[tj, ti] = (whole, from_i), (whole, from_j)
@@ -344,6 +334,8 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     def fiber(plane: list[int], _: int) -> int:
         pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
         vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
+        if not vandermonde:
+            raise SingularWeightsError(f"pair sums collide inside the plane of weights {plane}")
         cofactors = [vandermonde // prod(c - s for s in pair_sums if s != c) for c in pair_sums]
         numerator = 0
         for (a, (k, l), c), cofactor in zip(_CONICS, cofactors):
@@ -382,7 +374,10 @@ def deg_conics_untwisted_sum(d: int, r: int, t: WeightsLike) -> Fraction:
     """
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
-    _validate_conic_weights(weights, r, twisted=False)
+    if 0 in weights:
+        raise SingularWeightsError("the untwisted sum divides by every weight; one is zero")
+    if any(a + b == 0 for a, b in combinations(weights, 2)):
+        raise SingularWeightsError("the untwisted sum divides by every pair sum; one is zero")
     total = Fraction(0)
     for plane in combinations(weights, 3):
         pair_sums = [a + b for a, b in combinations_with_replacement(plane, 2)]

@@ -33,7 +33,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InconsistencyError, RegimeError
-from .planes import ProblemSpec, _check_nonempty_regime, c2_fano_integral, deg_fano
+from .planes import ProblemSpec, _check_nonempty_regime, _integer, c2_fano_integral, deg_fano
 
 __all__ = [
     "Classification",
@@ -65,17 +65,19 @@ class SymPowerCoeffs(NamedTuple):
     gamma: int
 
 
-def _check_sym_power(n: int, k: int) -> None:
+def _check_sym_power(n: int, k: int) -> tuple[int, int]:
+    n, k = _integer("n", n), _integer("k", k)
     if n < 1:
         raise RegimeError("degree-too-small", f"need a symmetric power n >= 1, got n={n}")
     if k < 0:
         raise RegimeError("plane-dimension", f"need a bundle rank k + 1 >= 1, got k={k}")
+    return n, k
 
 
 def sym_power_coeffs(n: int, k: int) -> SymPowerCoeffs:
     """alpha, beta, gamma for Sym^n of a rank-(k+1) bundle, with
     g = gamma = C(n + k, k + 1) and alpha = C(g, 2) - C(n + k, k + 2)."""
-    _check_sym_power(n, k)
+    n, k = _check_sym_power(n, k)
     g = comb(n + k, k + 1)
     return SymPowerCoeffs(n=n, k=k, alpha=comb(g, 2) - comb(n + k, k + 2),
                           beta=comb(n + k + 1, k + 2), gamma=g)
@@ -84,7 +86,7 @@ def sym_power_coeffs(n: int, k: int) -> SymPowerCoeffs:
 def sym_power_coeffs_small(n: int, k: int) -> tuple[int, int]:
     """Closed forms for (alpha, beta) in ranks 2 and 3 (k = 1, 2); cross-check
     of :func:`sym_power_coeffs` only."""
-    _check_sym_power(n, k)
+    n, k = _check_sym_power(n, k)
     if k == 1:
         alpha = Fraction(3 * n + 2, 4) * comb(n + 1, 3)
         beta = comb(n + 2, 3)
@@ -101,6 +103,7 @@ def sym_power_coeffs_small(n: int, k: int) -> tuple[int, int]:
 def combinatorial_identity(n: int, m: int, k: int) -> tuple[int, int]:
     """Both sides of sum_{i=1}^{n} C(i-1, m-1) C(n-i+k, k) = C(n+k, m+k);
     exposed for property testing."""
+    n, m, k = _integer("n", n), _integer("m", m), _integer("k", k)
     if not (n >= m >= 1 and k >= 0):
         raise RegimeError("identity-range", f"need n >= m >= 1 and k >= 0, got n={n}, m={m}, k={k}")
     lhs = sum(comb(i - 1, m - 1) * comb(n - i + k, k) for i in range(1, n + 1))

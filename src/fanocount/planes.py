@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, lcm, prod
-from operator import index, le
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -252,13 +252,12 @@ def _vq_factors(k: int, degrees: Sequence[int]) -> list[tuple[tuple[int, ...], i
     return factors + [(v, 0) for d in degrees for v in weight_vectors(k + 1, d)]
 
 
-def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int]],
-             start: dict[ExponentVector, int]) -> int:
-    """Coefficient of x^target in start * prod_{(v, c) in factors} (c + <v, x>), start a
-    map from exponent tuples to int coefficients, by a sparse left-to-right fold keeping only
-    terms that can still reach the target.  Both prunings are lossless: no factor lowers
-    an exponent, even with negative v_i (exponent box: drop e_i > target_i), and each
-    raises the degree by at most 1 (degree floor: drop degree + factors left < |target|).
+def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int]]) -> int:
+    """Coefficient of x^target, target >= 0, in prod_{(v, c) in factors} (c + <v, x>), by a
+    sparse left-to-right fold from the monomial 1 keeping only terms that can still reach the
+    target.  Both prunings are lossless: no factor lowers an exponent, even with negative v_i
+    (exponent box: drop e_i > target_i), and each raises the degree by at most 1 (degree
+    floor: drop degree + factors left < |target|).
 
     Each term is a head x_0^e_0 ... x_{k-1}^e_{k-1} times a polynomial in the last
     variable, whose target t_k is the smallest.  That polynomial is held as one int,
@@ -266,7 +265,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     reduction is a ring map from Z[x_k] / (x_k^(t_k + 1)), so a factor is one big-int
     step and signed coefficients stay exact.  Every coefficient of every entry, pruned or
     not, is a sum over paths through the factors, so the sum of their absolute values is
-    at most M = sum |start| * prod max(1, |c| + sum |v_i|).  With B = M.bit_length() + 1
+    at most M = prod max(1, |c| + sum |v_i|).  With B = M.bit_length() + 1
     the field of x_k^t_k is below 2^(B-1) and the fields under it sum to less than half
     a unit of it, which the rounding readout absorbs.
 
@@ -277,7 +276,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     on head degree plus t_k, the most the x_k polynomial can add.
     """
     *head, last = target
-    size = sum(map(abs, start.values()))
+    size = 1
     for v, c in factors:
         size *= max(1, abs(c) + sum(map(abs, v)))
     width = size.bit_length() + 1
@@ -288,13 +287,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     offset = sum((top - 1 - ti) << sh for ti, sh in zip(head, shifts))
     guard = sum(top << sh for sh in shifts)
     floor = sum(head) - len(factors)
-    buckets: dict[int, dict[int, int]] = {}
-    for e, coeff in start.items():
-        s = sum(e[:-1])
-        if s >= floor and all(map(le, e, target)):
-            bucket = buckets.setdefault(s, {})
-            key = offset + sum(ei << sh for ei, sh in zip(e, shifts))
-            bucket[key] = bucket.get(key, 0) + (coeff << width * e[-1])
+    buckets = {0: {offset: 1}}   # the monomial 1: every field reads top - 1 - target_i
     for v, c in factors:
         floor += 1
         vk = v[-1]
@@ -496,6 +489,12 @@ def linear_system_dim(r: int, cut_degrees: Sequence[int], d: int) -> int:
     obvious products).  Heuristic in the sense that it presumes the general
     complete intersection; it is exact for those.
     """
+    r, d = _integer("r", r), _integer("d", d)
+    cut_degrees = tuple(_integer("a cut degree", e) for e in cut_degrees)
+    if r < 0:
+        raise RegimeError("ambient-too-small", f"need r >= 0, got r={r}")
+    if any(e < 1 for e in cut_degrees):
+        raise RegimeError("degree-too-small", f"need every cut degree >= 1, got {cut_degrees}")
     h0 = 0
     for mask in range(1 << len(cut_degrees)):
         shift = d
@@ -557,7 +556,7 @@ def _ci_extraction(degrees: tuple[int, ...], r: int, k: int) -> int:
     """Coefficient of x_0^r ... x_k^{r-k} in V * Q * prod_{|v| = d_m} (1 + <v, x>), by
     :func:`_extract`, with Q the product for d_1, ..., d_{m-1}."""
     factors = _vq_factors(k, degrees[:-1]) + [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
-    value = _extract(_psi_target(r, k), factors, {(0,) * (k + 1): 1})
+    value = _extract(_psi_target(r, k), factors)
     if value <= 0:
         raise InconsistencyError(
             f"deg for degrees {degrees}, r={r}, k={k} computed as {value}; expected a "
@@ -575,18 +574,15 @@ def _check_nonempty_regime(spec: ProblemSpec) -> None:
                           f"need r >= 2k + m = {2 * spec.k + spec.m}, got r = {spec.r}")
 
 
-def _fano_extraction(spec: ProblemSpec, start: dict[ExponentVector, int], ones: int) -> int:
-    """Coefficient of the target monomial in V * Q * (x_0 + ... + x_k)^ones * start, by
-    :func:`_extract`; ``start`` maps exponent tuples to coefficients."""
-    k, target = spec.k, _psi_target(spec.r, spec.k)
-    factors = _vq_factors(k, spec.degrees) + [((1,) * (k + 1), 0)] * ones
+def _fano_extraction(spec: ProblemSpec, target: tuple[int, ...], ones: int) -> int:
+    """Coefficient of x^target in V * Q * (x_0 + ... + x_k)^ones, by :func:`_extract`."""
+    factors = _vq_factors(spec.k, spec.degrees) + [((1,) * (spec.k + 1), 0)] * ones
     # degree bookkeeping: every factor has degree 1, and the product must be
     # homogeneous of exactly the target degree
-    totals = {len(factors) + sum(e) for e in start}
-    if totals != {sum(target)}:
-        raise InconsistencyError(f"a product of degree {sorted(totals)} misses "
+    if len(factors) != sum(target):
+        raise InconsistencyError(f"a product of degree {len(factors)} misses "
                                  f"the target degree {sum(target)} for {spec}")
-    return _extract(target, factors, start)
+    return _extract(target, factors)
 
 
 def deg_fano(spec: ProblemSpec) -> int:
@@ -600,7 +596,7 @@ def deg_fano(spec: ProblemSpec) -> int:
         raise RegimeError("delta-negative",
                           f"expected dimension delta = {spec.delta} < 0: Fano scheme empty")
     _check_nonempty_regime(spec)
-    value = _fano_extraction(spec, {(0,) * (spec.k + 1): 1}, spec.delta)
+    value = _fano_extraction(spec, _psi_target(spec.r, spec.k), spec.delta)
     if value <= 0:
         raise InconsistencyError(f"deg F = {value} for {spec}; expected positive")
     return value
@@ -608,15 +604,18 @@ def deg_fano(spec: ProblemSpec) -> int:
 
 def c2_fano_integral(spec: ProblemSpec) -> int:
     """Integral over the Fano surface of the second Chern class of the dual
-    tautological bundle: coefficient of the target monomial in
-    Q * (sum_{i<j} x_i x_j) * V.  Only defined in the surface case delta = 2,
-    where the degree bookkeeping matches the Grassmannian dimension exactly,
-    and in the non-emptiness regime r >= 2k + m.
+    tautological bundle: the coefficient in Q * e_2 of s_rect, the Schur function of
+    the (k+1) x (r-k) rectangle.  Only defined in the surface case delta = 2, where
+    the degree bookkeeping matches the Grassmannian dimension exactly, and in the
+    non-emptiness regime r >= 2k + m.
+
+    By Pieri's rule e_2 s_lambda reaches s_rect from one lambda only, the rectangle
+    less the two bottom boxes of its last column, so the integral is the coefficient
+    of s_lambda in Q: that of x^(psi - e_(k-1) - e_k) in V * Q, psi = (r, ..., r-k).
     """
     if spec.delta != 2:
         raise RegimeError("delta-not-two",
                           f"c2 integral needs a Fano surface (delta = 2), got delta = {spec.delta}")
     _check_nonempty_regime(spec)
-    e2 = {tuple(int(n in pair) for n in range(spec.k + 1)): 1
-          for pair in combinations(range(spec.k + 1), 2)}
-    return _fano_extraction(spec, e2, 0)
+    *top, second, last = _psi_target(spec.r, spec.k)
+    return _fano_extraction(spec, (*top, second - 1, last - 1), 0)

@@ -11,7 +11,8 @@ Deliberately different computational routes from the ones in the package:
   unwindowed coefficient loop, and each fixed conic's local value through the
   divided form: every degree-d weight over the shifted degree-(d-2) weights;
 * the plane fixed-point sum with one Fraction per fixed plane, each plane's
-  roots built from scratch;
+  roots built from scratch, also for the Fano-scheme numbers that the package
+  computes by extraction only;
 * the emptiness of a Fano scheme straight from its defining inequalities.
 
 These stay oracle-side: the package never imports them.
@@ -269,6 +270,26 @@ def divided_plane_bott(d, r, k, t):
                 if j not in plane:
                     euler *= t[i] - t[j]
         total += Fraction(plain_top_chern(n, roots, ()), euler)
+    return total
+
+
+def fixed_point_fano(degrees, r, k, extra, t):
+    """Fixed-point sum for a Fano-scheme integral, one Fraction per coordinate k-plane I:
+    prod_j prod_{|v| = d_j} <v, t_I> times extra(t_I), over prod_{i in I, j not in I}
+    (t_i - t_j).  extra is e_1^delta for the Plucker degree and e_2 for the c2 integral."""
+    total = Fraction(0)
+    for plane in itertools.combinations(range(r + 1), k + 1):
+        point = [t[i] for i in plane]
+        value = extra(point)
+        for d in degrees:
+            for v in compositions(k + 1, d):
+                value *= sum(vi * p for vi, p in zip(v, point))
+        euler = 1
+        for i in plane:
+            for j in range(r + 1):
+                if j not in plane:
+                    euler *= t[i] - t[j]
+        total += Fraction(value, euler)
     return total
 
 

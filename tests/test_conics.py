@@ -534,19 +534,17 @@ def test_conic_sum_packs_each_edge_once(monkeypatch, d, r, steps, products):
 
 
 def valid_conic_weights(t):
-    """Non-zero, no two summing to zero, six distinct pair sums in every plane."""
-    r = len(t) - 1
-    return (0 not in t
-            and all(t[a] + t[b] for a, b in itertools.combinations(range(r + 1), 2))
-            and all(len({t[a] + t[b] for a, b in itertools.combinations_with_replacement(plane, 2)})
-                    == 6 for plane in itertools.combinations(range(r + 1), 3)))
+    """Six distinct pair sums in every plane (so the weights are distinct too); zero
+    weights and opposite pairs are valid, as no denominator holds t_a or t_a + t_b."""
+    return all(len({a + b for a, b in itertools.combinations_with_replacement(plane, 2)}) == 6
+               for plane in itertools.combinations(t, 3))
 
 
 @st.composite
 def conic_sums_at_valid_weights(draw):
     """A cell of RAW_BOTT and r + 1 integer weights passing the twisted sum's rules
-    (``valid_conic_weights``).  The draws include negative weights and vectors that
-    are no Sidon set."""
+    (``valid_conic_weights``).  The draws include negative and zero weights, opposite
+    pairs and vectors that are no Sidon set."""
     d, r = draw(st.sampled_from([(4, 3), (5, 3), (6, 4)]))
     t = draw(st.lists(st.integers(-40, 40), min_size=r + 1, max_size=r + 1))
     assume(valid_conic_weights(t))
@@ -556,6 +554,9 @@ def conic_sums_at_valid_weights(draw):
 @settings(max_examples=60, deadline=None)
 @given(conic_sums_at_valid_weights())
 @example((5, 3, [-7, 2, 5, 14]))    # -7 + 14 = 2 + 5
+@example((4, 3, [0, 1, 3, 9]))          # a zero weight: no denominator holds 2 t_0
+@example((4, 3, [-5, 5, 1, 12]))        # an opposite pair: none holds t_0 + t_1
+@example((6, 4, [0, -7, 2, 19, 40]))
 def test_bott_sum_is_the_frozen_integer_at_any_valid_weights(inputs):
     # every plane's fiber sum divides exactly, and the total is the same integer
     d, r, t = inputs
@@ -566,7 +567,7 @@ def test_bott_sum_is_the_frozen_integer_at_any_valid_weights(inputs):
 def conic_sums_at_extreme_weights(draw):
     """A Y-window cell, (7, 5) with epsilon = 1, or a Z-window cell, (8, 3) with
     epsilon = 9 > 3r - 1 = 8, and valid weights up to 10^6 in absolute value: ints and
-    Fractions, negative ones, and one huge weight among small ones."""
+    Fractions, negative and zero ones, opposite pairs, and one huge weight among small ones."""
     d, r = draw(st.sampled_from([(7, 5), (8, 3)]))
     big = st.integers(-10**6, 10**6)
     scalars = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)),
@@ -581,6 +582,8 @@ def conic_sums_at_extreme_weights(draw):
 @example((7, 5, [10**6, -10**6 + 1, 3, -999_998, 7, 999_983]))
 @example((8, 3, [-10**6, 1, Fraction(10**6 - 1, 10**6), 999_999]))
 @example((8, 3, [Fraction(1, 10**6), Fraction(-2, 999_999), 10**6, -3]))
+@example((7, 5, [10**6, -10**6, 3, -17, 999_983, 29]))    # an opposite pair
+@example((8, 3, [0, -10**6, 3, 999_999]))
 def test_bott_sum_at_extreme_weights_is_the_divided_sum(inputs):
     # one packing width for the whole sum covers the largest root of every conic,
     # in either window, also after Fraction weights are scaled to ints
@@ -637,6 +640,8 @@ def test_bott_weight_validation():
         deg_conics_bott(4, 3, (1, 2, 3, 4))    # 2+2 = 1+3: sums collide in the plane {0, 1, 2}
     # 1+6 = 3+4 is the only collision, and its four indices span no plane
     assert deg_conics_bott(4, 3, (1, 3, 4, 6)) == (5016, True)
+    with pytest.raises(SingularWeightsError):
+        deg_conics_bott(4, 3, (1, 1, 3, 9))    # a repeated weight
 
 
 @pytest.mark.parametrize("dr,expected", sorted(CONIC_DEGREES.items()))

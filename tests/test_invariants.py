@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -52,7 +53,9 @@ def test_sym_power_coeffs_small_only_low_rank():
 
 @pytest.mark.parametrize("function", [sym_power_coeffs, sym_power_coeffs_small])
 @pytest.mark.parametrize("n,k,code", [(0, 1, "degree-too-small"), (-2, 1, "degree-too-small"),
-                                      (3, -1, "plane-dimension")])
+                                      (3, -1, "plane-dimension"),
+                                      (2.0, 1, "not-an-integer"),
+                                      (3, Fraction(1), "not-an-integer")])
 def test_sym_power_coeffs_range_codes(function, n, k, code):
     with pytest.raises(RegimeError) as err:
         function(n, k)
@@ -88,6 +91,13 @@ def test_combinatorial_identity_range_code(n, m, k):
     with pytest.raises(RegimeError) as err:
         combinatorial_identity(n, m, k)
     assert err.value.code == "identity-range"
+
+
+@pytest.mark.parametrize("n,m,k", [(3.0, 1, 0), (3, "1", 0), (3, 1, Fraction(0))])
+def test_combinatorial_identity_refuses_non_integers(n, m, k):
+    with pytest.raises(RegimeError) as err:
+        combinatorial_identity(n, m, k)
+    assert err.value.code == "not-an-integer"
 
 
 def test_combinatorial_identity_grid():

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, combinations_with_replacement, count
 from math import comb
 
 import pytest
@@ -25,6 +25,7 @@ from fanocount.polycore import MultiPoly, weighted_linear_product
 
 from oracles import (
     divided_plane_bott,
+    fixed_point_fano,
     plain_top_chern,
     sympy_c2_fano,
     sympy_deg_ci_planes,
@@ -213,6 +214,11 @@ CODED_HELPER_CALLS = [
     (tau_poly, (4.0, 3, 1), "not-an-integer"),
     (tau_poly, (4, "3", 1), "not-an-integer"),
     (tau_poly, (4, 3, Fraction(1)), "not-an-integer"),
+    (linear_system_dim, (4, (2,), 3.0), "not-an-integer"),
+    (linear_system_dim, (4, (2.0,), 3), "not-an-integer"),
+    (linear_system_dim, (-1, (2,), 3), "ambient-too-small"),
+    (linear_system_dim, (4, (0,), 3), "degree-too-small"),
+    (linear_system_dim, (4, (-2,), 3), "degree-too-small"),
 ]
 
 
@@ -310,43 +316,37 @@ def test_dm_equals_bott_on_random_cells(drk, seed):
 
 @st.composite
 def extraction_inputs(draw):
-    """A target, linear factors (v, c) and a start term map in 1-5 variables.
+    """A target and linear factors (v, c) in 1-5 variables.
 
     Target entries 0..8 take in 0, 1, 3, 4, 7 and 8, at and next to powers of
     two, where the packed head field width changes; one variable (an empty
-    head) and a last entry 0 (a one-field polynomial) are drawn often.  Start
-    exponents are small or near the target, up to 1 above it, where the guard
-    bit of a field is set; start coefficients are small ints.  Factors are
-    small, or wide (c up to 10^6, v_i up to 10^3), or constant (v = 0), whose
+    head) and a last entry 0 (a one-field polynomial) are drawn often.  Factors
+    are small, or wide (c up to 10^6, v_i up to 10^3), or constant (v = 0), whose
     products meet the bound the packed field width is taken from."""
     n = draw(st.one_of(st.just(1), st.integers(1, 5)))
     target = draw(st.tuples(*[st.integers(0, 8)] * (n - 1),
                             st.one_of(st.just(0), st.integers(0, 8))))
-    exponents = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(max(0, t - 2), t + 1))
-                            for t in target])
-    start = draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=4))
     small = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.sampled_from((0, 1, 3)))
     wide = st.tuples(st.tuples(*[st.integers(-10**3, 10**3)] * n), st.integers(-10**6, 10**6))
     constant = st.tuples(st.just((0,) * n), st.integers(-10**6, 10**6))
     factors = draw(st.lists(st.one_of(small, wide, constant), max_size=6))
-    return target, factors, start
+    return target, factors
 
 
 @settings(max_examples=300, deadline=None)
 @given(extraction_inputs())
-@example(((0,), [((0,), 10**6)] * 3, {(0,): 1}))            # the value is the width bound
-@example(((0,), [((0,), -10**6)] * 3, {(0,): 1}))
-@example(((3,), [((10**3,), 0)] * 3, {(0,): 1}))            # the same in the top field
-@example(((2,), [((-10**3,), 10**3)] * 2, {(0,): 1}))       # large fields under the top one
-@example(((2, 0), [((1, 0), 0)] * 2, {(0, 0): 5, (0, 1): 7}))
-@example(((1, 1), [((1, 1), 2)], {(0, 1): 3, (1, 0): -2}))
+@example(((0,), [((0,), 10**6)] * 3))            # the value is the width bound
+@example(((0,), [((0,), -10**6)] * 3))
+@example(((3,), [((10**3,), 0)] * 3))            # the same in the top field
+@example(((2,), [((-10**3,), 10**3)] * 2))       # large fields under the top one
+@example(((2, 0), [((1, 0), 0)] * 2))            # a head over a one-field x_k polynomial
 def test_extract_equals_unpruned_fold(inputs):
     from fanocount.planes import _extract
-    target, factors, start = inputs
-    product = MultiPoly(len(target), start)
+    target, factors = inputs
+    product = MultiPoly.one(len(target))
     for v, c in factors:
         product = product.mul(MultiPoly.linear_form(v, c))
-    value = _extract(target, factors, start)
+    value = _extract(target, factors)
     assert value == product.coefficient(target)
     assert isinstance(value, int)
 
@@ -590,6 +590,24 @@ def test_c2_fano_integral_matches_dense_oracle(spec_args):
     assert c2_fano_integral(ProblemSpec(*spec_args)) == sympy_c2_fano(*spec_args)
 
 
+# the Fano surfaces (delta = 2, r >= 2k + m) with m <= 3 degrees in 2..6 and r <= 11
+SURFACE_SPECS = [spec for m in (1, 2, 3)
+                 for degrees in combinations_with_replacement(range(2, 7), m)
+                 for r in range(3, 12) for k in range(1, (r - m) // 2 + 1)
+                 for spec in [ProblemSpec(degrees, r, k)] if spec.delta == 2]
+
+
+def test_surface_numbers_equal_the_fixed_point_sums():
+    # both extractions, the c2 one at its Pieri-shifted target, against the plane
+    # fixed-point sum with e_2 or (sum t)^2 at each plane; k = 3 included
+    assert len(SURFACE_SPECS) == 32 and {spec.k for spec in SURFACE_SPECS} == {1, 2, 3}
+    for spec in SURFACE_SPECS:
+        t = TorusWeights.random(spec.r, 7)
+        fixed = [fixed_point_fano(*spec, extra, t) for extra in (
+            lambda x: sum(a * b for a, b in combinations(x, 2)), lambda x: sum(x) ** 2)]
+        assert [c2_fano_integral(spec), deg_fano(spec)] == fixed, spec
+
+
 def test_deg_fano_regime_errors():
     with pytest.raises(RegimeError) as err:
         deg_fano(ProblemSpec((6,), 4, 1))       # delta = -1
@@ -606,15 +624,16 @@ def test_deg_fano_regime_errors():
 
 
 def test_fano_extraction_rejects_wrong_degree_extra():
-    # delta = 2 needs extra factors of degree 2; e_1 alone, or a start that is
-    # not homogeneous, would silently extract from a product that misses the
-    # target degree
+    # delta = 2 needs two more degrees of extra factors at the target psi, or none
+    # at the c2 target psi - (1, 1); a wrong count of ones would silently extract
+    # from a product that misses the target degree
     from fanocount.planes import _fano_extraction
     spec = ProblemSpec((3,), 4, 1)
-    assert _fano_extraction(spec, {(0, 0): 1}, 2) == 45
-    for start, ones in [({(0, 0): 1}, 1), ({(1, 0): 1, (1, 1): 1}, 0)]:
+    assert _fano_extraction(spec, (4, 3), 2) == 45
+    assert _fano_extraction(spec, (3, 2), 0) == 27
+    for target, ones in [((4, 3), 1), ((4, 3), 3), ((3, 2), 1)]:
         with pytest.raises(InconsistencyError):
-            _fano_extraction(spec, start, ones)
+            _fano_extraction(spec, target, ones)
 
 
 def test_runtime_routes_do_no_polynomial_arithmetic(monkeypatch, capsys):

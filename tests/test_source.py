@@ -62,6 +62,27 @@ def test_runtime_imports_only_the_standard_library():
     assert sorted(imported - sys.stdlib_module_names) == []
 
 
+def test_package_imports_no_unused_name():
+    # every name a module imports is used in it, or re-exported through its __all__;
+    # a __future__ import is a compiler switch, not a name
+    offenders = []
+    for path, tree in _modules():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        exported = {name for node in tree.body if _defines(node, "__all__")
+                    for name in ast.literal_eval(node.value)}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+        offenders += [f"{path.name}:{line}:{name}" for name, line in imported.items()
+                      if name not in used]
+    assert offenders == []
+
+
 def documented_regime_codes() -> set[str]:
     """The codes in the first column of the README's regime-code table."""
     section = README.read_text().split("### Regime codes", 1)[1].split("\n#", 1)[0]
