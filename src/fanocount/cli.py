@@ -299,7 +299,11 @@ def paper_check() -> bool:
     print(f"{len(checks) - failures} passed, {failures} failed "
           f"(of {len(checks)} anchor checks)")
     print()
-    print(conics.conic_factor_report(computed.get(_CONIC_ANCHOR)))
+    try:   # without a conic anchor the report recomputes it, and may crash the same way
+        print(conics.conic_factor_report(computed.get(_CONIC_ANCHOR)))
+    except Exception as exc:
+        print(f"FAIL  conic reconciliation report: raised {type(exc).__name__}: {exc}")
+        failures += 1
     return failures == 0
 
 

@@ -18,25 +18,16 @@ the tautological line of the P^5 fiber.  The 3-variable form ``eta_form``
 ignores that twist (the twist contributes nothing when the fiber class is
 suppressed); the 4-variable form ``eta_form_twisted`` keeps it.  The torus
 fixed-point sums never expand these forms.  The six fixed conics of a coordinate
-plane add up to an integer, the integral over its P^5 fiber, and the conic sum is
+plane add up to an integer, the integral over its P^5 fiber, divided once over the
+least common denominator of their Euler terms, and the conic sum is
 ``planes._plane_sum`` over those integrals.  At the fixed conic x_a x_b = 0 the
-twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel
-part of the numerator: the twisted term is the top elementary symmetric
-function of the 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme),
-read without division from a packed truncated product (``planes._pack``).
-Every root is at most R = d max |t| in absolute value, so one window and one
-field width serve the whole sum (``planes._layout``, as in the plane sum).  A
-conic's roots lie on two edges of its plane: the degree-d roots with v_a = 0 are
-all those of the edge of the other two coordinates, and the rest are, for a != b,
-those of the edge {a, c} with v_a >= 1 (c the third coordinate), or, for the
-double line, x_a times degree d - 1 on the first edge.  So each coordinate edge
-is packed once per sum, in d + 2 big-int steps, and a conic is one product of two
-packed edges, or a double line's d more steps: (d + 2) C(r+1, 2) + 3d C(r+1, 3)
-steps and 3 C(r+1, 3) products per sum, not 9d + 3 steps per plane.
-The forms remain as the references the tests check it against.  The
-dispatcher validates the sum by recomputing at a second weight set and, for
-quartic surfaces, halves the result (the general quartic surface in the
-locus carries two conics).
+twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel part of
+the numerator: the twisted term is the top elementary symmetric function of the
+2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme), read without division from
+packed products of coordinate edges (``deg_conics_bott``).  The forms remain as the
+references the tests check it against.  The dispatcher validates the sum by
+recomputing at a second weight set and, for quartic surfaces, halves the result (the
+general quartic surface in the locus carries two conics).
 
 ``conic_factor_report`` documents, with exact numbers, why the untwisted
 per-plane shortcut and the once-published closed form -(5/32) C(r+1,3)
@@ -257,6 +248,18 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 _CONICS = tuple((a, _OTHERS[a], 3 - a - b if a != b else a) for a, b in _PAIRS)
 
 
+def _fiber_cofactors(plane: list[int]) -> tuple[int, tuple[int, ...]]:
+    """D and the cofactors D / Q_c of a plane, in ``_PAIRS`` order (``deg_conics_bott``)."""
+    x0, x1, x2 = plane
+    e01, e02, e12 = x0 - x1, x0 - x2, x1 - x2
+    g0, g1, g2 = e01 + e02, e12 - e01, -e02 - e12
+    denominator = 4 * (e01 * e02 * e12) ** 2 * g0 * g1 * g2
+    if not denominator:
+        raise SingularWeightsError(f"pair sums collide inside the plane of weights {plane}")
+    return denominator, (e12 * e12 * g1 * g2, 4 * e02 * e12 * g0 * g1, -4 * e01 * e12 * g0 * g2,
+                         e02 * e02 * g0 * g2, 4 * e01 * e02 * g1 * g2, e01 * e01 * g0 * g1)
+
+
 def _conic_problem(d: int, r: int) -> ConicProblem:
     """``ConicProblem(d, r)``, refused when epsilon < 0."""
     problem = ConicProblem(d, r)
@@ -282,40 +285,37 @@ def _check_conic_degree_regime(d: int, r: int) -> ConicProblem:
 def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     """Torus fixed-point sum for the conic-locus degree, with the fiber twist.
 
-    For each fixed conic (plane I = {i, j, k}, equation x_a x_b = 0):
+    For each fixed conic c (plane I = {i, j, k}, equation x_a x_b = 0):
 
-    * local Chern contribution: e_{3r-1} of the 2d + 1 roots <v, x> of the
-      degree-d monomials x^v not divisible by x_a x_b (``_CONICS``) at Chern-root
-      values x = (-t_i, -t_j, -t_k), equal to ``eta_form_twisted`` there with
-      fiber class value t_a + t_b.  Each is the top field of a ``_pack``ed
-      product in one ``_layout`` for the whole sum: L = 2d + 1 roots, each at
-      most R = d max |t| over the integer-scaled weights (``_weight_tuple``), in
-      the Y^epsilon window when epsilon = L - (3r - 1) <= 3r - 1, else in the
-      Z^(3r-1) window;
-    * Euler term: prod over alpha in I, beta outside I of (t_beta - t_alpha),
-      times Q_c, the product over the five pairs {p, q} != {a, b} of
-      (t_a + t_b) - (t_p + t_q).
+    * local Chern contribution N_c: e_{3r-1} of the 2d + 1 roots <v, x> of the degree-d
+      monomials x^v not divisible by x_a x_b (``_CONICS``) at x = (-t_i, -t_j, -t_k),
+      ``eta_form_twisted`` there with fiber class t_a + t_b; the top field of a ``_pack``ed
+      product in one ``_layout`` (its window and field width) for the whole sum, each root
+      at most R = d max |t| over the integer-scaled weights;
+    * Euler term: (-1)^r prod over alpha in I, beta outside I of (t_beta - t_alpha),
+      times Q_c, the product over the five pairs {p, q} != {a, b} of t_a + t_b - t_p - t_q.
 
-    A plane's six terms over Q_c add up to the integral over its P^5 fiber: an
-    integer (the push-forward of an integral class) over V6, the Vandermonde product
-    of the six pair sums, which each Q_c divides; a remainder raises
-    :class:`InconsistencyError`.  Times (-1)^r it is the plane's ``_plane_sum`` term.
+    A plane's six N_c / Q_c add up to the integral over its P^5 fiber, an integer (the
+    push-forward of an integral class).  With weights (x0, x1, x2), e_ab = x_a - x_b and
+    g_a = 2 x_a - x_b - x_c, the pair-sum differences are e_ab, 2 e_ab and g_a up to sign,
+    so every Q_c divides D = 4 (e01 e02 e12)^2 g0 g1 g2; the cofactors D / Q_c are
+    e12^2 g1 g2, 4 e02 e12 g0 g1, -4 e01 e12 g0 g2, e02^2 g0 g2, 4 e01 e02 g1 g2, e01^2 g0 g1
+    (``_fiber_cofactors``).  A remainder of sum_c N_c cof_c over D raises
+    :class:`InconsistencyError`: it is one of sum_c N_c V6 / Q_c over V6, the pair sums'
+    Vandermonde product 2 (e01 e02 e12)^2 D; no Q_c is +-1, so no cofactor is a multiple of D.
 
-    Most roots depend on one edge {i, j} of the plane only, so each edge is packed once
-    per call, by weights: the d - 1 roots with v_i, v_j >= 1, then one root each for
-    F_i->j (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij,
-    d + 2 steps.  Packing is a ring map modulo 2^(B(w+1)), so the conic x_a x_b = 0,
-    a != b, is E_bc F_a->c & mask, one product, and the double line x_a^2 = 0 extends
-    E_bc by its d other roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3)
-    products per sum.
+    Most roots depend on one edge {i, j} of the plane only, so each edge is packed once per
+    call, by weights: the d - 1 roots with v_i, v_j >= 1, then one root each for F_i->j
+    (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij, d + 2 steps.
+    Packing is a ring map modulo 2^(B(w+1)), so the conic x_a x_b = 0, a != b, is
+    E_bc F_a->c & mask, one product, and the double line x_a^2 = 0 extends E_bc by its d
+    other roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3) products per sum.
 
     No denominator holds t_a or t_a + t_b, so zero weights and opposite pairs are valid.
-    A repeated weight (``_plane_sum``) and two equal pair sums in one plane (V6 = 0)
-    are the singular cases, and raise :class:`SingularWeightsError`.
-
-    The sum is a constant positive integer; the raw rational is returned with
-    an integrality flag, and halving for (d, r) = (4, 3) is the dispatcher's
-    job, not this function's.
+    A repeated weight (``_plane_sum``) and two equal pair sums in one plane (D = 0, refused
+    before any cofactor is formed) raise :class:`SingularWeightsError`.  The sum is a
+    constant positive integer, returned as a raw rational with an integrality flag;
+    halving for (d, r) = (4, 3) is the dispatcher's job.
     """
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
@@ -332,11 +332,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
         edges[ti, tj], edges[tj, ti] = (whole, from_i), (whole, from_j)
 
     def fiber(plane: list[int], _: int) -> int:
-        pair_sums = [plane[a] + plane[b] for a, b in _PAIRS]
-        vandermonde = prod(a - b for a, b in combinations(pair_sums, 2))
-        if not vandermonde:
-            raise SingularWeightsError(f"pair sums collide inside the plane of weights {plane}")
-        cofactors = [vandermonde // prod(c - s for s in pair_sums if s != c) for c in pair_sums]
+        denominator, cofactors = _fiber_cofactors(plane)
         numerator = 0
         for (a, (k, l), c), cofactor in zip(_CONICS, cofactors):
             whole = edges[plane[k], plane[l]][0]
@@ -346,14 +342,14 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
                 start, step = -plane[a] - (d - 1) * plane[l], plane[l] - plane[k]
                 conic = _pack(whole, range(start, start + d * step, step), width, mask, y)
             numerator += _unpack(conic, width, low) * cofactor
-        value, remainder = divmod(numerator, vandermonde)
+        value, remainder = divmod(numerator, denominator)
         if remainder:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")
-        return (-1) ** r * value
+        return value
 
     # with d = 0 the plane walk packs no roots, and fiber ignores its product
     numerator, denominator = _plane_sum(r, 2, weights, fiber)
-    return BottSum(Fraction(numerator, denominator), numerator % denominator == 0)
+    return BottSum(Fraction((-1) ** r * numerator, denominator), numerator % denominator == 0)
 
 
 def deg_conics_untwisted_sum(d: int, r: int, t: WeightsLike) -> Fraction:

@@ -281,6 +281,24 @@ def test_paper_check_computes_invariants_once_per_family(capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def test_paper_check_reports_a_crashing_conic_report_as_a_failure(capsys, monkeypatch):
+    # a failed conic anchor leaves the reconciliation report to recompute it: the
+    # report's crash is one more FAIL line and exit 1, not a traceback out of main
+    import fanocount.conics as conics_module
+    from fanocount.errors import InconsistencyError
+
+    def crashing(*args, **kwargs):
+        raise InconsistencyError("boom")
+
+    monkeypatch.setattr(conics_module, "deg_conics", crashing)
+    code, out, _ = invoke(capsys, "paper-check")
+    assert code == 1
+    assert "30 passed, 1 failed (of 31 anchor checks)" in out
+    assert "FAIL  quartic surfaces with a conic: deg: raised InconsistencyError: boom" in out
+    assert out.splitlines()[-1] == \
+        "FAIL  conic reconciliation report: raised InconsistencyError: boom"
+
+
 def test_paper_check_reports_a_crashing_family_once_per_anchor(capsys, monkeypatch):
     import fanocount.invariants as invariants_module
     original = invariants_module.surface_invariants

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -480,15 +480,17 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
     # one conic off by one leaves its plane's fiber sum non-integral; one plane's
     # fiber value off by one breaks the sum's integrality and the two-draw agreement;
     # negated values pass both and fail positivity.  Each fixed conic's value is read
-    # from its packed product by one ``_unpack``.
+    # from its packed product by one ``_unpack``; readouts 0-5 are the six conics of the
+    # first plane, and each is caught because no cofactor D / Q_c is a multiple of D.
     import fanocount.conics as conics
     unpack, plane_sum = conics._unpack, conics._plane_sum
     weights = generic_conic_weights(3, seed=11)
-    calls = itertools.count()
-    monkeypatch.setattr(conics, "_unpack",
-                        lambda *field: unpack(*field) + (next(calls) == 5))
-    with pytest.raises(InconsistencyError, match="fiber sum at plane weights"):
-        deg_conics_bott(4, 3, weights)
+    for readout in range(6):
+        calls = itertools.count()
+        monkeypatch.setattr(conics, "_unpack",
+                            lambda *field: unpack(*field) + (next(calls) == readout))
+        with pytest.raises(InconsistencyError, match="fiber sum at plane weights"):
+            deg_conics_bott(4, 3, weights)
     monkeypatch.setattr(conics, "_unpack", unpack)
 
     def one_plane_off(r, k, t, local, *packing):
@@ -538,6 +540,32 @@ def valid_conic_weights(t):
     weights and opposite pairs are valid, as no denominator holds t_a or t_a + t_b."""
     return all(len({a + b for a, b in itertools.combinations_with_replacement(plane, 2)}) == 6
                for plane in itertools.combinations(t, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-3, 3)),
+                min_size=3, max_size=3))
+@example([0, 1, 3])                         # a zero weight
+@example([-5, 5, 12])                       # an opposite pair
+@example([10**6, -10**6, 999_983])
+@example([-10**6, 0, 10**6])
+@example([1, 2, 3])                         # 2 + 2 = 1 + 3: two pair sums collide
+def test_fiber_cofactors_are_the_common_denominator_over_each_q(plane):
+    # D / Q_c for each conic, with Q_c the product of its five pair-sum differences, and
+    # V6, the product of all fifteen, is 2 (e01 e02 e12)^2 D: a fiber sum over D is an
+    # integer exactly when the same sum over V6 is
+    from fanocount.conics import _fiber_cofactors
+    pair_sums = [a + b for a, b in itertools.combinations_with_replacement(plane, 2)]
+    if len(set(pair_sums)) < 6:
+        with pytest.raises(SingularWeightsError, match="pair sums collide"):
+            _fiber_cofactors(plane)
+        return
+    denominator, cofactors = _fiber_cofactors(plane)
+    for c, cofactor in zip(pair_sums, cofactors, strict=True):
+        assert cofactor * prod(c - s for s in pair_sums if s != c) == denominator
+    x0, x1, x2 = plane
+    vandermonde = prod(a - b for a, b in itertools.combinations(pair_sums, 2))
+    assert vandermonde == 2 * ((x0 - x1) * (x0 - x2) * (x1 - x2)) ** 2 * denominator
 
 
 @st.composite

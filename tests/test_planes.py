@@ -353,6 +353,7 @@ def test_extract_equals_unpruned_fold(inputs):
 
 def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
     # DM never calls a fixed-point helper, and the Bott sums never call the fold
+    import fanocount.conics as conics_module
     import fanocount.planes as planes_module
     from fanocount.conics import _eta, deg_conics_bott, deg_conics_closed, \
         deg_conics_untwisted_sum, generic_conic_weights
@@ -363,6 +364,7 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
     with monkeypatch.context() as patch:
         for helper in ("_roots", "_plane_sum", "_layout", "_z_width", "_pack", "_unpack"):
             patch.setattr(planes_module, helper, forbidden)
+        patch.setattr(conics_module, "_fiber_cofactors", forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
         assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
