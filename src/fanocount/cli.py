@@ -29,10 +29,22 @@ __all__ = ["CommandRequest", "ResultEnvelope", "build_parser", "main",
 
 CSV_HEADER = "d,r,k,gamma,delta,value,method"
 
-# --method choices per subcommand, the default first
-_METHODS = {"planes": ("dm", "bott", "both"), "conics": ("bott", "closed", "both")}
+# envelope subcommand -> (help, --method choices with the default first, takes --k)
+_COMMANDS = {
+    "planes": ("degree of the locus of hypersurfaces containing a k-plane",
+               ("dm", "bott", "both"), True),
+    "ci-planes": ("degree of the containing-a-k-plane locus in a linear system on a complete "
+                  "intersection", (), True),
+    "fano-degree": ("Plucker degree of the Fano scheme", (), True),
+    "surface": ("invariants of a Fano surface (delta = 2)", (), True),
+    "irregularity": ("irregularity classification", (), True),
+    "picard": ("Picard number of the very general member", (), True),
+    "conics": ("degree of the locus of hypersurfaces containing a conic",
+               ("bott", "closed", "both"), False),
+}
 
-_SWEEP_TARGETS = ("planes", "fano-degree")
+# sweep target -> the method column of its rows, which run's default method computes
+_SWEEP_TARGETS = {"planes": "dm", "fano-degree": "extraction"}
 
 # (result name, InvariantReport attribute, provenance, paper-check label or None),
 # in the order of the surface envelope
@@ -124,14 +136,15 @@ class ResultEnvelope:
 
 
 def _echo_inputs(request: CommandRequest) -> dict[str, str]:
+    _, methods, takes_k = _COMMANDS[request.subcommand]
     echo = {"subcommand": request.subcommand, "format": request.format,
             "seed": str(request.seed)}
     if request.degrees:
         echo["d"] = ",".join(str(d) for d in request.degrees)
     echo["r"] = str(request.r)
-    if request.subcommand != "conics":   # the one envelope subcommand without --k
+    if takes_k:
         echo["k"] = str(request.k)
-    if request.subcommand in _METHODS:
+    if methods:
         echo["method"] = request.method
     return echo
 
@@ -143,7 +156,9 @@ def _spec_for(request: CommandRequest) -> ProblemSpec:
 def run(request: CommandRequest) -> ResultEnvelope:
     """Dispatch one envelope-producing subcommand."""
     sub = request.subcommand
-    choices = _METHODS.get(sub, ())
+    if sub not in _COMMANDS:
+        raise ValueError(f"unknown subcommand {sub!r}")
+    choices = _COMMANDS[sub][1]
     method = request.method or (choices[0] if choices else None)
     if method is not None and method not in choices:
         raise ValueError(f"{sub} takes a method from {choices}, got {method!r}")
@@ -165,9 +180,11 @@ def run(request: CommandRequest) -> ResultEnvelope:
                          planes.deg_planes_bott(d, r, k, weights),
                          "fixed-point-residue-sum")
         if method == "both":
-            equal = (envelope.results["deg_dm"]["value"]
-                     == envelope.results["deg_bott"]["value"])
-            envelope.put("equal", equal, "cross-method-comparison")
+            dm, bott = (envelope.results[name]["value"] for name in ("deg_dm", "deg_bott"))
+            if dm != bott:
+                raise InconsistencyError(f"planes routes disagree at d={d} r={r} k={k}: "
+                                         f"dm gives {dm}, bott gives {bott}")
+            envelope.put("equal", True, "cross-method-comparison")
 
     elif sub == "ci-planes":
         spec = _spec_for(request)
@@ -225,9 +242,6 @@ def run(request: CommandRequest) -> ResultEnvelope:
             if comparison.ratio is not None:
                 envelope.put("closed_to_fixed_point_ratio", comparison.ratio,
                              "cross-method-comparison")
-
-    else:
-        raise ValueError(f"unknown subcommand {sub!r}")
 
     return envelope
 
@@ -333,8 +347,10 @@ def sweep_rows(target: str, degree_items: Sequence[tuple[int, ...]],
                r_values: Sequence[int], k_values: Sequence[int],
                skip_log: Callable[[str], None] | None = None) -> Iterator[str]:
     """CSV rows (without header) for a grid sweep, in lexicographic
-    (d, r, k) order.  Out-of-regime cells produce no row; the reason is
-    passed to ``skip_log``.  Any other error fails the sweep."""
+    (d, r, k) order.  Each cell's value is the target subcommand's ``deg`` by
+    its default method, under the same regime checks.  Out-of-regime cells
+    produce no row; the reason is passed to ``skip_log``.  Any other error
+    fails the sweep."""
     if target not in _SWEEP_TARGETS:
         raise ValueError(f"unknown sweep target {target!r}")
     for degrees in sorted(degree_items):
@@ -342,41 +358,19 @@ def sweep_rows(target: str, degree_items: Sequence[tuple[int, ...]],
             for k in sorted(k_values):
                 d_label = "+".join(str(x) for x in degrees)
                 try:
-                    if target == "planes":
-                        if len(degrees) != 1:
-                            raise RegimeError("hypersurface-only",
-                                              "the planes sweep takes single degrees")
-                        value = planes.deg_planes_dm(degrees[0], r, k)
-                        method = "dm"
-                        spec = ProblemSpec(degrees, r, k)
-                    else:
-                        spec = ProblemSpec(degrees, r, k)
-                        value = planes.deg_fano(spec)
-                        method = "extraction"
+                    value = run(CommandRequest(target, degrees, r, k)).results["deg"]["value"]
+                    spec = ProblemSpec(degrees, r, k)
                 except RegimeError as exc:
                     if skip_log is not None:
                         skip_log(f"skip d={d_label} r={r} k={k}: {exc}")
                     continue
-                yield f"{d_label},{r},{k},{spec.gamma},{spec.delta},{value},{method}"
+                yield (f"{d_label},{r},{k},{spec.gamma},{spec.delta},{value},"
+                       f"{_SWEEP_TARGETS[target]}")
 
 
 # ---------------------------------------------------------------------------
 # argument parsing / entry point
 # ---------------------------------------------------------------------------
-
-def _add_common(subs, name: str, help: str, *, want_k=True) -> None:
-    parser = subs.add_parser(name, help=help)
-    parser.add_argument("--d", required=True,
-                        help="degree, or comma-separated degrees for complete intersections")
-    parser.add_argument("--r", required=True, type=int, help="ambient projective dimension")
-    if want_k:
-        parser.add_argument("--k", required=True, type=int, help="plane dimension")
-    if name in _METHODS:
-        parser.add_argument("--method", choices=_METHODS[name], default=_METHODS[name][0])
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"seed for fixed-point weight draws (default {DEFAULT_SEED})")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -385,15 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "containing planes or conics, and invariants of their Fano schemes.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    _add_common(subs, "planes", "degree of the locus of hypersurfaces containing a k-plane")
-    _add_common(subs, "ci-planes", "degree of the containing-a-k-plane locus in a linear "
-                                   "system on a complete intersection")
-    _add_common(subs, "fano-degree", "Plucker degree of the Fano scheme")
-    _add_common(subs, "surface", "invariants of a Fano surface (delta = 2)")
-    _add_common(subs, "irregularity", "irregularity classification")
-    _add_common(subs, "picard", "Picard number of the very general member")
-    _add_common(subs, "conics", "degree of the locus of hypersurfaces containing a conic",
-                want_k=False)
+    for name, (text, methods, takes_k) in _COMMANDS.items():
+        command = subs.add_parser(name, help=text)
+        command.add_argument("--d", required=True,
+                             help="degree, or comma-separated degrees for complete intersections")
+        command.add_argument("--r", required=True, type=int, help="ambient projective dimension")
+        if takes_k:
+            command.add_argument("--k", required=True, type=int, help="plane dimension")
+        if methods:
+            command.add_argument("--method", choices=methods, default=methods[0])
+        command.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        command.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                             help=f"seed for fixed-point weight draws (default {DEFAULT_SEED})")
 
     subs.add_parser("paper-check", help="run the full table of published anchor values")
 

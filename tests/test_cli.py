@@ -31,6 +31,95 @@ def invoke(capsys, *argv):
 # envelopes
 # ---------------------------------------------------------------------------
 
+# the whole --format json line of each subcommand and method, inputs echo included
+ENVELOPES = {
+    "planes-dm": ("planes --d 4 --r 3 --k 1",
+        '{"inputs":{"d":"4","format":"json","k":"1","method":"dm","r":"3","seed":"1729",'
+        '"subcommand":"planes"},'
+        '"results":{"deg":{"provenance":"vandermonde-coefficient-extraction","value":"320"}},'
+        '"status":"ok"}'),
+    "planes-bott": ("planes --d 4 --r 3 --k 1 --method bott",
+        '{"inputs":{"d":"4","format":"json","k":"1","method":"bott","r":"3","seed":"1729",'
+        '"subcommand":"planes"},"results":{"deg":{"provenance":"fixed-point-residue-sum",'
+        '"value":"320"}},"status":"ok"}'),
+    "planes-both": ("planes --d 4 --r 3 --k 1 --method both",
+        '{"inputs":{"d":"4","format":"json","k":"1","method":"both","r":"3","seed":"1729",'
+        '"subcommand":"planes"},"results":{"deg_bott":{"provenance":"fixed-point-residue-sum",'
+        '"value":"320"},"deg_dm":{"provenance":"vandermonde-coefficient-extraction",'
+        '"value":"320"},"equal":{"provenance":"cross-method-comparison","value":"true"}},'
+        '"status":"ok"}'),
+    "ci-planes": ("ci-planes --d 2,3 --r 4 --k 1",
+        '{"inputs":{"d":"2,3","format":"json","k":"1","r":"4","seed":"1729",'
+        '"subcommand":"ci-planes"},"results":{"deg":{"provenance":"ci-coefficient-extraction",'
+        '"value":"168"},"gamma":{"provenance":"codimension-arithmetic","value":"1"}},'
+        '"status":"ok"}'),
+    "fano-degree": ("fano-degree --d 3 --r 4 --k 1",
+        '{"inputs":{"d":"3","format":"json","k":"1","r":"4","seed":"1729",'
+        '"subcommand":"fano-degree"},'
+        '"results":{"deg":{"provenance":"plucker-coefficient-extraction","value":"45"},'
+        '"delta":{"provenance":"codimension-arithmetic","value":"2"},'
+        '"gamma":{"provenance":"codimension-arithmetic","value":"-2"}},"status":"ok"}'),
+    "surface": ("surface --d 3 --r 4 --k 1",
+        '{"inputs":{"d":"3","format":"json","k":"1","r":"4","seed":"1729",'
+        '"subcommand":"surface"},"results":{"A":{"provenance":"tangent-chern-combination",'
+        '"value":"6"},"B":{"provenance":"tangent-chern-combination","value":"-9"},'
+        '"K2":{"provenance":"canonical-self-intersection","value":"45"},'
+        '"alpha_1":{"provenance":"sym-power-chern-coeffs","value":"11"},'
+        '"beta_1":{"provenance":"sym-power-chern-coeffs","value":"10"},'
+        '"c1_coeff":{"provenance":"canonical-class-multiple","value":"1"},'
+        '"c2":{"provenance":"schubert-c2-extraction","value":"27"},'
+        '"chi":{"provenance":"noether-quotient","value":"6"},'
+        '"deg":{"provenance":"plucker-coefficient-extraction","value":"45"},'
+        '"e":{"provenance":"chern-number-combination","value":"27"},'
+        '"gamma_1":{"provenance":"sym-power-chern-coeffs","value":"6"},'
+        '"p_a":{"provenance":"noether-quotient","value":"5"},'
+        '"signature":{"provenance":"signature-formula","value":"-3"}},"status":"ok"}'),
+    "irregularity": ("irregularity --d 2,2 --r 7 --k 2",
+        '{"inputs":{"d":"2,2","format":"json","k":"2","r":"7","seed":"1729",'
+        '"subcommand":"irregularity"},'
+        '"results":{"case":{"provenance":"irregularity-classification",'
+        '"value":"irregular-two-quadrics"},"k":{"provenance":"irregularity-classification",'
+        '"value":"2"},"note":{"provenance":"irregularity-classification",'
+        '"value":"(k+1)-dimensional Fano scheme of k-planes on two general quadrics, k=2"}},'
+        '"status":"ok"}'),
+    "picard": ("picard --d 2,2 --r 6 --k 1",
+        '{"inputs":{"d":"2,2","format":"json","k":"1","r":"6","seed":"1729",'
+        '"subcommand":"picard"},"results":{"components":{"provenance":"picard-classification",'
+        '"value":"1"},"note":{"provenance":"picard-classification",'
+        '"value":"Picard numbers refer to the very general complete intersection; '
+        "'general' is not enough here.\"},"
+        '"rho":{"provenance":"picard-classification","value":"8"}},"status":"ok"}'),
+    "conics-bott": ("conics --d 4 --r 3",
+        '{"inputs":{"d":"4","format":"json","method":"bott","r":"3","seed":"1729",'
+        '"subcommand":"conics"},"results":{"deg":{"provenance":"twisted-fixed-point-sum",'
+        '"value":"2508"},"halved":{"provenance":"two-conics-on-general-quartic",'
+        '"value":"true"}},"status":"ok"}'),
+    "conics-closed": ("conics --d 5 --r 3 --method closed",
+        '{"inputs":{"d":"5","format":"json","method":"closed","r":"3","seed":"1729",'
+        '"subcommand":"conics"},'
+        '"results":{"closed_form":{"provenance":"closed-form-eta(1,1,1)",'
+        '"value":"-6873514425/8"},'
+        '"closed_matches_fixed_point":{"provenance":"cross-method-comparison","value":"false"},'
+        '"closed_to_fixed_point_ratio":{"provenance":"cross-method-comparison",'
+        '"value":"-1374702885/452608"}},"status":"ok"}'),
+    "conics-both": ("conics --d 5 --r 3 --method both",
+        '{"inputs":{"d":"5","format":"json","method":"both","r":"3","seed":"1729",'
+        '"subcommand":"conics"},'
+        '"results":{"closed_form":{"provenance":"closed-form-eta(1,1,1)",'
+        '"value":"-6873514425/8"},'
+        '"closed_matches_fixed_point":{"provenance":"cross-method-comparison","value":"false"},'
+        '"closed_to_fixed_point_ratio":{"provenance":"cross-method-comparison",'
+        '"value":"-1374702885/452608"},"deg":{"provenance":"twisted-fixed-point-sum",'
+        '"value":"282880"}},"status":"ok"}'),
+}
+
+
+@pytest.mark.parametrize("argv,line", ENVELOPES.values(), ids=ENVELOPES)
+def test_json_envelope_bytes(capsys, argv, line):
+    code, out, _ = invoke(capsys, *argv.split(), "--format", "json")
+    assert code == 0 and out == line + "\n"
+
+
 def test_surface_json_fields(capsys):
     code, out, _ = invoke(capsys, "surface", "--d", "3", "--r", "4", "--k", "1",
                           "--format", "json")
@@ -60,6 +149,19 @@ def test_planes_both_methods_agree(capsys):
     values = {n: e["value"] for n, e in json.loads(out)["results"].items()}
     assert values["deg_dm"] == values["deg_bott"] == "320"
     assert values["equal"] == "true"
+
+
+def test_planes_both_disagreement_is_an_inconsistency(capsys, monkeypatch):
+    import fanocount.planes as planes_module
+    monkeypatch.setattr(planes_module, "deg_planes_bott",
+                        lambda d, r, k, weights: planes_module.deg_planes_dm(d, r, k) + 1)
+    code, out, err = invoke(capsys, "planes", "--d", "4", "--r", "3", "--k", "1",
+                            "--method", "both", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "inconsistency" and payload["results"] == {}
+    assert err == ("internal inconsistency: planes routes disagree at d=4 r=3 k=1: "
+                   "dm gives 320, bott gives 321\n")
 
 
 def test_bott_runs_are_seed_reproducible(capsys):
@@ -363,6 +465,15 @@ def test_sweep_fano_degree_covers_worked_examples(capsys):
     assert "5,5,1,-2,2,6125,extraction" in rows
     assert "2+2,5,1,-2,2,32,extraction" in rows
     assert "3,6,2,-2,2,2835,extraction" in rows
+
+
+def test_sweep_planes_skips_a_multidegree_cell(capsys):
+    # a sweep cell runs the planes subcommand, so it gets that subcommand's regime check
+    code, out, err = invoke(capsys, "sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1")
+    assert code == 0
+    assert out.splitlines() == [CSV_HEADER, "4,3,1,1,-1,320,dm"]
+    assert err == "skip d=2+2 r=3 k=1: hypersurface-only: planes takes a single degree, " \
+                  "got (2, 2)\n"
 
 
 def test_sweep_rows_are_lexicographic():

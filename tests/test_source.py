@@ -226,6 +226,20 @@ def test_every_public_name_has_a_user():
     assert REFERENCE_FORMS <= public and REFERENCE_MEMBERS <= members
 
 
+def test_readme_cli_block_runs(capsys):
+    # every command of the CLI block exits 0; a comment "# <int> ..." is in its stdout
+    from fanocount.cli import main
+    block = README.read_text().split("## CLI\n", 1)[1].split("```bash\n", 1)[1]
+    commands = re.findall(r"^fanocount (.*?)(?:\s+# (.*))?$", block.split("```", 1)[0],
+                          re.MULTILINE)
+    assert commands
+    for argv, comment in commands:
+        assert main(argv.split()) == 0, argv
+        out = capsys.readouterr().out
+        claim = re.match(r"-?\d+\b", comment)
+        assert claim is None or claim.group() in out, argv
+
+
 def test_readme_library_sketch_runs():
     # every line "expr  # <int> ..." of the sketch gives that int
     sketch = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]

@@ -41,6 +41,7 @@ JOBS = [
     (("ci-planes", "--d", "2,3", "--r", "4", "--k", "1"), set()),
     (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), set()),
     (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), set()),
+    (("sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1"), set()),
     (("surface", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("irregularity", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("picard", "--d", "2", "--r", "5", "--k", "1"), {"fanocount.invariants"}),
@@ -49,7 +50,12 @@ JOBS = [
 ]
 
 
-@pytest.mark.parametrize("argv,extra", JOBS, ids=[argv[0] for argv, _ in JOBS])
+# a job's id is its subcommand, joined to its sweep target when an earlier job has that id
+IDS = [argv[0] if all(earlier[0] != argv[0] for earlier, _ in JOBS[:i]) else "-".join(argv[:2])
+       for i, (argv, _) in enumerate(JOBS)]
+
+
+@pytest.mark.parametrize("argv,extra", JOBS, ids=IDS)
 def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
     code, loaded = loaded_by(PROBE, *argv)
     assert code == 0
