@@ -20,7 +20,8 @@ _MODULES = ("errors", "planes", "invariants", "conics", "polycore")
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    # the CLI's modules are loaded by name alone: ``from . import batch`` loads nothing else
+    if name in _MODULES or name in ("cli", "batch"):
         return import_module(f".{name}", __name__)
     if name == "__all__":
         value = [n for m in _MODULES for n in import_module(f".{m}", __name__).__all__]

@@ -9,16 +9,8 @@ from pathlib import Path
 import pytest
 
 import fanocount
-from fanocount.cli import (
-    CSV_HEADER,
-    CommandRequest,
-    ResultEnvelope,
-    build_parser,
-    main,
-    paper_check,
-    run,
-    sweep_rows,
-)
+from fanocount.batch import paper_check, sweep_rows
+from fanocount.cli import CSV_HEADER, CommandRequest, ResultEnvelope, build_parser, main, run
 
 
 def invoke(capsys, *argv):
@@ -337,8 +329,8 @@ def test_paper_check_is_identical_under_python_o():
 
 def test_paper_check_detects_perturbation(capsys, monkeypatch):
     # sanity of the harness itself: a wrong anchor must produce a FAIL line
-    import fanocount.cli as cli_module
-    original = cli_module._anchor_checks
+    import fanocount.batch as batch_module
+    original = batch_module._anchor_checks
 
     def broken():
         checks = original()
@@ -346,7 +338,7 @@ def test_paper_check_detects_perturbation(capsys, monkeypatch):
         checks[0] = (label, compute, expected + 1)
         return checks
 
-    monkeypatch.setattr(cli_module, "_anchor_checks", broken)
+    monkeypatch.setattr(batch_module, "_anchor_checks", broken)
     assert paper_check() is False
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -586,3 +578,42 @@ def test_parser_offers_each_subcommand_its_own_methods():
 def test_run_rejects_unknown_subcommand():
     with pytest.raises(ValueError):
         run(CommandRequest(subcommand="nope"))
+
+
+def test_cli_keeps_the_batch_entry_points_as_attributes():
+    # paper_check and sweep_rows live in batch; cli still offers them, loading batch on use
+    import fanocount.batch as batch_module
+    import fanocount.cli as cli_module
+    assert cli_module.paper_check is batch_module.paper_check
+    assert cli_module.sweep_rows is batch_module.sweep_rows
+    assert all(hasattr(cli_module, name) for name in cli_module.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(cli_module, "no_such_name")
+
+
+# ---------------------------------------------------------------------------
+# closed stdout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("buffering", [(), ("-u",)], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("fano-degree", "--d", "3", "--r", "4", "--k", "1"),
+                                  ("sweep", "fano-degree", "--d", "2..12", "--r", "4..12",
+                                   "--k", "1..3"),
+                                  ("paper-check",)],
+                         ids=["fano-degree", "sweep", "paper-check"])
+def test_closed_stdout_exits_141_without_a_traceback(argv, buffering):
+    # the reader went away first, as in `fanocount sweep ... | head -2`: the process
+    # ends with the shell's SIGPIPE status, not with a traceback and the code of a bug
+    src = str(Path(fanocount.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, *buffering, "-m", "fanocount", *argv],
+                             stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert run.returncode == 141
+    assert b"Traceback" not in run.stderr and b"BrokenPipeError" not in run.stderr

@@ -641,7 +641,7 @@ def test_fano_extraction_rejects_wrong_degree_extra():
 def test_runtime_routes_do_no_polynomial_arithmetic(monkeypatch, capsys):
     # every extraction folds linear forms into a plain term map: no route
     # multiplies, powers, adds or subtracts MultiPoly values
-    from fanocount.cli import paper_check
+    from fanocount.batch import paper_check
     from fanocount.invariants import surface_invariants
 
     def forbidden(*args, **kwargs):

@@ -133,9 +133,20 @@ def _import_time_statements(body):
             yield from _import_time_statements(getattr(node, block, []))
 
 
-def test_only_the_reference_forms_import_polycore():
-    # the symbolic layer is a leaf: a runtime module imports it only inside the
-    # reference forms that expand it, so no CLI process compiles it
+# module -> the package modules that may import it when they are imported; every other
+# import of it sits in the function that runs it, so a CLI process that runs none of
+# them does not compile it.  The symbolic layer is imported only inside the reference
+# forms that expand it; the batch subcommands only by the CLI branches that run them.
+IMPORT_TIME_IMPORTERS = {
+    "polycore": set(),
+    "invariants": set(),
+    "conics": set(),
+    "batch": set(),
+    "cli": {"__main__", "batch"},
+}
+
+
+def test_leaf_modules_are_imported_at_import_time_only_by_their_listed_importers():
     offenders = []
     for path, tree in _modules():
         for node in _import_time_statements(tree.body):
@@ -147,9 +158,21 @@ def test_only_the_reference_forms_import_polycore():
                                  for alias in node.names)}
             else:
                 continue
-            if names & {".polycore", "fanocount.polycore"}:
-                offenders.append(f"{path.name}:{node.lineno}")
+            offenders += [f"{path.name}:{node.lineno}:{leaf}"
+                          for leaf, importers in IMPORT_TIME_IMPORTERS.items()
+                          if names & {f".{leaf}", f"fanocount.{leaf}"}
+                          and path.stem not in importers]
     assert offenders == []
+    assert set(IMPORT_TIME_IMPORTERS) <= {path.stem for path, _ in _modules()}
+
+
+def test_package_parses_at_the_oldest_supported_python():
+    # pyproject's requires-python floor: no module may use syntax newer than it
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    version = (int(floor.group(1)), int(floor.group(2)))
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def test_shared_scalar_names_have_one_definition():

@@ -40,13 +40,13 @@ JOBS = [
     (("fano-degree", "--d", "3", "--r", "4", "--k", "1"), set()),
     (("ci-planes", "--d", "2,3", "--r", "4", "--k", "1"), set()),
     (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), set()),
-    (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), set()),
-    (("sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1"), set()),
+    (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), {"fanocount.batch"}),
+    (("sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1"), {"fanocount.batch"}),
     (("surface", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("irregularity", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("picard", "--d", "2", "--r", "5", "--k", "1"), {"fanocount.invariants"}),
     (("conics", "--d", "5", "--r", "3", "--method", "both"), {"fanocount.conics"}),
-    (("paper-check",), {"fanocount.invariants", "fanocount.conics"}),
+    (("paper-check",), {"fanocount.batch", "fanocount.invariants", "fanocount.conics"}),
 ]
 
 
@@ -63,6 +63,12 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
     assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
 
 
+def test_every_subcommand_has_a_job():
+    # so that each envelope subcommand is shown to start without the batch module
+    from fanocount.cli import _COMMANDS
+    assert {argv[0] for argv, _ in JOBS} == {*_COMMANDS, "paper-check", "sweep"}
+
+
 def test_runtime_modules_do_not_load_the_symbolic_layer():
     # polycore is the reference layer: only the reference forms import it, when they run
     _, loaded = loaded_by("import sys; before = set(sys.modules); "
@@ -76,6 +82,14 @@ def test_importing_the_package_loads_no_module():
     _, loaded = loaded_by("import sys; before = set(sys.modules); import fanocount; "
                           "print(0, *sorted(set(sys.modules) - before))")
     assert {m for m in loaded if m.startswith("fanocount")} == {"fanocount"}
+
+
+@pytest.mark.parametrize("module,extra", [("cli", set()), ("batch", {"fanocount.batch"})])
+def test_importing_a_cli_module_from_the_package_loads_only_what_it_imports(module, extra):
+    # the package's lazy names must not load every module to look up a module's own name
+    _, loaded = loaded_by(f"import sys; before = set(sys.modules); from fanocount import {module}; "
+                          "print(0, *sorted(set(sys.modules) - before))")
+    assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
 
 
 def test_package_reexports_every_public_name():
