@@ -44,9 +44,8 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, WeightsLike, _check_weight_count,
-                     _integer, _layout, _pack, _plane_sum, _roots, _unpack, _weight_tuple,
-                     weight_vectors)
+from .planes import (DEFAULT_SEED, TorusWeights, _check_weight_count, _integer, _layout,
+                     _pack, _plane_sum, _roots, _unpack, _weight_tuple, weight_vectors)
 
 if TYPE_CHECKING:   # the reference forms import the symbolic layer when they run
     from .polycore import MultiPoly, TruncatedSeries
@@ -82,6 +81,10 @@ class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
         if r < 3:
             raise RegimeError("ambient-too-small", f"need r >= 3, got r={r}")
         return super().__new__(cls, d, r)
+
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def epsilon(self) -> int:
@@ -282,7 +285,7 @@ def _check_conic_degree_regime(d: int, r: int) -> ConicProblem:
     return problem
 
 
-def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
+def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     """Torus fixed-point sum for the conic-locus degree, with the fiber twist.
 
     For each fixed conic c (plane I = {i, j, k}, equation x_a x_b = 0):
@@ -291,7 +294,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
       monomials x^v not divisible by x_a x_b (``_CONICS``) at x = (-t_i, -t_j, -t_k),
       ``eta_form_twisted`` there with fiber class t_a + t_b; the top field of a ``_pack``ed
       product in one ``_layout`` (its window and field width) for the whole sum, each root
-      at most R = d max |t| over the integer-scaled weights;
+      at most R = d max |t|;
     * Euler term: (-1)^r prod over alpha in I, beta outside I of (t_beta - t_alpha),
       times Q_c, the product over the five pairs {p, q} != {a, b} of t_a + t_b - t_p - t_q.
 
@@ -352,7 +355,7 @@ def deg_conics_bott(d: int, r: int, t: WeightsLike) -> BottSum:
     return BottSum(Fraction((-1) ** r * numerator, denominator), numerator % denominator == 0)
 
 
-def deg_conics_untwisted_sum(d: int, r: int, t: WeightsLike) -> Fraction:
+def deg_conics_untwisted_sum(d: int, r: int, t: Sequence[int]) -> Fraction:
     """The fixed-point shortcut that drops the fiber twist:
 
         - sum over planes and pairs of

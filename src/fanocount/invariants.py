@@ -27,7 +27,6 @@ exceptional families of quadric type).
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -88,16 +87,16 @@ def sym_power_coeffs_small(n: int, k: int) -> tuple[int, int]:
     of :func:`sym_power_coeffs` only."""
     n, k = _check_sym_power(n, k)
     if k == 1:
-        alpha = Fraction(3 * n + 2, 4) * comb(n + 1, 3)
+        alpha, remainder = divmod((3 * n + 2) * comb(n + 1, 3), 4)
         beta = comb(n + 2, 3)
     elif k == 2:
-        alpha = Fraction(5 * (n + 1), 3) * comb(n + 3, 5)
+        alpha, remainder = divmod(5 * (n + 1) * comb(n + 3, 5), 3)
         beta = comb(n + 3, 4)
     else:
         raise RegimeError("no-closed-form", f"closed forms exist only for k in (1, 2), got k={k}")
-    if alpha.denominator != 1:
-        raise InconsistencyError(f"closed-form alpha({n},{k}) = {alpha} is not an integer")
-    return int(alpha), beta
+    if remainder:
+        raise InconsistencyError(f"closed-form alpha({n},{k}) leaves remainder {remainder}")
+    return alpha, beta
 
 
 def combinatorial_identity(n: int, m: int, k: int) -> tuple[int, int]:

@@ -28,12 +28,11 @@ of the Fano scheme of a single member.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import index
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 
@@ -42,7 +41,6 @@ if TYPE_CHECKING:   # the reference form tau_poly imports the symbolic layer whe
 
 __all__ = [
     "DEFAULT_SEED",
-    "ExactScalar",
     "ExponentVector",
     "ProblemSpec",
     "TorusWeights",
@@ -59,7 +57,6 @@ __all__ = [
 # Fixed documented seed for reproducible torus-weight draws.
 DEFAULT_SEED = 1729
 
-ExactScalar = Union[int, Fraction]
 ExponentVector = tuple[int, ...]
 
 
@@ -117,6 +114,10 @@ class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k
             raise RegimeError("plane-dimension", f"need k >= 1, got k={k}")
         return super().__new__(cls, degrees, r, k)
 
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through _make: validate there too
+        return cls(*iterable)
+
     @property
     def m(self) -> int:
         return len(self.degrees)
@@ -143,9 +144,6 @@ class TorusWeights(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, t: Sequence[ExactScalar]):
-        return super().__new__(cls, t)
-
     def __repr__(self) -> str:
         return f"TorusWeights(t={tuple(self)!r})"
 
@@ -159,25 +157,18 @@ class TorusWeights(tuple):
         return cls(rng.sample(range(-bound, bound + 1), r + 1))
 
 
-WeightsLike = Sequence[ExactScalar]
-
-
 def _check_weight_count(r: int) -> None:
     if _integer("r", r) < 0:
         raise RegimeError("ambient-too-small", f"need r >= 0 to draw r + 1 weights, got r={r}")
 
 
-def _weight_tuple(t: WeightsLike, r: int) -> tuple[int, ...]:
-    """The r + 1 weights as ints, times the lcm of their denominators: the one place where
-    weights become ints.  A fixed-point sum whose every term has degree 0 in the weights is
-    unchanged, and its kernels then see only ints."""
+def _weight_tuple(t: Sequence[int], r: int) -> tuple[int, ...]:
+    """The r + 1 weights as ints, by :func:`_integer`.  Every term of a fixed-point sum has
+    degree 0 in the weights, so an integer multiple serves wherever rational weights would."""
     tt = tuple(t)
     if len(tt) != r + 1:
         raise SingularWeightsError(f"need r+1 = {r + 1} weights, got {len(tt)}")
-    if not all(isinstance(w, (int, Fraction)) for w in tt):
-        raise RegimeError("weights-not-exact", f"weights must be ints or Fractions, got {tt}")
-    scale = lcm(*(w.denominator for w in tt))
-    return tuple(int(w * scale) for w in tt)
+    return tuple(_integer("a weight", w) for w in tt)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +311,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     return field - (1 << width) if field >> (width - 1) else field
 
 
-def _roots(d: int, point: Sequence[ExactScalar]) -> list[ExactScalar]:
+def _roots(d: int, point: Sequence[int]) -> list[int]:
     """Values <v, point>, |v| = d: the Chern roots of the d-th symmetric power
     of a bundle whose Chern roots take the values ``point``.  Each v is a
     multiset of d indices, so <v, point> is the sum of a d-combination with
@@ -398,7 +389,7 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     """sum_I local(t_I, packed_I) / prod_{i in I, j not in I} (t_i - t_j) over the coordinate
     k-planes I, as (numerator, D): with P_j = prod_{l != j} (t_j - t_l), a term is
     local(t_I, packed_I) V(t_I)^2 prod_{j not in I} P_j / D, D = (-1)^C(k+1, 2) prod_j P_j.
-    The weights are ints (:func:`_weight_tuple` scales them), so ``local`` sees ints only.
+    The weights are ints (:func:`_weight_tuple`), so ``local`` sees ints only.
     packed_I is the product of the C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed from 1 in
     ``layout``; with d = 0 it is 1, and ``layout`` is not read.
 
@@ -445,17 +436,16 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     return numerator, (-1) ** comb(k + 1, 2) * suffix[0]
 
 
-def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
+def deg_planes_bott(d: int, r: int, k: int, t: Sequence[int]) -> int:
     """The same degree as :func:`deg_planes_dm`, by the torus fixed-point sum
 
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
 
     tau (:func:`tau_poly`) is never expanded: its value at each fixed point is the
     top field of the product of the C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed in one
-    :func:`_layout` for the whole sum (every root is at most R = d max |t| over the
-    integer-scaled weights of :func:`_weight_tuple`).  :func:`_plane_sum` builds those
-    products along its prefix walk, each plane extending its parent prefix's product, and
-    adds up the values.
+    :func:`_layout` for the whole sum (every root is at most R = d max |t|).
+    :func:`_plane_sum` builds those products along its prefix walk, each plane extending
+    its parent prefix's product, and adds up the values.
 
     Each term is a rational function of the weights but the sum is a constant
     positive integer; a non-zero remainder or a quotient <= 0 raises
@@ -469,6 +459,7 @@ def deg_planes_bott(d: int, r: int, k: int, t: WeightsLike) -> int:
         r, k, weights, lambda point, packed: _unpack(packed, width, low), d, layout)
     total, remainder = divmod(numerator, denominator)
     if remainder or total <= 0:
+        from fractions import Fraction   # only a bug reaches here
         raise InconsistencyError(
             f"fixed-point sum for Sigma({d},{r},{k}) is {Fraction(numerator, denominator)}; "
             "expected a positive integer (implementation bug)")

@@ -33,13 +33,16 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, NotInvertibleError
-from .planes import ExactScalar, ExponentVector, weight_vectors
+from .planes import ExponentVector, weight_vectors
 
 __all__ = [
+    "ExactScalar",
     "MultiPoly",
     "TruncatedSeries",
     "weighted_linear_product",
 ]
+
+ExactScalar = int | Fraction
 
 
 def _grlex_key(exps: ExponentVector) -> tuple[int, tuple[int, ...]]:

@@ -224,12 +224,7 @@ def dense_conic_bott(d, r, t):
 
 def divided_conic_bott(d, r, t):
     """Twisted fixed-point sum with one Fraction per fixed conic, each local value
-    the divided form ``divided_conic_top_chern``.  Every term has degree 0 in the
-    weights, so they are scaled to ints first, here by the product of the denominators."""
-    scale = 1
-    for w in t:
-        scale *= Fraction(w).denominator
-    t = [int(Fraction(w) * scale) for w in t]
+    the divided form ``divided_conic_top_chern``."""
     n = 3 * r - 1
     pairs = list(itertools.combinations_with_replacement(range(3), 2))
     total = Fraction(0)
@@ -253,13 +248,7 @@ def divided_conic_bott(d, r, t):
 def divided_plane_bott(d, r, k, t):
     """Plane fixed-point sum with one Fraction per fixed plane I: the top Chern value of the
     weights of the degree-d monomials at t_I, by the plain loop, over
-    prod_{i in I, j not in I} (t_i - t_j).  No packing and no shared prefixes.  Every term
-    has degree 0 in the weights, so they are scaled to ints first, by the product of the
-    denominators."""
-    scale = 1
-    for w in t:
-        scale *= Fraction(w).denominator
-    t = [int(Fraction(w) * scale) for w in t]
+    prod_{i in I, j not in I} (t_i - t_j).  No packing and no shared prefixes."""
     n = (k + 1) * (r - k)
     total = Fraction(0)
     for plane in itertools.combinations(range(r + 1), k + 1):
@@ -325,7 +314,7 @@ def six_term_untwisted_sum(d, r, t):
     """The untwisted conic shortcut term by term: for each plane and each of its six fixed
     conics, eta(t_I) / [(t_i t_j t_k)^(r-2) prod of the other five pair sums], with eta the
     plain loop over the weights of the degree-d monomials divided by those of degree d - 2.
-    The weights are used as given, Fractions included."""
+    The weights are taken as Fractions, so every division is exact."""
     n = 3 * r - 1
     total = Fraction(0)
     for plane in itertools.combinations(range(r + 1), 3):

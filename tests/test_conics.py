@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -403,74 +403,25 @@ def test_bott_sum_frozen(dr, expected):
     assert value.is_integral and value.value == expected
 
 
-def test_bott_sum_fraction_weights_equal_the_scaled_integers():
-    # every term has degree 0 in the weights: a rational vector and the same vector
-    # times the lcm of its denominators give the same BottSum
-    f = Fraction
-    rational = (f(1, 2), 2, f(5, 3), 7)
-    assert deg_conics_bott(4, 3, rational) == deg_conics_bott(4, 3, (3, 12, 10, 42))
-    assert deg_conics_bott(4, 3, rational) == (5016, True)
-    weights = generic_conic_weights(4, seed=5)
-    rational = [f(w, 6) for w in weights]
-    scale = lcm(*(w.denominator for w in rational))
-    assert deg_conics_bott(6, 4, rational) \
-        == deg_conics_bott(6, 4, [int(w * scale) for w in rational]) \
-        == deg_conics_bott(6, 4, weights) == (188068995, True)
-
-
-def test_fraction_weights_reach_the_kernels_as_ints(monkeypatch):
-    # weights become ints in one place: the plane sum and eta see only ints, the values
-    # equal those at the integer-scaled weights, and the extraction routes and eta build
-    # no Fraction
+def test_extraction_routes_and_eta_build_no_fraction(monkeypatch):
+    # planes imports no Fraction, and conics builds one only for a value that is rational
     import fanocount.conics as conics
     import fanocount.planes as planes
     from fanocount.planes import ProblemSpec, c2_fano_integral, deg_ci_planes, deg_fano
-    real_plane_sum, real_eta = planes._plane_sum, conics._eta
-    seen = []
-
-    def int_plane_sum(r, k, t, local, *packing):
-        def int_local(point, packed):
-            seen.append(point)
-            return local(point, packed)
-
-        seen.append(t)
-        return real_plane_sum(r, k, t, int_local, *packing)
-
-    def int_eta(d, r, point):
-        seen.append(point)
-        return real_eta(d, r, point)
-
-    for module in (conics, planes):
-        monkeypatch.setattr(module, "_plane_sum", int_plane_sum)
-    monkeypatch.setattr(conics, "_eta", int_eta)
-    f = Fraction
-    rational, scaled = (f(1, 2), 2, f(5, 3), 7), (3, 12, 10, 42)
-    assert deg_planes_bott(4, 3, 1, rational) == deg_planes_bott(4, 3, 1, scaled) == 320
-    assert deg_conics_bott(4, 3, rational) == deg_conics_bott(4, 3, scaled) == (5016, True)
-    assert deg_conics_untwisted_sum(4, 3, rational) == deg_conics_untwisted_sum(4, 3, scaled)
-    weights = generic_conic_weights(4, seed=5)
-    rational = [f(w, 6 + i) for i, w in enumerate(weights)]
-    scaled = [int(w * lcm(*(v.denominator for v in rational))) for w in rational]
-    assert deg_planes_bott(6, 4, 1, rational) == deg_planes_bott(6, 4, 1, scaled) == 50400
-    assert deg_conics_bott(6, 4, rational) == deg_conics_bott(6, 4, scaled) \
-        == (188068995, True)
-    assert deg_conics_untwisted_sum(6, 4, rational) == deg_conics_untwisted_sum(6, 4, scaled)
-    assert len(seen) > 6 and all(type(w) is int for values in seen for w in values)
-
+    assert not hasattr(planes, "Fraction")
     fractions = []
 
     def counted_fraction(*args):
         fractions.append(args)
         return Fraction(*args)
 
-    for module in (conics, planes):
-        monkeypatch.setattr(module, "Fraction", counted_fraction)
+    monkeypatch.setattr(conics, "Fraction", counted_fraction)
     assert deg_planes_dm(4, 3, 1) == 320
     assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
     assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
     assert c2_fano_integral(ProblemSpec((3,), 4, 1)) == 27
-    assert real_eta(4, 3, (1, 1, 1)) == ETA_ONES[(4, 3)]
-    assert real_eta(6, 4, (-5, 0, 10**6)) == plain_top_chern(11, *(
+    assert conics._eta(4, 3, (1, 1, 1)) == ETA_ONES[(4, 3)]
+    assert conics._eta(6, 4, (-5, 0, 10**6)) == plain_top_chern(11, *(
         [sum(c) for c in itertools.combinations_with_replacement((-5, 0, 10**6), m)]
         for m in (6, 4)))
     assert fractions == []
@@ -594,11 +545,11 @@ def test_bott_sum_is_the_frozen_integer_at_any_valid_weights(inputs):
 @st.composite
 def conic_sums_at_extreme_weights(draw):
     """A Y-window cell, (7, 5) with epsilon = 1, or a Z-window cell, (8, 3) with
-    epsilon = 9 > 3r - 1 = 8, and valid weights up to 10^6 in absolute value: ints and
-    Fractions, negative and zero ones, opposite pairs, and one huge weight among small ones."""
+    epsilon = 9 > 3r - 1 = 8, and valid int weights up to 10^6 in absolute value, or up to
+    10^18 (the size of a rational vector's integer multiple): negative and zero ones,
+    opposite pairs, and one huge weight among small ones."""
     d, r = draw(st.sampled_from([(7, 5), (8, 3)]))
-    big = st.integers(-10**6, 10**6)
-    scalars = st.one_of(big, st.builds(Fraction, big, st.integers(1, 10**6)),
+    scalars = st.one_of(st.integers(-10**6, 10**6), st.integers(-10**18, 10**18),
                         st.integers(-3, 3))
     t = draw(st.lists(scalars, min_size=r + 1, max_size=r + 1))
     assume(valid_conic_weights(t))
@@ -608,13 +559,15 @@ def conic_sums_at_extreme_weights(draw):
 @settings(max_examples=40, deadline=None)
 @given(conic_sums_at_extreme_weights())
 @example((7, 5, [10**6, -10**6 + 1, 3, -999_998, 7, 999_983]))
-@example((8, 3, [-10**6, 1, Fraction(10**6 - 1, 10**6), 999_999]))
-@example((8, 3, [Fraction(1, 10**6), Fraction(-2, 999_999), 10**6, -3]))
+# 10^6 (-10^6, 1, (10^6 - 1)/10^6, 999_999): one weight 10^12, and two 1 apart
+@example((8, 3, [-10**12, 10**6, 999_999, 999_999 * 10**6]))
+# 999_999 10^6 (1/10^6, -2/999_999, 10^6, -3): two small weights among ones near 10^18
+@example((8, 3, [999_999, -2 * 10**6, 999_999 * 10**12, -3 * 999_999 * 10**6]))
 @example((7, 5, [10**6, -10**6, 3, -17, 999_983, 29]))    # an opposite pair
 @example((8, 3, [0, -10**6, 3, 999_999]))
 def test_bott_sum_at_extreme_weights_is_the_divided_sum(inputs):
     # one packing width for the whole sum covers the largest root of every conic,
-    # in either window, also after Fraction weights are scaled to ints
+    # in either window
     d, r, t = inputs
     raw = 85393742658 if (d, r) == (7, 5) else 894156560
     assert deg_conics_bott(d, r, t) == (divided_conic_bott(d, r, t), True) == (raw, True)
@@ -623,7 +576,8 @@ def test_bott_sum_at_extreme_weights_is_the_divided_sum(inputs):
 @pytest.mark.parametrize("plane_cell,conic_cell,raw", [((4, 3, 1), (4, 3), 5016),
                                                       ((3, 5, 2), (7, 5), 85393742658)])
 def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_cell, raw):
-    # the plane sum builds no Fraction, and the conic sum one per call: its value
+    # the conic sum builds one Fraction per call, its value, and no module builds one for
+    # the plane sum
     import fanocount.conics as conics
     import fanocount.planes as planes
     plane_degree = deg_planes_dm(*plane_cell)
@@ -638,8 +592,8 @@ def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_
         plane_sums.append(args[:2])
         return real_plane_sum(*args)
 
+    monkeypatch.setattr(conics, "Fraction", counted_fraction)
     for module in (conics, planes):
-        monkeypatch.setattr(module, "Fraction", counted_fraction)
         monkeypatch.setattr(module, "_plane_sum", counted_plane_sum)
     d, r, k = plane_cell
     assert deg_planes_bott(d, r, k, TorusWeights.random(r, 3)) == plane_degree
@@ -650,13 +604,28 @@ def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_
 
 
 def test_float_weights_raise_a_coded_error():
-    weights = (0.5, 2, 5, 7)
-    for call in (lambda: deg_planes_bott(4, 3, 1, weights),
-                 lambda: deg_conics_bott(4, 3, weights),
-                 lambda: deg_conics_untwisted_sum(4, 3, weights)):
-        with pytest.raises(RegimeError) as err:
-            call()
-        assert err.value.code == "weights-not-exact"
+    # so do Fraction and str weights: every weight is an int, as every other integer input
+    for weights in ((0.5, 2, 5, 7), (Fraction(1, 2), 2, 5, 7), (1, "2", 5, 7)):
+        for call in (lambda: deg_planes_bott(4, 3, 1, weights),
+                     lambda: deg_conics_bott(4, 3, weights),
+                     lambda: deg_conics_untwisted_sum(4, 3, weights)):
+            with pytest.raises(RegimeError) as err:
+                call()
+            assert err.value.code == "not-an-integer"
+
+
+def test_wrong_weight_counts_and_repeated_weights_are_singular_weights():
+    # the untwisted sum divides by no weight difference, so it takes a repeated weight
+    cases = [(call, weights) for call in (lambda t: deg_planes_bott(4, 3, 1, t),
+                                          lambda t: deg_conics_bott(4, 3, t),
+                                          lambda t: deg_conics_untwisted_sum(4, 3, t))
+             for weights in ((1, 2, 5), (1, 2, 5, 7, 11))]
+    cases += [(lambda t: deg_planes_bott(4, 3, 1, t), (1, 2, 2, 7)),
+              (lambda t: deg_conics_bott(4, 3, t), (1, 3, 9, 3))]
+    for call, weights in cases:
+        with pytest.raises(SingularWeightsError) as err:
+            call(weights)
+        assert err.value.code == "singular-weights"
 
 
 def test_bott_weight_validation():
@@ -702,11 +671,10 @@ def test_untwisted_sum_at_unit_weights():
 
 @st.composite
 def untwisted_sums(draw):
-    """A cell and r + 1 weights the untwisted sum takes: ints and Fractions up to 10^6,
-    repeats allowed, none zero and no two summing to zero."""
+    """A cell and r + 1 int weights the untwisted sum takes, up to 10^6: repeats allowed,
+    none zero and no two summing to zero."""
     d, r = draw(st.sampled_from([(4, 3), (5, 3), (6, 4), (7, 5)]))
-    big = st.integers(-10**6, 10**6)
-    scalars = st.one_of(big, st.integers(-5, 5), st.builds(Fraction, big, st.integers(1, 99)))
+    scalars = st.one_of(st.integers(-10**6, 10**6), st.integers(-5, 5))
     t = draw(st.lists(scalars, min_size=r + 1, max_size=r + 1))
     assume(0 not in t and all(a + b for a, b in itertools.combinations(t, 2)))
     return d, r, t
@@ -715,8 +683,8 @@ def untwisted_sums(draw):
 @settings(max_examples=60, deadline=None)
 @given(untwisted_sums())
 @example((4, 3, [1, 1, 1, 1]))
-@example((5, 3, [Fraction(1, 2), 2, Fraction(5, 3), 7]))
-@example((7, 5, [10**6, -999_999, 3, Fraction(-1, 7), 5, 11]))
+@example((5, 3, [3, 12, 10, 42]))                          # 6 (1/2, 2, 5/3, 7)
+@example((7, 5, [7 * 10**6, -6_999_993, 21, -1, 35, 77]))  # 7 (10^6, -999_999, 3, -1/7, 5, 11)
 def test_untwisted_sum_adds_one_term_per_plane(inputs):
     # (sum of the six pair sums) / (their product) is the six-term sum of the cofactors
     d, r, t = inputs

@@ -93,6 +93,29 @@ def test_invalid_inputs_keep_their_regime_codes(make, code):
     assert err.value.code == code
 
 
+# (a record class, valid fields, a field, a value that field refuses)
+REPLACEMENTS = [
+    (ProblemSpec, ((3,), 4, 1), "degrees", (0,)),
+    (ProblemSpec, ((3,), 4, 1), "r", 2),
+    (ProblemSpec, ((3,), 4, 1), "k", 1.0),
+    (ConicProblem, (4, 3), "d", -1),
+    (ConicProblem, (4, 3), "r", 2),
+]
+
+
+@pytest.mark.parametrize("path", ["_make", "_replace"])
+@pytest.mark.parametrize("cls,valid,field,value", REPLACEMENTS,
+                         ids=[f"{cls.__name__}-{field}" for cls, _, field, _ in REPLACEMENTS])
+def test_make_and_replace_validate_as_construction_does(path, cls, valid, field, value):
+    fields = dict(zip(cls._fields, valid), **{field: value})
+    with pytest.raises(RegimeError) as direct:
+        cls(**fields)
+    with pytest.raises(RegimeError) as err:
+        cls._make(fields.values()) if path == "_make" else cls(*valid)._replace(**{field: value})
+    assert err.value.code == direct.value.code
+    assert cls._make(valid) == cls(*valid)._replace() == cls(*valid)
+
+
 def test_truncated_series_rejects_a_negative_bound():
     with pytest.raises(ValueError, match="non-negative"):
         TruncatedSeries(MultiPoly.one(1), -1)

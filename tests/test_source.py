@@ -133,16 +133,19 @@ def _import_time_statements(body):
             yield from _import_time_statements(getattr(node, block, []))
 
 
-# module -> the package modules that may import it when they are imported; every other
-# import of it sits in the function that runs it, so a CLI process that runs none of
-# them does not compile it.  The symbolic layer is imported only inside the reference
-# forms that expand it; the batch subcommands only by the CLI branches that run them.
+# module, by its absolute name -> the package modules that may import it when they are
+# imported; every other import of it sits in the function that runs it, so a CLI process
+# that runs none of them does not compile it.  The symbolic layer is imported only inside
+# the reference forms that expand it; the batch subcommands only by the CLI branches that
+# run them.  fractions (with decimal) is for the rational values of the conic report and
+# the symbolic layer; every value of planes and invariants is an int.
 IMPORT_TIME_IMPORTERS = {
-    "polycore": set(),
-    "invariants": set(),
-    "conics": set(),
-    "batch": set(),
-    "cli": {"__main__", "batch"},
+    "fanocount.polycore": set(),
+    "fanocount.invariants": set(),
+    "fanocount.conics": set(),
+    "fanocount.batch": set(),
+    "fanocount.cli": {"__main__", "batch"},
+    "fractions": {"conics", "polycore"},
 }
 
 
@@ -153,17 +156,17 @@ def test_leaf_modules_are_imported_at_import_time_only_by_their_listed_importers
             if isinstance(node, ast.Import):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
-                base = "." * node.level + (node.module or "")
-                names = {base, *(f"{base}.{alias.name}" if node.module else base + alias.name
-                                 for alias in node.names)}
+                # every package module sits in fanocount itself, so level 1 is the package
+                base = ".".join(filter(None, ("fanocount" if node.level else "", node.module)))
+                names = {base, *(f"{base}.{alias.name}" for alias in node.names)}
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno}:{leaf}"
-                          for leaf, importers in IMPORT_TIME_IMPORTERS.items()
-                          if names & {f".{leaf}", f"fanocount.{leaf}"}
-                          and path.stem not in importers]
+            offenders += [f"{path.name}:{node.lineno}:{module}"
+                          for module, importers in IMPORT_TIME_IMPORTERS.items()
+                          if module in names and path.stem not in importers]
     assert offenders == []
-    assert set(IMPORT_TIME_IMPORTERS) <= {path.stem for path, _ in _modules()}
+    assert set(IMPORT_TIME_IMPORTERS) - sys.stdlib_module_names \
+        <= {f"fanocount.{path.stem}" for path, _ in _modules()}
 
 
 def test_package_parses_at_the_oldest_supported_python():
@@ -176,7 +179,8 @@ def test_package_parses_at_the_oldest_supported_python():
 
 
 def test_shared_scalar_names_have_one_definition():
-    # moved into planes, not copied: polycore imports them from there
+    # defined once, not copied: polycore imports the planes names from there, and the
+    # rational scalar type is the symbolic layer's own
     defined = {"weight_vectors": [], "ExactScalar": [], "ExponentVector": []}
     for path, tree in _modules():
         for node in ast.walk(tree):
@@ -186,7 +190,8 @@ def test_shared_scalar_names_have_one_definition():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id in defined:
                         defined[target.id].append(path.name)
-    assert defined == dict.fromkeys(defined, ["planes.py"])
+    assert defined == {"weight_vectors": ["planes.py"], "ExactScalar": ["polycore.py"],
+                       "ExponentVector": ["planes.py"]}
 
 
 def _defines(node, name):

@@ -61,6 +61,9 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
     assert code == 0
     assert "dataclasses" not in loaded
     assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
+    # every value of planes and invariants is an int: only the conic jobs need Fraction
+    if "fanocount.conics" not in extra:
+        assert loaded.isdisjoint({"fractions", "decimal"})
 
 
 def test_every_subcommand_has_a_job():
