@@ -13,8 +13,6 @@ non-integers); no value ever passes through floating point.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from typing import NamedTuple, Sequence
@@ -25,8 +23,7 @@ from . import planes
 from .errors import InconsistencyError, RegimeError
 from .planes import DEFAULT_SEED, ProblemSpec, TorusWeights
 
-__all__ = ["CommandRequest", "ResultEnvelope", "build_parser", "main",
-           "paper_check", "run", "sweep_rows"]
+__all__ = ["CommandRequest", "ResultEnvelope", "main", "paper_check", "run", "sweep_rows"]
 
 CSV_HEADER = "d,r,k,gamma,delta,value,method"
 
@@ -42,6 +39,16 @@ _COMMANDS = {
     "picard": ("Picard number of the very general member", (), True),
     "conics": ("degree of the locus of hypersurfaces containing a conic",
                ("bott", "closed", "both"), False),
+}
+
+# batch subcommand -> (help, {flag: (int, str or the choices, default, help)}), where a
+# default of None marks a required flag; the sweep also takes its target
+_BATCH_COMMANDS = {
+    "paper-check": ("run the full table of published anchor values", {}),
+    "sweep": ("grid sweep, CSV on stdout", {
+        "d": (str, None, "degrees: comma list of ints, lo..hi ranges, or a+b multidegrees"),
+        "r": (str, None, "r values: comma list or lo..hi"),
+        "k": (str, None, "k values: comma list or lo..hi")}),
 }
 
 # sweep target -> the method column of its rows, which run's default method computes
@@ -118,6 +125,7 @@ class ResultEnvelope:
         self.results[name] = {"value": format_exact(value), "provenance": provenance}
 
     def to_json(self) -> str:
+        import json   # only a JSON envelope loads it
         payload = {"inputs": self.inputs, "results": self.results, "status": self.status}
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -247,41 +255,99 @@ def run(request: CommandRequest) -> ResultEnvelope:
     return envelope
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fanocount",
-        description="Exact counts: hypersurfaces and complete intersections "
-                    "containing planes or conics, and invariants of their Fano schemes.")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+def _flags(sub: str) -> dict[str, tuple]:
+    """A subcommand's flags in usage order, in the form of ``_BATCH_COMMANDS``."""
+    if sub not in _COMMANDS:
+        return _BATCH_COMMANDS[sub][1]
+    _, methods, takes_k = _COMMANDS[sub]
+    return {"d": (str, None, "degree, or comma-separated degrees for complete intersections"),
+            "r": (int, None, "ambient projective dimension"),
+            **({"k": (int, None, "plane dimension")} if takes_k else {}),
+            **({"method": (methods, methods[0], f"route (default {methods[0]})")} if methods
+               else {}),
+            "format": (("table", "json", "csv"), "table", "output format (default table)"),
+            "seed": (int, DEFAULT_SEED, f"seed of the weight draws (default {DEFAULT_SEED})")}
 
-    for name, (text, methods, takes_k) in _COMMANDS.items():
-        command = subs.add_parser(name, help=text)
-        command.add_argument("--d", required=True,
-                             help="degree, or comma-separated degrees for complete intersections")
-        command.add_argument("--r", required=True, type=int, help="ambient projective dimension")
-        if takes_k:
-            command.add_argument("--k", required=True, type=int, help="plane dimension")
-        if methods:
-            command.add_argument("--method", choices=methods, default=methods[0])
-        command.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        command.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                             help=f"seed for fixed-point weight draws (default {DEFAULT_SEED})")
 
-    subs.add_parser("paper-check", help="run the full table of published anchor values")
+def _help(sub: str | None) -> str:
+    """What -h prints for ``fanocount`` or for a subcommand; its first line is the usage."""
+    if sub is None:
+        words = ["SUBCOMMAND ..."]
+        rows = [(name, entry[0]) for name, entry in [*_COMMANDS.items(), *_BATCH_COMMANDS.items()]]
+    else:
+        target = "{" + ",".join(_SWEEP_TARGETS) + "}"
+        words, rows = ([target], [(target, "what each row counts")]) if sub == "sweep" else ([], [])
+        for name, (kind, default, text) in _flags(sub).items():
+            word = f"--{name} " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                                   else name.upper())
+            words.append(word if default is None else f"[{word}]")
+            rows.append((word, text))
+    usage = " ".join(["usage: fanocount", *filter(None, [sub]), "[-h]", *words])
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([usage, "", *(f"  {left:<{width}}  {text}" for left, text in rows)])
 
-    sweep = subs.add_parser("sweep", help="grid sweep, CSV on stdout")
-    sweep.add_argument("target", choices=_SWEEP_TARGETS)
-    sweep.add_argument("--d", required=True,
-                       help="degrees: comma list of ints, lo..hi ranges, or a+b multidegrees")
-    sweep.add_argument("--r", required=True, help="r values: comma list or lo..hi")
-    sweep.add_argument("--k", required=True, help="k values: comma list or lo..hi")
-    return parser
+
+def _parse(argv: Sequence[str]) -> tuple[str, dict]:
+    """The subcommand and its flags' values by name, defaults filled in (the sweep's target as
+    ``target``).  Takes ``--flag value``, ``--flag=value``, a flag's unique prefix, the target
+    anywhere, the last of a repeated flag, and the token after a flag as its value, also when it
+    starts with '-'.  Prints the help and exits 0 on -h, prints a usage error and exits 2."""
+    sub, flags, values, unknown, tokens = None, {}, {}, [], iter(argv)
+
+    def refuse(message: str) -> SystemExit:
+        print(_help(sub).split("\n")[0], f"fanocount: error: {message}", sep="\n", file=sys.stderr)
+        return SystemExit(2)
+
+    def take(label: str, kind, value):
+        if kind is int:
+            try:
+                return int(value)
+            except ValueError:
+                raise refuse(f"argument {label}: invalid int value: {value!r}") from None
+        if kind is not str and value not in kind:
+            raise refuse(f"argument {label}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, kind))})")
+        return value
+
+    for token in tokens:
+        prefix, eq, value = token[2:].partition("=")
+        names = [n for n in (*flags, "help") if n.startswith(prefix)] \
+            if token.startswith("--") and prefix else []
+        name = prefix if prefix in names else names[0] if len(names) == 1 else None
+        if token == "-h" or name == "help" and not eq:
+            print(_help(sub))
+            raise SystemExit(0)
+        if name in flags:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                raise refuse(f"argument --{name}: expected one argument")
+            values[name] = take(f"--{name}", flags[name][0], value)
+        elif token.startswith("-") and not (token[1:].replace(".", "", 1).isdecimal()
+                                            and token[-1] != "."):   # -5, -.5, -1.5 are no flags
+            unknown.append(token)   # also --help=x: help takes no value
+        elif sub is None:
+            sub = take("subcommand", [*_COMMANDS, *_BATCH_COMMANDS], token)
+            flags = _flags(sub)
+        elif sub == "sweep" and "target" not in values:
+            values["target"] = take("target", list(_SWEEP_TARGETS), token)
+        else:
+            unknown.append(token)
+    if sub is None:
+        raise refuse("the following arguments are required: subcommand")
+    missing = ["target"] * (sub == "sweep" and "target" not in values) + [
+        f"--{name}" for name, flag in flags.items() if flag[1] is None and name not in values]
+    if missing:
+        raise refuse(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise refuse(f"unrecognized arguments: {' '.join(unknown)}")
+    return sub, {**{name: default for name, (_, default, _) in flags.items()}, **values}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         try:
-            return _dispatch(build_parser().parse_args(argv))
+            return _dispatch(*_parse(sys.argv[1:] if argv is None else argv))
         finally:
             sys.stdout.flush()
     except BrokenPipeError:
@@ -290,37 +356,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 141   # the shell's status for a process killed by SIGPIPE
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(sub: str, values: dict) -> int:
     # batch is called through its namespace, so a wrapper installed there is the one that runs
-    if args.subcommand == "paper-check":
+    if sub == "paper-check":
         from . import batch
         return 0 if batch.paper_check() else 1
 
     request = None   # set once the inputs parse; a failure then prints an empty envelope
     try:
-        if args.subcommand == "sweep":
+        if sub == "sweep":
             from . import batch
-            degree_items = batch._parse_items(args.d, multidegree=True)
+            degree_items = batch._parse_items(values["d"], multidegree=True)
             r_values, k_values = ([n for (n,) in batch._parse_items(text, multidegree=False)]
-                                  for text in (args.r, args.k))
+                                  for text in (values["r"], values["k"]))
             print(CSV_HEADER)
-            for row in batch.sweep_rows(args.target, degree_items, r_values, k_values,
+            for row in batch.sweep_rows(values["target"], degree_items, r_values, k_values,
                                         skip_log=lambda msg: print(msg, file=sys.stderr)):
                 print(row)
             return 0
+        text = values.pop("d")
         try:
-            degrees = tuple(int(chunk) for chunk in args.d.split(","))
+            degrees = tuple(int(chunk) for chunk in text.split(","))
         except ValueError as exc:
-            raise ValueError(f"cannot parse degrees {args.d!r}: {exc}") from None
-        request = CommandRequest(
-            subcommand=args.subcommand,
-            degrees=degrees,
-            r=args.r,
-            k=getattr(args, "k", 0),
-            method=getattr(args, "method", None),
-            format=args.format,
-            seed=args.seed,
-        )
+            raise ValueError(f"cannot parse degrees {text!r}: {exc}") from None
+        request = CommandRequest(sub, degrees, **values)
         envelope = run(request)
     except (ValueError, InconsistencyError) as exc:
         status, label, code = next(f[1:] for f in _FAILURES if isinstance(exc, f[0]))

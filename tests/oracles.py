@@ -13,18 +13,23 @@ Deliberately different computational routes from the ones in the package:
 * the plane fixed-point sum with one Fraction per fixed plane, each plane's
   roots built from scratch, also for the Fano-scheme numbers that the package
   computes by extraction only;
-* the emptiness of a Fano scheme straight from its defining inequalities.
+* the emptiness of a Fano scheme straight from its defining inequalities;
+* the CLI's command line through argparse, the parser the CLI had before its own.
 
 These stay oracle-side: the package never imports them.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 from fractions import Fraction
 from math import comb
 
 import sympy as sp
+
+from fanocount.cli import _COMMANDS, _SWEEP_TARGETS
+from fanocount.planes import DEFAULT_SEED
 
 
 def compositions(nvars, total):
@@ -332,3 +337,41 @@ def six_term_untwisted_sum(d, r, t):
                     denominator *= s
             total += eta / denominator
     return -total
+
+
+# ---------------------------------------------------------------------------
+# the CLI's command line through argparse
+# ---------------------------------------------------------------------------
+
+def build_parser():
+    """The argparse parser of the CLI's command line, built from the same subcommand table;
+    ``parse_args`` gives the namespace, or raises SystemExit(0) on help, SystemExit(2) on a
+    usage error."""
+    parser = argparse.ArgumentParser(
+        prog="fanocount",
+        description="Exact counts: hypersurfaces and complete intersections "
+                    "containing planes or conics, and invariants of their Fano schemes.")
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+
+    for name, (text, methods, takes_k) in _COMMANDS.items():
+        command = subs.add_parser(name, help=text)
+        command.add_argument("--d", required=True,
+                             help="degree, or comma-separated degrees for complete intersections")
+        command.add_argument("--r", required=True, type=int, help="ambient projective dimension")
+        if takes_k:
+            command.add_argument("--k", required=True, type=int, help="plane dimension")
+        if methods:
+            command.add_argument("--method", choices=methods, default=methods[0])
+        command.add_argument("--format", choices=("table", "json", "csv"), default="table")
+        command.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                             help=f"seed for fixed-point weight draws (default {DEFAULT_SEED})")
+
+    subs.add_parser("paper-check", help="run the full table of published anchor values")
+
+    sweep = subs.add_parser("sweep", help="grid sweep, CSV on stdout")
+    sweep.add_argument("target", choices=_SWEEP_TARGETS)
+    sweep.add_argument("--d", required=True,
+                       help="degrees: comma list of ints, lo..hi ranges, or a+b multidegrees")
+    sweep.add_argument("--r", required=True, help="r values: comma list or lo..hi")
+    sweep.add_argument("--k", required=True, help="k values: comma list or lo..hi")
+    return parser

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,10 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import fanocount
 from fanocount.batch import paper_check, sweep_rows
-from fanocount.cli import CSV_HEADER, CommandRequest, ResultEnvelope, build_parser, main, run
+from fanocount.cli import (_COMMANDS, _SWEEP_TARGETS, CSV_HEADER, CommandRequest,
+                           ResultEnvelope, _parse, main, run)
+from oracles import build_parser
 
 
 def invoke(capsys, *argv):
@@ -568,11 +573,10 @@ def test_method_outside_the_subcommand_choices_is_rejected(subcommand, method):
 
 
 def test_parser_offers_each_subcommand_its_own_methods():
-    parser = build_parser()
-    assert parser.parse_args(["conics", "--d", "4", "--r", "3"]).method == "bott"
-    assert parser.parse_args(["planes", "--d", "4", "--r", "3", "--k", "1"]).method == "dm"
+    assert _parse(["conics", "--d", "4", "--r", "3"])[1]["method"] == "bott"
+    assert _parse(["planes", "--d", "4", "--r", "3", "--k", "1"])[1]["method"] == "dm"
     with pytest.raises(SystemExit):
-        parser.parse_args(["planes", "--d", "4", "--r", "3", "--k", "1", "--method", "closed"])
+        _parse(["planes", "--d", "4", "--r", "3", "--k", "1", "--method", "closed"])
 
 
 def test_run_rejects_unknown_subcommand():
@@ -589,6 +593,139 @@ def test_cli_keeps_the_batch_entry_points_as_attributes():
     assert all(hasattr(cli_module, name) for name in cli_module.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(cli_module, "no_such_name")
+
+
+# ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,error", [
+    ((), "required: subcommand"),
+    (("nope",), "argument subcommand: invalid choice: 'nope'"),
+    (("planes", "--d", "4", "--k", "1"), "required: --r"),
+    (("planes", "--d", "4", "--r", "x", "--k", "1"), "argument --r: invalid int value: 'x'"),
+    (("fano-degree", "--d", "3", "--r", "4", "--k", "1", "--format", "xml"),
+     "argument --format: invalid choice: 'xml'"),
+    (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "closed"),
+     "argument --method: invalid choice: 'closed'"),
+    (("conics", "--d", "4", "--r", "3", "--k", "1"), "unrecognized arguments: --k 1"),
+    (("sweep", "conics", "--d", "4", "--r", "3", "--k", "1"), "argument target: invalid choice"),
+    (("planes", "--d", "4", "--r", "3", "--k"), "argument --k: expected one argument"),
+], ids=["no-argv", "unknown-subcommand", "missing-r", "r-not-int", "format-xml",
+        "method-closed-on-planes", "unknown-flag", "bad-sweep-target", "missing-value"])
+def test_usage_error_exits_two_with_usage_on_stderr(capsys, argv, error):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    usage, message = captured.err.splitlines()
+    assert usage.startswith("usage: fanocount")
+    assert message.startswith("fanocount: error: ") and error in message
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("--help",), [*_COMMANDS, "paper-check", "sweep"]),
+    (("planes", "-h"), ["--d", "--r", "--k", "--method", "--format", "--seed", "--help"]),
+    (("conics", "--he"), ["--d", "--r", "--method", "--format", "--seed", "--help"]),
+    (("sweep", "-h"), [*_SWEEP_TARGETS, "--d", "--r", "--k", "--help"]),
+    (("paper-check", "-h"), ["--help"]),
+], ids=["top", "planes", "conics", "sweep", "paper-check"])
+def test_help_exits_zero_and_names_every_subcommand_or_flag(capsys, argv, names):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert stop.value.code == 0 and captured.err == ""
+    assert all(name in captured.out for name in names)
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    # the [project.scripts] entry point calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["fanocount", "fano-degree", "--d", "3", "--r", "4",
+                                      "--k", "1", "--format", "csv"])
+    assert main() == 0
+    assert "deg,45,plucker-coefficient-extraction" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("argv,values", [
+    (("planes", "--k=1", "--d=4", "--r=3", "--form=json", "--meth", "both", "--s", "5"),
+     {"d": "4", "r": 3, "k": 1, "method": "both", "format": "json", "seed": 5}),
+    (("sweep", "--d", "3", "--r", "4..5", "fano-degree", "--k", "1"),
+     {"target": "fano-degree", "d": "3", "r": "4..5", "k": "1"}),
+    (("conics", "--d", "4", "--r", "3", "--r", "5", "--format", "csv", "--format", "json"),
+     {"d": "4", "r": 5, "method": "bott", "format": "json", "seed": 1729}),
+], ids=["equals-and-prefixes", "target-among-flags", "last-repeat-wins"])
+def test_parser_accepts_what_argparse_accepts(argv, values):
+    assert _parse(list(argv)) == (argv[0], values)
+
+
+# the values of each flag for generated command lines, a valid one first
+FLAG_VALUES = {"d": ["3", "2,3", "-4", "", "x"], "r": ["4", "-1", "4..5", "x"],
+               "k": ["1", "0", "1..2", "y"], "method": ["dm", "bott", "both", "closed"],
+               "format": ["json", "table", "csv", "xml"], "seed": ["7", "-3", "1.5"], "x": ["1"]}
+
+
+def rarely(*tokens):
+    """No token five times in six, else one of ``tokens``."""
+    return st.sampled_from([[]] * 5 * len(tokens) + [[token] for token in tokens])
+
+
+@st.composite
+def command_lines(draw):
+    """argv over every subcommand: its flags in any order, abbreviated and in ``=`` form,
+    with valid and invalid values, foreign and repeated flags, a target anywhere, help."""
+    subcommands = [[sub] for sub in [*_COMMANDS, "paper-check", "sweep"] * 3]
+    argv = draw(rarely("-h", "--x")) + draw(st.sampled_from([*subcommands, ["nope"], []]))
+    names = [name for name in draw(st.permutations("drk")) if draw(st.integers(0, 5))]
+    names += draw(st.lists(st.sampled_from(list(FLAG_VALUES)), max_size=2))
+    pieces = []
+    for name in names:
+        flag = "--" + name[:draw(st.integers(1, len(name)))]
+        value = draw(st.sampled_from(FLAG_VALUES[name][:1] * 3 + FLAG_VALUES[name]))
+        pieces.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    if argv[-1:] == ["sweep"] or not draw(st.integers(0, 5)):
+        target = draw(st.sampled_from([*_SWEEP_TARGETS, *_SWEEP_TARGETS, "conics", "-1"]))
+        pieces.insert(draw(st.integers(0, len(pieces))), [target])
+    argv += [token for piece in pieces for token in piece]
+    return argv + draw(rarely("-h", "--help", "--he", "--help=1", "--r", "extra"))
+
+
+def parse_outcome(parse, argv):
+    """What a parser makes of argv: its request, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parse(argv)
+        except SystemExit as stop:
+            assert stop.code == 0 or out.getvalue() == ""
+            return stop.code
+
+
+def argparse_request(argv):
+    values = vars(build_parser().parse_args(argv))
+    return values.pop("subcommand"), values
+
+
+@given(command_lines())
+@example(["sweep", "--d", "3", "--r", "4", "planes", "--k", "1"])
+@example(["planes", "--d=4", "--r", "3", "--k", "1", "--meth=both", "--f", "json"])
+@example(["planes", "--d", "4", "--r", "3", "--k", "1", "extra", "-h"])
+@example(["ci-planes", "--m", "dm", "--d", "2,3", "--r", "4", "--k", "1"])
+@example(["conics", "--d", "4", "--r", "3", "--form", "csv", "--r=5", "--format=json"])
+def test_parser_agrees_with_argparse(argv):
+    # the same request, or exit 2 from both; help exits 0 from both
+    assert parse_outcome(_parse, argv) == parse_outcome(argparse_request, argv)
+
+
+@pytest.mark.parametrize("argv,name,value", [
+    (("sweep", "planes", "--d", "4", "--r", "-1..3", "--k", "1"), "r", "-1..3"),
+    (("ci-planes", "--d", "-4,5", "--r", "4", "--k", "1"), "d", "-4,5"),
+    (("fano-degree", "--d", "--format", "--r", "4", "--k", "1"), "d", "--format"),
+])
+def test_the_token_after_a_flag_is_its_value(argv, name, value):
+    # where argparse reads a value that starts with '-' as a flag and fails with
+    # "expected one argument", this parser takes it as the value
+    assert _parse(list(argv))[1][name] == value
+    assert parse_outcome(argparse_request, list(argv)) == 2
 
 
 # ---------------------------------------------------------------------------

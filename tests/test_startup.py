@@ -46,24 +46,31 @@ JOBS = [
     (("irregularity", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("picard", "--d", "2", "--r", "5", "--k", "1"), {"fanocount.invariants"}),
     (("conics", "--d", "5", "--r", "3", "--method", "both"), {"fanocount.conics"}),
+    (("conics", "--format=json", "--d", "4", "--r", "3"), {"fanocount.conics"}),
+    (("fano-degree", "--format=json", "--d", "3", "--r", "4", "--k", "1"), set()),
+    (("planes", "--format=json", "--d", "4,4", "--r", "3", "--k", "1"), set()),
     (("paper-check",), {"fanocount.batch", "fanocount.invariants", "fanocount.conics"}),
 ]
 
 
-# a job's id is its subcommand, joined to its sweep target when an earlier job has that id
-IDS = [argv[0] if all(earlier[0] != argv[0] for earlier, _ in JOBS[:i]) else "-".join(argv[:2])
-       for i, (argv, _) in enumerate(JOBS)]
+# a job's id is its subcommand, joined to its next token when an earlier job has that id
+IDS = [argv[0] if all(earlier[0] != argv[0] for earlier, _ in JOBS[:i])
+       else f"{argv[0]}-{argv[1].lstrip('-')}" for i, (argv, _) in enumerate(JOBS)]
 
 
 @pytest.mark.parametrize("argv,extra", JOBS, ids=IDS)
 def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
     code, loaded = loaded_by(PROBE, *argv)
-    assert code == 0
+    assert code == (2 if "4,4" in argv else 0)   # planes of two degrees: a regime error
     assert "dataclasses" not in loaded
     assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
     # every value of planes and invariants is an int: only the conic jobs need Fraction
     if "fanocount.conics" not in extra:
         assert loaded.isdisjoint({"fractions", "decimal"})
+    # the command line is split without argparse and what it loads for its messages
+    assert loaded.isdisjoint({"argparse", "gettext", "locale"})
+    # only a JSON envelope, of a result or of a regime error, needs json
+    assert ("json" in loaded) == ("--format=json" in argv)
 
 
 def test_every_subcommand_has_a_job():
