@@ -20,9 +20,14 @@ _MODULES = ("errors", "planes", "invariants", "conics", "polycore")
 
 
 def __getattr__(name: str):
-    # the CLI's modules are loaded by name alone: ``from . import batch`` loads nothing else
-    if name in _MODULES or name in ("cli", "batch"):
-        return import_module(f".{name}", __name__)
+    # a module is loaded by its name alone: ``from . import extraction`` loads nothing else
+    # (never __main__, which would run the CLI)
+    if not name.startswith("_"):
+        try:
+            return import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
     if name == "__all__":
         value = [n for m in _MODULES for n in import_module(f".{m}", __name__).__all__]
     else:

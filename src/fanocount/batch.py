@@ -9,7 +9,7 @@ from typing import Callable, Iterator, Sequence
 
 from .cli import _SURFACE_FIELDS, _SWEEP_TARGETS, CommandRequest, format_exact, run
 from .errors import RegimeError
-from .planes import ProblemSpec
+from .extraction import ProblemSpec
 
 __all__ = ["paper_check", "sweep_rows"]
 

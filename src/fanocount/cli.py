@@ -17,11 +17,12 @@ import os
 import sys
 from typing import NamedTuple, Sequence
 
-# invariants, conics and batch are imported where a subcommand needs them, so
-# the other subcommands start without compiling them
-from . import planes
+# the extraction route runs the default methods; planes (the fixed-point route),
+# invariants, conics and batch are imported where a subcommand needs them, so the
+# other subcommands start without compiling them
+from . import extraction
 from .errors import InconsistencyError, RegimeError
-from .planes import DEFAULT_SEED, ProblemSpec, TorusWeights
+from .extraction import DEFAULT_SEED, ProblemSpec
 
 __all__ = ["CommandRequest", "ResultEnvelope", "main", "paper_check", "run", "sweep_rows"]
 
@@ -91,6 +92,29 @@ def _csv_field(text: str) -> str:
     return text
 
 
+# json.dumps's short escapes; any other character outside ' '..'~' is written as \uXXXX
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n",
+                 "\r": "\\r", "\t": "\\t"}
+
+
+def _json_char(c: str) -> str:
+    n = ord(c)
+    if n > 0xFFFF:   # a surrogate pair
+        n -= 0x10000
+        return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+    return _JSON_ESCAPES.get(c) or (c if " " <= c <= "~" else f"\\u{n:04x}")
+
+
+def _json(value) -> str:
+    """A str, or a dict of str keys and such values, byte for byte as ``json.dumps(value,
+    sort_keys=True, separators=(",", ":"))`` writes it, without loading ``json``."""
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_json(k)}:{_json(v)}" for k, v in sorted(value.items())) + "}"
+    if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+        value = "".join(map(_json_char, value))
+    return f'"{value}"'
+
+
 class CommandRequest(NamedTuple):
     subcommand: str
     degrees: tuple[int, ...] = ()
@@ -125,9 +149,7 @@ class ResultEnvelope:
         self.results[name] = {"value": format_exact(value), "provenance": provenance}
 
     def to_json(self) -> str:
-        import json   # only a JSON envelope loads it
-        payload = {"inputs": self.inputs, "results": self.results, "status": self.status}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _json({"inputs": self.inputs, "results": self.results, "status": self.status})
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
@@ -181,10 +203,11 @@ def run(request: CommandRequest) -> ResultEnvelope:
         d, r, k = request.degrees[0], request.r, request.k
         if method in ("dm", "both"):
             envelope.put("deg_dm" if method == "both" else "deg",
-                         planes.deg_planes_dm(d, r, k),
+                         extraction.deg_planes_dm(d, r, k),
                          "vandermonde-coefficient-extraction")
         if method in ("bott", "both"):
-            weights = TorusWeights.random(r, request.seed)
+            from . import planes
+            weights = planes.TorusWeights.random(r, request.seed)
             envelope.put("deg_bott" if method == "both" else "deg",
                          planes.deg_planes_bott(d, r, k, weights),
                          "fixed-point-residue-sum")
@@ -197,12 +220,12 @@ def run(request: CommandRequest) -> ResultEnvelope:
 
     elif sub == "ci-planes":
         spec = _spec_for(request)
-        envelope.put("deg", planes.deg_ci_planes(spec), "ci-coefficient-extraction")
+        envelope.put("deg", extraction.deg_ci_planes(spec), "ci-coefficient-extraction")
         envelope.put("gamma", spec.gamma, "codimension-arithmetic")
 
     elif sub == "fano-degree":
         spec = _spec_for(request)
-        envelope.put("deg", planes.deg_fano(spec), "plucker-coefficient-extraction")
+        envelope.put("deg", extraction.deg_fano(spec), "plucker-coefficient-extraction")
         envelope.put("gamma", spec.gamma, "codimension-arithmetic")
         envelope.put("delta", spec.delta, "codimension-arithmetic")
 

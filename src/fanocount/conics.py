@@ -44,8 +44,9 @@ from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .planes import (DEFAULT_SEED, TorusWeights, _check_weight_count, _integer, _layout,
-                     _pack, _plane_sum, _roots, _unpack, _weight_tuple, weight_vectors)
+from .extraction import DEFAULT_SEED, _integer, weight_vectors
+from .planes import (TorusWeights, _check_weight_count, _layout, _pack, _plane_sum, _roots,
+                     _unpack, _weight_tuple)
 
 if TYPE_CHECKING:   # the reference forms import the symbolic layer when they run
     from .polycore import MultiPoly, TruncatedSeries

@@ -32,7 +32,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InconsistencyError, RegimeError
-from .planes import ProblemSpec, _check_nonempty_regime, _integer, c2_fano_integral, deg_fano
+from .extraction import ProblemSpec, _check_nonempty_regime, _integer, c2_fano_integral, deg_fano
 
 __all__ = [
     "Classification",

@@ -6,13 +6,13 @@ positive denominator), and floating point never enters.  A polynomial is a
 sparse map from exponent vectors to nonzero coefficients.
 
 This is the reference layer, and no runtime route uses it: the degree
-formulas extract single coefficients (``planes._extract``) and sum torus
+formulas extract single coefficients (``extraction._extract``) and sum torus
 fixed points over integers, without expanding a polynomial.  What expands
 here is what the tests check those routes against, the reference forms
 ``planes.tau_poly``, ``conics.eta_form``, ``conics.eta_form_twisted`` and
 ``conics.chern_Ed_series`` (each loads this module when it runs), and the
 ``MultiPoly.mul`` that the benchmark's tracer wraps.  The dependency runs
-one way: this module imports ``planes``, and no runtime module imports it.
+one way: this module imports ``extraction``, and no runtime module imports it.
 
 Conventions:
 
@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DimensionError, NotInvertibleError
-from .planes import ExponentVector, weight_vectors
+from .extraction import ExponentVector, weight_vectors
 
 __all__ = [
     "ExactScalar",

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,47 @@ def test_json_round_trips_byte_identical(capsys):
     assert code == 0
     line = out.strip()
     assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+
+
+def dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# a character of each class the JSON encoder escapes differently: the controls, the short
+# escapes, printable ASCII, DEL and Latin-1, the BMP (lone surrogates included) and the
+# astral planes, which json writes as surrogate pairs
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x7f'),
+    *(st.integers(lo, hi).map(chr) for lo, hi in [(0, 0x1F), (0x20, 0x7E), (0x7F, 0xFF),
+                                                  (0x100, 0xFFFF), (0x10000, 0x10FFFF)])),
+    max_size=6)
+
+
+@given(st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=4),
+       st.dictionaries(JSON_TEXT, st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=3), max_size=4),
+       JSON_TEXT)
+@example({"d": "\x00\x1f\x7f\x80\xff\u0100\ud7ff\ud800\udfff\uffff"},
+         {"\U00010000": {"\U0010ffff": '"\\'}}, "\b\f\n\r\t")
+def test_json_envelope_matches_json_dumps(inputs, results, status):
+    # the envelope is written without the json package, byte for byte as json.dumps writes it
+    envelope = ResultEnvelope(inputs, status=status)
+    envelope.results = results
+    assert envelope.to_json() == dumps({"inputs": inputs, "results": results, "status": status})
+
+
+def test_json_envelopes_of_the_benchmark_match_json_dumps(capsys):
+    # every envelope and regime error of the benchmark's CLI jobs, as json.dumps writes it
+    reference = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" /
+                                   "reference.py"))
+    jobs = [*reference["ENVELOPES"], *reference["REGIME_ERRORS"]]
+    for argv, expected in jobs:
+        code, out, _ = invoke(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        if isinstance(expected, dict):
+            assert code == 0 and {n: e["value"] for n, e in payload["results"].items()} == expected
+        else:
+            assert code == 2 and payload["status"] == "regime-error"
+        assert out == dumps(payload) + "\n"
 
 
 def test_planes_both_methods_agree(capsys):
@@ -479,36 +521,36 @@ def test_sweep_rows_are_lexicographic():
 
 
 def test_sweep_rejects_an_unknown_target_before_any_cell(monkeypatch):
-    import fanocount.planes as planes_module
-    monkeypatch.setattr(planes_module, "deg_fano", lambda spec: pytest.fail("cell computed"))
+    import fanocount.extraction as extraction_module
+    monkeypatch.setattr(extraction_module, "deg_fano", lambda spec: pytest.fail("cell computed"))
     with pytest.raises(ValueError, match="unknown sweep target"):
         next(sweep_rows("nope", [(3,)], [4], [1]))
 
 
 def test_sweep_skips_only_regime_errors(monkeypatch):
     # an internal ValueError is a failure, not an out-of-regime cell
-    import fanocount.planes as planes_module
+    import fanocount.extraction as extraction_module
 
     def broken(spec):
         raise ValueError("internal")
 
-    monkeypatch.setattr(planes_module, "deg_fano", broken)
+    monkeypatch.setattr(extraction_module, "deg_fano", broken)
     with pytest.raises(ValueError, match="internal"):
         list(sweep_rows("fano-degree", [(3,)], [4], [1], skip_log=lambda msg: None))
 
 
 def test_sweep_maps_a_cell_inconsistency_like_every_subcommand(capsys, monkeypatch):
     # an InconsistencyError in a cell prints the rows before it and exits 1, not a traceback
-    import fanocount.planes as planes_module
+    import fanocount.extraction as extraction_module
     from fanocount.errors import InconsistencyError
-    dm = planes_module.deg_planes_dm
+    dm = extraction_module.deg_planes_dm
 
     def broken(d, r, k):
         if d == 5:
             raise InconsistencyError("cell broke")
         return dm(d, r, k)
 
-    monkeypatch.setattr(planes_module, "deg_planes_dm", broken)
+    monkeypatch.setattr(extraction_module, "deg_planes_dm", broken)
     code, out, err = invoke(capsys, "sweep", "planes", "--d", "4..5", "--r", "3", "--k", "1")
     assert code == 1
     assert out.splitlines() == [CSV_HEADER, "4,3,1,1,-1,320,dm"]

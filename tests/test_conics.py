@@ -404,11 +404,12 @@ def test_bott_sum_frozen(dr, expected):
 
 
 def test_extraction_routes_and_eta_build_no_fraction(monkeypatch):
-    # planes imports no Fraction, and conics builds one only for a value that is rational
+    # neither plane route imports Fraction, and conics builds one only for a rational value
     import fanocount.conics as conics
+    import fanocount.extraction as extraction
     import fanocount.planes as planes
-    from fanocount.planes import ProblemSpec, c2_fano_integral, deg_ci_planes, deg_fano
-    assert not hasattr(planes, "Fraction")
+    from fanocount.extraction import ProblemSpec, c2_fano_integral, deg_ci_planes, deg_fano
+    assert not hasattr(planes, "Fraction") and not hasattr(extraction, "Fraction")
     fractions = []
 
     def counted_fraction(*args):

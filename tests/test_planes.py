@@ -334,7 +334,7 @@ def extraction_inputs(draw):
 @example(((2,), [((-10**3,), 10**3)] * 2))       # large fields under the top one
 @example(((2, 0), [((1, 0), 0)] * 2))            # a head over a one-field x_k polynomial
 def test_extract_equals_unpruned_fold(inputs):
-    from fanocount.planes import _extract
+    from fanocount.extraction import _extract
     target, factors = inputs
     product = MultiPoly.one(len(target))
     for v, c in factors:
@@ -347,6 +347,7 @@ def test_extract_equals_unpruned_fold(inputs):
 def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
     # DM never calls a fixed-point helper, and the Bott sums never call the fold
     import fanocount.conics as conics_module
+    import fanocount.extraction as extraction_module
     import fanocount.planes as planes_module
     from fanocount.conics import _eta, deg_conics_bott, deg_conics_closed, \
         deg_conics_untwisted_sum, generic_conic_weights
@@ -362,7 +363,8 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
         assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
         assert c2_fano_integral(ProblemSpec((3,), 4, 1)) == 27
-    monkeypatch.setattr(planes_module, "_extract", forbidden)
+    for module in (extraction_module, planes_module, conics_module):   # wherever it is bound
+        monkeypatch.setattr(module, "_extract", forbidden, raising=False)
     assert deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
     assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).value == 5016
     assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
@@ -538,8 +540,8 @@ def test_linear_system_guard_keeps_its_code(monkeypatch):
     # no spec reaches this guard: once rho >= 0 and dim X = r - m + 1 >= 2k, the system has
     # dimension h^0(O_X(d_m)) - 1 >= C(d_m + 2k, 2k) - 1 > C(d_m + k, k) >= gamma; it is
     # shown here with the dimension taken from a stub
-    import fanocount.planes as planes_module
-    monkeypatch.setattr(planes_module, "linear_system_dim", lambda r, cut, d: 1)
+    import fanocount.extraction as extraction_module
+    monkeypatch.setattr(extraction_module, "linear_system_dim", lambda r, cut, d: 1)
     with pytest.raises(RegimeError) as err:
         deg_ci_planes(ProblemSpec((2, 3), 4, 1))        # gamma = 1
     assert err.value.code == "linear-system-too-small"
@@ -637,7 +639,7 @@ def test_fano_extraction_rejects_wrong_degree_extra():
     # delta = 2 needs two more degrees of extra factors at the target psi, or none
     # at the c2 target psi - (1, 1); a wrong count of ones would silently extract
     # from a product that misses the target degree
-    from fanocount.planes import _fano_extraction
+    from fanocount.extraction import _fano_extraction
     spec = ProblemSpec((3,), 4, 1)
     assert _fano_extraction(spec, (4, 3), 2) == 45
     assert _fano_extraction(spec, (3, 2), 0) == 27

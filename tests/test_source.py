@@ -32,21 +32,41 @@ def test_package_has_no_assert_statements():
     assert offenders == []
 
 
+def _imported(node) -> set[str]:
+    """The absolute names an import statement imports: for ``from M import a`` both M and M.a.
+    Every package module sits in fanocount itself, so level 1 is the package."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ("fanocount" if node.level else "", node.module)))
+        return {base, *(f"{base}.{alias.name}" for alias in node.names)}
+    return set()
+
+
+def _importers_of(module: str, files=None) -> list[str]:
+    """file:line of every import of ``module`` or of a name in it, at any depth, in the
+    package's ``files`` (default: all)."""
+    return [f"{path.name}:{node.lineno}" for path, tree in _modules()
+            if files is None or path.name in files for node in ast.walk(tree)
+            if any(name == module or name.startswith(f"{module}.") for name in _imported(node))]
+
+
 def test_package_does_not_import_dataclasses():
     # importing dataclasses (with inspect, ast and dis) and running its
     # decorators cost a CLI process about as much as its own work
-    offenders = []
-    for path, tree in _modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(module.split(".")[0] == "dataclasses" for module in modules):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    assert _importers_of("dataclasses") == []
+
+
+def test_package_does_not_import_json():
+    # the CLI writes its JSON envelopes itself: importing json cost each such job about 2 ms
+    assert _importers_of("json") == []
+
+
+def test_extraction_route_imports_neither_fixed_point_module():
+    # the module boundary keeps the routes independent: no function of the extraction route
+    # can reach the fixed-point kernels, even through an import inside a function
+    assert _importers_of("fanocount.planes", {"extraction.py"}) == []
+    assert _importers_of("fanocount.conics", {"extraction.py"}) == []
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -137,14 +157,17 @@ def _import_time_statements(body):
 # imported; every other import of it sits in the function that runs it, so a CLI process
 # that runs none of them does not compile it.  The symbolic layer is imported only inside
 # the reference forms that expand it; the batch subcommands only by the CLI branches that
-# run them.  fractions (with decimal) is for the rational values of the conic report and
-# the symbolic layer; every value of planes and invariants is an int.
+# run them; the fixed-point route only by the CLI branch of the Bott methods and by the
+# conic route that builds on its kernel.  fractions (with decimal) is for the rational
+# values of the conic report and the symbolic layer; every value of planes and invariants
+# is an int.
 IMPORT_TIME_IMPORTERS = {
     "fanocount.polycore": set(),
     "fanocount.invariants": set(),
     "fanocount.conics": set(),
     "fanocount.batch": set(),
     "fanocount.cli": {"__main__", "batch"},
+    "fanocount.planes": {"conics"},
     "fractions": {"conics", "polycore"},
 }
 
@@ -153,14 +176,7 @@ def test_leaf_modules_are_imported_at_import_time_only_by_their_listed_importers
     offenders = []
     for path, tree in _modules():
         for node in _import_time_statements(tree.body):
-            if isinstance(node, ast.Import):
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                # every package module sits in fanocount itself, so level 1 is the package
-                base = ".".join(filter(None, ("fanocount" if node.level else "", node.module)))
-                names = {base, *(f"{base}.{alias.name}" for alias in node.names)}
-            else:
-                continue
+            names = _imported(node)
             offenders += [f"{path.name}:{node.lineno}:{module}"
                           for module, importers in IMPORT_TIME_IMPORTERS.items()
                           if module in names and path.stem not in importers]
@@ -179,8 +195,8 @@ def test_package_parses_at_the_oldest_supported_python():
 
 
 def test_shared_scalar_names_have_one_definition():
-    # defined once, not copied: polycore imports the planes names from there, and the
-    # rational scalar type is the symbolic layer's own
+    # defined once, not copied: planes, conics and polycore import the extraction route's
+    # names from there, and the rational scalar type is the symbolic layer's own
     defined = {"weight_vectors": [], "ExactScalar": [], "ExponentVector": []}
     for path, tree in _modules():
         for node in ast.walk(tree):
@@ -190,8 +206,8 @@ def test_shared_scalar_names_have_one_definition():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id in defined:
                         defined[target.id].append(path.name)
-    assert defined == {"weight_vectors": ["planes.py"], "ExactScalar": ["polycore.py"],
-                       "ExponentVector": ["planes.py"]}
+    assert defined == {"weight_vectors": ["extraction.py"], "ExactScalar": ["polycore.py"],
+                       "ExponentVector": ["extraction.py"]}
 
 
 def _defines(node, name):

@@ -13,7 +13,10 @@ import fanocount
 
 SRC = str(Path(fanocount.__file__).resolve().parents[1])
 MODULES = ("errors", "planes", "invariants", "conics", "polycore")
-CORE = {"fanocount", "fanocount.cli", "fanocount.errors", "fanocount.planes"}
+CORE = {"fanocount", "fanocount.cli", "fanocount.errors", "fanocount.extraction"}
+# the fixed-point route, and the conic module that builds on it
+PLANES = {"fanocount.planes"}
+CONICS = {"fanocount.conics", *PLANES}
 
 # runs main() as ``python -m fanocount`` does, then prints the exit code and
 # the modules the run added to those the interpreter started with
@@ -39,17 +42,18 @@ def loaded_by(code: str, *argv: str) -> tuple[int, set[str]]:
 JOBS = [
     (("fano-degree", "--d", "3", "--r", "4", "--k", "1"), set()),
     (("ci-planes", "--d", "2,3", "--r", "4", "--k", "1"), set()),
-    (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), set()),
+    (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), PLANES),
+    (("planes", "--method", "dm", "--d", "4", "--r", "3", "--k", "1"), set()),
     (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), {"fanocount.batch"}),
     (("sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1"), {"fanocount.batch"}),
     (("surface", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("irregularity", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
     (("picard", "--d", "2", "--r", "5", "--k", "1"), {"fanocount.invariants"}),
-    (("conics", "--d", "5", "--r", "3", "--method", "both"), {"fanocount.conics"}),
-    (("conics", "--format=json", "--d", "4", "--r", "3"), {"fanocount.conics"}),
+    (("conics", "--d", "5", "--r", "3", "--method", "both"), CONICS),
+    (("conics", "--format=json", "--d", "4", "--r", "3"), CONICS),
     (("fano-degree", "--format=json", "--d", "3", "--r", "4", "--k", "1"), set()),
     (("planes", "--format=json", "--d", "4,4", "--r", "3", "--k", "1"), set()),
-    (("paper-check",), {"fanocount.batch", "fanocount.invariants", "fanocount.conics"}),
+    (("paper-check",), {"fanocount.batch", "fanocount.invariants", *CONICS}),
 ]
 
 
@@ -69,8 +73,8 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
         assert loaded.isdisjoint({"fractions", "decimal"})
     # the command line is split without argparse and what it loads for its messages
     assert loaded.isdisjoint({"argparse", "gettext", "locale"})
-    # only a JSON envelope, of a result or of a regime error, needs json
-    assert ("json" in loaded) == ("--format=json" in argv)
+    # a JSON envelope, of a result or of a regime error, is written without json
+    assert "json" not in loaded
 
 
 def test_every_subcommand_has_a_job():
@@ -82,10 +86,12 @@ def test_every_subcommand_has_a_job():
 def test_runtime_modules_do_not_load_the_symbolic_layer():
     # polycore is the reference layer: only the reference forms import it, when they run
     _, loaded = loaded_by("import sys; before = set(sys.modules); "
-                          "import fanocount.planes, fanocount.conics, fanocount.invariants, "
-                          "fanocount.cli; print(0, *sorted(set(sys.modules) - before))")
+                          "import fanocount.extraction, fanocount.planes, fanocount.conics, "
+                          "fanocount.invariants, fanocount.cli; "
+                          "print(0, *sorted(set(sys.modules) - before))")
     assert "fanocount.polycore" not in loaded
-    assert {"fanocount.planes", "fanocount.conics", "fanocount.invariants"} <= loaded
+    assert {"fanocount.extraction", "fanocount.planes", "fanocount.conics",
+            "fanocount.invariants"} <= loaded
 
 
 def test_importing_the_package_loads_no_module():
@@ -94,12 +100,34 @@ def test_importing_the_package_loads_no_module():
     assert {m for m in loaded if m.startswith("fanocount")} == {"fanocount"}
 
 
-@pytest.mark.parametrize("module,extra", [("cli", set()), ("batch", {"fanocount.batch"})])
+# package module -> the package modules that importing it loads, itself and the package included
+IMPORTS = {
+    "cli": CORE,
+    "batch": {*CORE, "fanocount.batch"},
+    "errors": {"fanocount", "fanocount.errors"},
+    "extraction": {"fanocount", "fanocount.errors", "fanocount.extraction"},
+    "planes": {"fanocount", "fanocount.errors", "fanocount.extraction", *PLANES},
+    "invariants": {"fanocount", "fanocount.errors", "fanocount.extraction",
+                   "fanocount.invariants"},
+    "conics": {"fanocount", "fanocount.errors", "fanocount.extraction", *CONICS},
+    "polycore": {"fanocount", "fanocount.errors", "fanocount.extraction", "fanocount.polycore"},
+}
+
+
+@pytest.mark.parametrize("module,extra", IMPORTS.items())
 def test_importing_a_cli_module_from_the_package_loads_only_what_it_imports(module, extra):
-    # the package's lazy names must not load every module to look up a module's own name
-    _, loaded = loaded_by(f"import sys; before = set(sys.modules); from fanocount import {module}; "
-                          "print(0, *sorted(set(sys.modules) - before))")
-    assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
+    # the package's lazy names must not load every module to look up a module's own name:
+    # ``from fanocount import X`` loads what ``import fanocount.X`` loads, for every module
+    first, second = (loaded_by(f"import sys; before = set(sys.modules); {statement}; "
+                               "print(0, *sorted(set(sys.modules) - before))")[1]
+                     for statement in (f"from fanocount import {module}", f"import fanocount.{module}"))
+    assert first == second
+    assert {m for m in first if m.startswith("fanocount")} == extra
+
+
+def test_every_package_module_has_an_import_case():
+    stems = {path.stem for path in Path(fanocount.__file__).parent.glob("*.py")}
+    assert set(IMPORTS) == stems - {"__init__", "__main__"}
 
 
 def test_package_reexports_every_public_name():
