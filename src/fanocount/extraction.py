@@ -1,27 +1,26 @@
 """The coefficient-extraction route: degrees of loci of hypersurfaces and complete
 intersections containing k-planes, and Plucker-degree integrals over Fano schemes.
 
-Setting: degree-d hypersurfaces in projective r-space, or complete
-intersections of multidegree (d_1, ..., d_m).  The k-planes contained in such
-a variety are cut out, on the Grassmannian of k-planes, by a section of the
-d-th symmetric power of the dual tautological bundle.  Writing x_0, ..., x_k
-for the Chern roots of that rank-(k+1) bundle, every number computed here is
-one coefficient of an explicit symmetric polynomial: multiplying a symmetric
-form by the Vandermonde polynomial V turns "coefficient of the top Schur basis
-element" into "coefficient of the single monomial x_0^r x_1^{r-1} ... x_k^{r-k}",
-which one sparse fold, :func:`_extract`, reads off.  The torus fixed-point sums
-of ``planes`` give the plane counts independently; this module imports nothing
-from ``planes`` or ``conics``, so no extraction can reach a fixed-point kernel.
+Setting: degree-d hypersurfaces in projective r-space, or complete intersections of
+multidegree (d_1, ..., d_m).  The k-planes contained in such a variety are cut out, on the
+Grassmannian of k-planes, by a section of the d-th symmetric power of the dual tautological
+bundle.  Writing x_0, ..., x_k for the Chern roots of that rank-(k+1) bundle, every number
+computed here is one coefficient of an explicit symmetric polynomial: multiplying a symmetric
+form by the Vandermonde polynomial V turns "coefficient of the top Schur basis element" into
+"coefficient of the single monomial x_0^r x_1^{r-1} ... x_k^{r-k}", which one sparse fold,
+:func:`_extract`, reads off, applying V as an alternant at readout.  The torus fixed-point
+sums of ``planes`` give the plane counts independently; this module imports nothing from
+``planes`` or ``conics``, so no extraction can reach a fixed-point kernel.
 
-Codimension bookkeeping: gamma = sum_j C(d_j + k, k) - (k+1)(r-k) is the
-codimension (in the parameter space of complete intersections) of the locus
-of members containing a k-plane; its negation delta is the expected dimension
-of the Fano scheme of a single member.
+Codimension bookkeeping: gamma = sum_j C(d_j + k, k) - (k+1)(r-k) is the codimension (in the
+parameter space of complete intersections) of the locus of members containing a k-plane; its
+negation delta is the expected dimension of the Fano scheme of a single member.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from math import comb, prod
 from operator import index
 from typing import NamedTuple, Sequence
@@ -158,82 +157,90 @@ def deg_planes_dm(d: int, r: int, k: int) -> int:
     return _ci_extraction((d,), r, k)
 
 
-def _vq_factors(k: int, degrees: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    """Linear forms (v, 0) in k + 1 variables: first the factors x_i - x_j (i < j) of
-    the Vandermonde polynomial V, then the forms <v, x>, |v| = d, of Q for each d in
-    ``degrees``.  The -1 entries of V's factors lower no exponent, so both prunings of
-    :func:`_extract` stay lossless."""
-    factors = [(tuple(1 if n == i else -1 if n == j else 0 for n in range(k + 1)), 0)
-               for i, j in combinations(range(k + 1), 2)]
-    return factors + [(v, 0) for d in degrees for v in weight_vectors(k + 1, d)]
+def _q_factors(k: int, degrees: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    """The forms (v, 0), |v| = d for each d in ``degrees``, in k + 1 variables: Q, not V."""
+    return [(v, 0) for d in degrees for v in weight_vectors(k + 1, d)]
+
+
+@cache
+def _alternant(k: int) -> tuple[tuple[ExponentVector, int], ...]:
+    """Alternant terms (sigma delta, sgn sigma) of V = prod_{i<j} (x_i - x_j), delta = (k..0)."""
+    return tuple((e, -1 if sum(a < b for a, b in combinations(e, 2)) & 1 else 1)
+                 for e in permutations(range(k, -1, -1)))
 
 
 def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int]]) -> int:
-    """Coefficient of x^target, target >= 0, in prod_{(v, c) in factors} (c + <v, x>), by a
-    sparse left-to-right fold from the monomial 1 keeping only terms that can still reach the
-    target.  Both prunings are lossless: no factor lowers an exponent, even with negative v_i
-    (exponent box: drop e_i > target_i), and each raises the degree by at most 1 (degree
-    floor: drop degree + factors left < |target|).
+    """Coefficient of x^target, target >= 0, in V * G, G = prod_{(v, c) in factors} (c + <v, x>)
+    and V the Vandermonde polynomial in n = len(target) variables.  V is the alternant
+    sum_sigma sgn(sigma) x^(sigma delta), delta = (n-1, ..., 0), so this folds G alone and
+    returns sum_sigma sgn(sigma) [x^(target - sigma delta)] G over the shifts with no negative
+    entry.  All shifts lie in target's box and have degree |target| - C(n, 2), so one fold from
+    the monomial 1 serves them all.  It drops a term once an exponent exceeds target's (box)
+    or its degree plus the factors left falls short (floor), both lossless: no factor lowers an
+    exponent or adds more than 1 to the degree.
 
-    Each term is a head x_0^e_0 ... x_{k-1}^e_{k-1} times a polynomial in the last
-    variable, whose target t_k is the smallest.  That polynomial is held as one int,
-    x_k = 2^B, modulo 2^(B (t_k + 1)), coefficient j in the B-bit field at bit B*j: the
-    reduction is a ring map from Z[x_k] / (x_k^(t_k + 1)), so a factor is one big-int
-    step and signed coefficients stay exact.  Every coefficient of every entry, pruned or
-    not, is a sum over paths through the factors, so the sum of their absolute values is
-    at most M = prod max(1, |c| + sum |v_i|).  With B = M.bit_length() + 1
-    the field of x_k^t_k is below 2^(B-1) and the fields under it sum to less than half
-    a unit of it, which the rounding readout absorbs.
-
-    A head e is packed into one int with a C-bit field per variable, field i holding
-    e_i + G - 1 - target_i (G = 2^(C-1)).  Multiplying by x_i adds 1 << C*i, and
-    e_i > target_i is exactly the top bit of field i, so the box test is ``key & guard``.
-    Terms sit in buckets keyed by head degree, and the floor drops or keeps whole buckets
-    on head degree plus t_k, the most the x_k polynomial can add.
+    Every c and v_i must be >= 0 (else InconsistencyError).  Then every coefficient, pruned or
+    not, is non-negative, and they sum to at most M = prod max(1, c + sum v), so B =
+    M.bit_length() bits hold each with no sign bit and no carry.  The last two variables share
+    one int, x_k = 2^B and x_(k-1) = 2^(B (t_k + 2)): field j of row i holds the coefficient of
+    x_(k-1)^i x_k^j, and field t_k + 1 is a guard for what x_k pushes out of the row.  A factor
+    is three shifts and adds, then one AND mask clears every guard and every row above t_(k-1);
+    one variable gets a stand-in x_(k-1) of target 0.  A head x_0^e_0 ... x_(k-2)^e_(k-2) is an
+    int with a C-bit field i holding e_i + T - 1 - target_i, T = 2^(C-1): times x_i adds
+    1 << C*i, and e_i > target_i sets field i's top bit, so the box test is ``key & guard``.
+    Buckets keyed by head degree are kept or dropped whole on head degree + t_(k-1) + t_k.
     """
-    *head, last = target
-    size = 1
+    n = len(target)
     for v, c in factors:
-        size *= max(1, abs(c) + sum(map(abs, v)))
-    width = size.bit_length() + 1
-    mask = (1 << width * (last + 1)) - 1
+        if c < 0 or min(v) < 0:
+            raise InconsistencyError(f"the fold needs c, v_i >= 0, got the factor {(v, c)}")
+    width = prod(max(1, c + sum(v)) for v, c in factors).bit_length()
+    if n == 1:
+        target, factors = (0, *target), [((0, *v), c) for v, c in factors]
+    *head, ta, tb = target
+    row = width * (tb + 2)
+    mask = (1 << width * (tb + 1)) - 1
+    for i in range(ta.bit_length()):   # 2^i rows, doubled: at least ta + 1 rows
+        mask |= mask << (row << i)
+    mask &= (1 << row * (ta + 1)) - 1
     cols = max(head, default=0).bit_length() + 2
     top = 1 << (cols - 1)
     shifts = [cols * i for i in range(len(head))]
     offset = sum((top - 1 - ti) << sh for ti, sh in zip(head, shifts))
     guard = sum(top << sh for sh in shifts)
-    floor = sum(head) - len(factors)
+    floor = sum(head) - comb(n, 2) - len(factors)
     buckets = {0: {offset: 1}}   # the monomial 1: every field reads top - 1 - target_i
     for v, c in factors:
         floor += 1
-        vk = v[-1]
-        steps = [(1 << sh, vi) for vi, sh in zip(v, shifts) if vi]
+        *vh, va, vb = v
+        steps = [(1 << sh, vi) for vi, sh in zip(vh, shifts) if vi]
         out: dict[int, dict[int, int]] = {}
         # top degree first: bucket s fills out[s] before bucket s - 1 adds to it
-        for s in sorted(buckets, reverse=True):
+        for s, bucket in sorted(buckets.items(), reverse=True):
             if s + 1 < floor:
                 break
-            bucket = buckets[s]
-            if s >= floor and (c or vk):
-                if vk:
-                    out[s] = {key: (c * p + (vk * p << width)) & mask for key, p in bucket.items()}
-                else:
-                    out[s] = dict(bucket) if c == 1 else {key: c * p for key, p in bucket.items()}
+            if s >= floor and (c or va or vb):
+                out[s] = {key: (c * p + va * (p << row) + vb * (p << width)) & mask
+                          for key, p in bucket.items()}
             if steps:
                 up = out.setdefault(s + 1, {})
                 get = up.get
                 for key, p in bucket.items():
-                    if p:   # a cancelled term spawns nothing
-                        for step, vi in steps:
-                            raised = key + step
-                            if not raised & guard:
-                                up[raised] = get(raised, 0) + vi * p
+                    for step, vi in steps:
+                        raised = key + step
+                        if not raised & guard:
+                            up[raised] = get(raised, 0) + vi * p
         buckets = out
-    # every field of the target's head key reads top - 1; x_k^t_k is field t_k
-    packed = buckets.get(sum(head), {}).get(sum((top - 1) << sh for sh in shifts), 0)
-    low = width * last
-    field = ((packed + (1 << low >> 1)) >> low) & ((1 << width) - 1)
-    return field - (1 << width) if field >> (width - 1) else field
+    value = 0
+    for e, sign in _alternant(n - 1):
+        e = (0, *e) if n == 1 else e
+        if any(map(int.__lt__, target, e)):   # the shift has a negative entry
+            continue
+        *eh, ea, eb = e   # the shift's head field i reads top - 1 - e_i
+        packed = buckets.get(sum(head) - sum(eh), {}).get(
+            sum((top - 1 - ei) << sh for ei, sh in zip(eh, shifts)), 0)
+        value += sign * (packed >> (ta - ea) * row + (tb - eb) * width & (1 << width) - 1)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +263,8 @@ def linear_system_dim(r: int, cut_degrees: Sequence[int], d: int) -> int:
         raise RegimeError("ambient-too-small", f"need r >= 0, got r={r}")
     if any(e < 1 for e in cut_degrees):
         raise RegimeError("degree-too-small", f"need every cut degree >= 1, got {cut_degrees}")
-    h0 = 0
-    for mask in range(1 << len(cut_degrees)):
-        shift = d
-        sign = 1
-        for i, e in enumerate(cut_degrees):
-            if mask >> i & 1:
-                shift -= e
-                sign = -sign
-        if shift >= 0:
-            h0 += sign * comb(shift + r, r)
-    return h0 - 1
+    return sum((-1) ** j * comb(d - sum(cut) + r, r) for j in range(len(cut_degrees) + 1)
+               for cut in combinations(cut_degrees, j) if sum(cut) <= d) - 1
 
 
 def deg_ci_planes(spec: ProblemSpec) -> int:
@@ -316,7 +314,7 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
 def _ci_extraction(degrees: tuple[int, ...], r: int, k: int) -> int:
     """Coefficient of x_0^r ... x_k^{r-k} in V * Q * prod_{|v| = d_m} (1 + <v, x>), by
     :func:`_extract`, with Q the product for d_1, ..., d_{m-1}."""
-    factors = _vq_factors(k, degrees[:-1]) + [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
+    factors = _q_factors(k, degrees[:-1]) + [(v, 1) for v in weight_vectors(k + 1, degrees[-1])]
     value = _extract(_psi_target(r, k), factors)
     if value <= 0:
         raise InconsistencyError(
@@ -337,11 +335,12 @@ def _check_nonempty_regime(spec: ProblemSpec) -> None:
 
 def _fano_extraction(spec: ProblemSpec, target: tuple[int, ...], ones: int) -> int:
     """Coefficient of x^target in V * Q * (x_0 + ... + x_k)^ones, by :func:`_extract`."""
-    factors = _vq_factors(spec.k, spec.degrees) + [((1,) * (spec.k + 1), 0)] * ones
-    # degree bookkeeping: every factor has degree 1, and the product must be
-    # homogeneous of exactly the target degree
-    if len(factors) != sum(target):
-        raise InconsistencyError(f"a product of degree {len(factors)} misses "
+    factors = _q_factors(spec.k, spec.degrees) + [((1,) * (spec.k + 1), 0)] * ones
+    # degree bookkeeping: V and every factor are homogeneous, V of degree C(k+1, 2) and
+    # each factor of degree 1, and the product must have exactly the target degree
+    degree = len(factors) + comb(spec.k + 1, 2)
+    if degree != sum(target):
+        raise InconsistencyError(f"a product of degree {degree} misses "
                                  f"the target degree {sum(target)} for {spec}")
     return _extract(target, factors)
 

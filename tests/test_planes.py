@@ -309,39 +309,69 @@ def test_dm_equals_bott_on_random_cells(drk, seed):
 
 @st.composite
 def extraction_inputs(draw):
-    """A target and linear factors (v, c) in 1-5 variables.
+    """A target and linear factors (v, c) with c, v_i >= 0, in 1-5 variables.
 
     Target entries 0..8 take in 0, 1, 3, 4, 7 and 8, at and next to powers of
-    two, where the packed head field width changes; one variable (an empty
-    head) and a last entry 0 (a one-field polynomial) are drawn often.  Factors
-    are small, or wide (c up to 10^6, v_i up to 10^3), or constant (v = 0), whose
-    products meet the bound the packed field width is taken from."""
+    two, where the packed head field width changes; one variable (a stand-in
+    x_(k-1)) and a last entry 0 (a row of one field and its guard) are drawn
+    often.  Factors are small, or wide (c up to 10^6, v_i up to 10^3), or
+    constant (v = 0), whose products meet the bound the packed field width is
+    taken from."""
     n = draw(st.one_of(st.just(1), st.integers(1, 5)))
     target = draw(st.tuples(*[st.integers(0, 8)] * (n - 1),
                             st.one_of(st.just(0), st.integers(0, 8))))
-    small = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.sampled_from((0, 1, 3)))
-    wide = st.tuples(st.tuples(*[st.integers(-10**3, 10**3)] * n), st.integers(-10**6, 10**6))
-    constant = st.tuples(st.just((0,) * n), st.integers(-10**6, 10**6))
+    small = st.tuples(st.tuples(*[st.integers(0, 2)] * n), st.sampled_from((0, 1, 3)))
+    wide = st.tuples(st.tuples(*[st.integers(0, 10**3)] * n), st.integers(0, 10**6))
+    constant = st.tuples(st.just((0,) * n), st.integers(0, 10**6))
     factors = draw(st.lists(st.one_of(small, wide, constant), max_size=6))
     return target, factors
+
+
+def vandermonde(n):
+    """prod_{i<j} (x_i - x_j) in n variables, multiplied out factor by factor."""
+    product = MultiPoly.one(n)
+    for i, j in combinations(range(n), 2):
+        product = product.mul(MultiPoly.linear_form([(m == i) - (m == j) for m in range(n)]))
+    return product
 
 
 @settings(max_examples=300, deadline=None)
 @given(extraction_inputs())
 @example(((0,), [((0,), 10**6)] * 3))            # the value is the width bound
-@example(((0,), [((0,), -10**6)] * 3))
 @example(((3,), [((10**3,), 0)] * 3))            # the same in the top field
-@example(((2,), [((-10**3,), 10**3)] * 2))       # large fields under the top one
-@example(((2, 0), [((1, 0), 0)] * 2))            # a head over a one-field x_k polynomial
+@example(((4, 0), [((10**3, 0), 0)] * 3))        # the same one row stride up
+@example(((0, 4), [((0, 10**3), 0)] * 3))        # the same, signed by the alternant
+@example(((2,), [((10**3,), 10**3)] * 2))        # large fields under the top one
+@example(((1, 1), [((0, 1), 1)] * 3))            # a guard field not cleared moves up a row
+@example(((2, 0), [((1, 0), 0)] * 2))            # a row of one field and its guard
+@example(((2, 1, 0), [((1, 0, 0), 0)] * 2))      # a head over the packed pair
 def test_extract_equals_unpruned_fold(inputs):
     from fanocount.extraction import _extract
     target, factors = inputs
-    product = MultiPoly.one(len(target))
+    product = vandermonde(len(target))
     for v, c in factors:
         product = product.mul(MultiPoly.linear_form(v, c))
     value = _extract(target, factors)
     assert value == product.coefficient(target)
     assert isinstance(value, int)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_alternant_expands_to_the_vandermonde_product(k):
+    # the readout's signs: a wrong sign or exponent gives wrong counts and no error
+    from fanocount.extraction import _alternant
+    terms = _alternant(k)
+    assert len(terms) == len({e for e, _ in terms})
+    assert MultiPoly(k + 1, dict(terms)) == vandermonde(k + 1)
+
+
+@pytest.mark.parametrize("factor", [((1, 0), -1), ((-1, 2), 0), ((2, 0, -3), 1)])
+def test_extract_refuses_negative_factors(factor):
+    # the fold's fields carry no sign bit, so a negative c or v_i is outside its domain
+    from fanocount.extraction import _extract
+    v, c = factor
+    with pytest.raises(InconsistencyError):
+        _extract((3,) * len(v), [((1,) * len(v), 1), factor])
 
 
 def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
