@@ -181,65 +181,65 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
 
     Every c and v_i must be >= 0 (else InconsistencyError).  Then every coefficient, pruned or
     not, is non-negative, and they sum to at most M = prod max(1, c + sum v), so B =
-    M.bit_length() bits hold each with no sign bit and no carry.  The last two variables share
-    one int, x_k = 2^B and x_(k-1) = 2^(B (t_k + 2)): field j of row i holds the coefficient of
-    x_(k-1)^i x_k^j, and field t_k + 1 is a guard for what x_k pushes out of the row.  A factor
-    is three shifts and adds, then one AND mask clears every guard and every row above t_(k-1);
-    one variable gets a stand-in x_(k-1) of target 0.  A head x_0^e_0 ... x_(k-2)^e_(k-2) is an
+    M.bit_length() bits hold each with no sign bit and no carry.  The last min(3, n) variables
+    share one int: x_(n-1) has a stride of one B-bit field and each outer one t + 2 times the
+    next one's, t the next one's target, so every row ends in a guard field and every plane in
+    a guard row.  A factor is a shift and add per packed variable, then one AND mask clears
+    every guard and all above the outermost target.  A head x_0^e_0 ... x_(n-4)^e_(n-4) is an
     int with a C-bit field i holding e_i + T - 1 - target_i, T = 2^(C-1): times x_i adds
     1 << C*i, and e_i > target_i sets field i's top bit, so the box test is ``key & guard``.
-    Buckets keyed by head degree are kept or dropped whole on head degree + t_(k-1) + t_k.
+    Buckets keyed by head degree are kept or dropped whole on head degree + packed targets' sum.
     """
     n = len(target)
     for v, c in factors:
         if c < 0 or min(v) < 0:
             raise InconsistencyError(f"the fold needs c, v_i >= 0, got the factor {(v, c)}")
     width = prod(max(1, c + sum(v)) for v, c in factors).bit_length()
-    if n == 1:
-        target, factors = (0, *target), [((0, *v), c) for v, c in factors]
-    *head, ta, tb = target
-    row = width * (tb + 2)
-    mask = (1 << width * (tb + 1)) - 1
-    for i in range(ta.bit_length()):   # 2^i rows, doubled: at least ta + 1 rows
-        mask |= mask << (row << i)
-    mask &= (1 << row * (ta + 1)) - 1
+    head, tail = target[:-3], target[-3:]
+    strides, stride, mask = [], width, (1 << width) - 1
+    for t in reversed(tail):   # innermost first: t + 1 copies at this stride, then a guard
+        strides.insert(0, stride)
+        for i in range(t.bit_length()):   # 2^i copies, doubled: at least t + 1
+            mask |= mask << (stride << i)
+        mask &= (1 << stride * (t + 1)) - 1
+        stride *= t + 2
     cols = max(head, default=0).bit_length() + 2
     top = 1 << (cols - 1)
     shifts = [cols * i for i in range(len(head))]
     offset = sum((top - 1 - ti) << sh for ti, sh in zip(head, shifts))
     guard = sum(top << sh for sh in shifts)
-    floor = sum(head) - comb(n, 2) - len(factors)
     buckets = {0: {offset: 1}}   # the monomial 1: every field reads top - 1 - target_i
-    for v, c in factors:
-        floor += 1
-        *vh, va, vb = v
-        steps = [(1 << sh, vi) for vi, sh in zip(vh, shifts) if vi]
+    for floor, (v, c) in enumerate(factors, sum(head) + 1 - comb(n, 2) - len(factors)):
+        steps = shifts and [(1 << sh, vi) for vi, sh in zip(v, shifts) if vi]
+        moves = [(sh, vi) for vi, sh in zip(v[-3:], strides) if vi]
         out: dict[int, dict[int, int]] = {}
         # top degree first: bucket s fills out[s] before bucket s - 1 adds to it
         for s, bucket in sorted(buckets.items(), reverse=True):
             if s + 1 < floor:
                 break
-            if s >= floor and (c or va or vb):
-                out[s] = {key: (c * p + va * (p << row) + vb * (p << width)) & mask
-                          for key, p in bucket.items()}
+            if s >= floor and (c or moves):
+                kept = out[s] = {}
+                for key, p in bucket.items():
+                    q = p if c == 1 else c * p
+                    for sh, vi in moves:
+                        q += p << sh if vi == 1 else vi * p << sh
+                    kept[key] = q & mask
             if steps:
                 up = out.setdefault(s + 1, {})
-                get = up.get
                 for key, p in bucket.items():
                     for step, vi in steps:
                         raised = key + step
                         if not raised & guard:
-                            up[raised] = get(raised, 0) + vi * p
+                            up[raised] = up.get(raised, 0) + (p if vi == 1 else vi * p)
         buckets = out
     value = 0
     for e, sign in _alternant(n - 1):
-        e = (0, *e) if n == 1 else e
         if any(map(int.__lt__, target, e)):   # the shift has a negative entry
             continue
-        *eh, ea, eb = e   # the shift's head field i reads top - 1 - e_i
-        packed = buckets.get(sum(head) - sum(eh), {}).get(
-            sum((top - 1 - ei) << sh for ei, sh in zip(eh, shifts)), 0)
-        value += sign * (packed >> (ta - ea) * row + (tb - eb) * width & (1 << width) - 1)
+        packed = buckets.get(sum(head) - sum(e[:-3]), {}).get(   # head field i: top - 1 - e_i
+            sum((top - 1 - ei) << sh for ei, sh in zip(e, shifts)), 0)
+        low = sum((t - ei) * sh for t, ei, sh in zip(tail, e[-3:], strides))
+        value += sign * (packed >> low & (1 << width) - 1)
     return value
 
 

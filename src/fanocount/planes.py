@@ -169,7 +169,8 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     the roots with a positive multiple of t_i, c t_i + (a degree-(d-c) root of the prefix),
     c = 1..d: C(d-1+j, j) steps at depth j instead of C(d+k, k) at every plane, so the sum packs
     sum_j C(r-k+j+1, j+1) C(d-1+j, j) roots.  An inner node also keeps its roots of each degree
-    below d for its children.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied
+    below d for its children, and a plane's parent pairs each c with the roots of degree d - c
+    once for all its planes.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied
     in along the path, and prod_{j > max I} P_j comes from a suffix table."""
     if len(set(t)) != len(t):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {t}")
@@ -185,6 +186,8 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     for depth in range(k + 1):
         grown = []
         for start, point, packed, lower, factor in level:
+            if d and depth == k:   # a plane's roots c t_i + v take the same (c, v) for every i
+                offsets = [(c, lower[d - c]) for c in range(1, d + 1)]
             for i in range(start, r - k + depth + 1):
                 ti = t[i]
                 weight = factor * prod([ti - s for s in point]) ** 2
@@ -197,8 +200,8 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
                         below.append(roots)
                     here = _pack(packed, [ti + v for v in roots], width, mask, y)
                 elif d:               # a plane keeps no roots
-                    here = _pack(packed, [c * ti + v for c in range(1, d + 1)
-                                          for v in lower[d - c]], width, mask, y)
+                    here = _pack(packed, [ct + v for c, vs in offsets for ct in [c * ti]
+                                          for v in vs], width, mask, y)
                 if depth < k:
                     grown.append((i + 1, point + [ti], here, below, weight))
                 else:

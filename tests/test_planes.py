@@ -312,9 +312,8 @@ def extraction_inputs(draw):
     """A target and linear factors (v, c) with c, v_i >= 0, in 1-5 variables.
 
     Target entries 0..8 take in 0, 1, 3, 4, 7 and 8, at and next to powers of
-    two, where the packed head field width changes; one variable (a stand-in
-    x_(k-1)) and a last entry 0 (a row of one field and its guard) are drawn
-    often.  Factors are small, or wide (c up to 10^6, v_i up to 10^3), or
+    two, where the packed head field width changes; one variable and a last
+    entry 0 (a row of one field and its guard) are drawn often.  Factors are small, or wide (c up to 10^6, v_i up to 10^3), or
     constant (v = 0), whose products meet the bound the packed field width is
     taken from."""
     n = draw(st.one_of(st.just(1), st.integers(1, 5)))
@@ -344,7 +343,11 @@ def vandermonde(n):
 @example(((2,), [((10**3,), 10**3)] * 2))        # large fields under the top one
 @example(((1, 1), [((0, 1), 1)] * 3))            # a guard field not cleared moves up a row
 @example(((2, 0), [((1, 0), 0)] * 2))            # a row of one field and its guard
-@example(((2, 1, 0), [((1, 0, 0), 0)] * 2))      # a head over the packed pair
+@example(((2, 1, 0), [((1, 0, 0), 0)] * 2))      # the packed triple, no head
+@example(((1, 2, 1), [((0, 1, 0), 1)] * 4))      # a guard row not cleared moves up a plane
+@example(((2, 4, 0), [((0, 10**3, 0), 0)] * 3))  # the width bound in a middle-variable field
+@example(((4, 3, 2, 1), [((2, 1, 1, 0), 1)] * 4))  # a head over the packed triple
+@example(((2,), [((1,), 1)] * 6))                # one variable, packed alone
 def test_extract_equals_unpruned_fold(inputs):
     from fanocount.extraction import _extract
     target, factors = inputs
@@ -466,8 +469,15 @@ def test_plane_sum_at_extreme_weights_is_the_divided_sum(inputs):
 
 
 def test_dm_equals_bott_at_the_k4_frontier():
-    # the largest DM cell in tier 1: about a second by the fold
+    # the largest k = 4 DM cell in tier 1: about a quarter of a second by the fold
     assert deg_planes_dm(5, 10, 4) == deg_planes_bott(5, 10, 4, TorusWeights.random(10, 4))
+
+
+def test_dm_equals_bott_at_k5():
+    # two head variables over the packed triple: heads of two fields keyed by degree
+    value = deg_planes_dm(3, 11, 5)
+    assert value == 2887420948969853380084
+    assert value == deg_planes_bott(3, 11, 5, TorusWeights.random(11, 5))
 
 
 def test_deg_planes_bott_agrees_with_dm():
