@@ -20,17 +20,20 @@ _MODULES = ("errors", "planes", "invariants", "conics", "polycore")
 
 
 def __getattr__(name: str):
-    # a module is loaded by its name alone: ``from . import extraction`` loads nothing else
-    # (never __main__, which would run the CLI)
-    if not name.startswith("_"):
+    if name == "__all__":
+        value = [n for m in _MODULES for n in import_module(f".{m}", __name__).__all__]
+    elif name.startswith("_"):
+        # no module's __all__ holds a _-prefixed name, so a probe such as
+        # hasattr(fanocount, "__wrapped__") loads nothing
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        # a module is loaded by its name alone: ``from . import extraction`` loads nothing else
+        # (never __main__, which would run the CLI)
         try:
             return import_module(f".{name}", __name__)
         except ModuleNotFoundError as exc:
             if exc.name != f"{__name__}.{name}":
                 raise
-    if name == "__all__":
-        value = [n for m in _MODULES for n in import_module(f".{m}", __name__).__all__]
-    else:
         for m in _MODULES:
             module = import_module(f".{m}", __name__)
             if name in module.__all__:

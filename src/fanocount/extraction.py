@@ -174,10 +174,9 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     and V the Vandermonde polynomial in n = len(target) variables.  V is the alternant
     sum_sigma sgn(sigma) x^(sigma delta), delta = (n-1, ..., 0), so this folds G alone and
     returns sum_sigma sgn(sigma) [x^(target - sigma delta)] G over the shifts with no negative
-    entry.  All shifts lie in target's box and have degree |target| - C(n, 2), so one fold from
-    the monomial 1 serves them all.  It drops a term once an exponent exceeds target's (box)
-    or its degree plus the factors left falls short (floor), both lossless: no factor lowers an
-    exponent or adds more than 1 to the degree.
+    entry.  All shifts lie in target's box, so one fold from the monomial 1 serves them all.
+    Its only pruning is the box: a term is dropped once an exponent exceeds target's, which
+    loses nothing, as no factor lowers an exponent.
 
     Every c and v_i must be >= 0 (else InconsistencyError).  Then every coefficient, pruned or
     not, is non-negative, and they sum to at most M = prod max(1, c + sum v), so B =
@@ -188,7 +187,7 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     every guard and all above the outermost target.  A head x_0^e_0 ... x_(n-4)^e_(n-4) is an
     int with a C-bit field i holding e_i + T - 1 - target_i, T = 2^(C-1): times x_i adds
     1 << C*i, and e_i > target_i sets field i's top bit, so the box test is ``key & guard``.
-    Buckets keyed by head degree are kept or dropped whole on head degree + packed targets' sum.
+    One term map, head key -> packed tail, holds each step.
     """
     n = len(target)
     for v, c in factors:
@@ -208,36 +207,29 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
     shifts = [cols * i for i in range(len(head))]
     offset = sum((top - 1 - ti) << sh for ti, sh in zip(head, shifts))
     guard = sum(top << sh for sh in shifts)
-    buckets = {0: {offset: 1}}   # the monomial 1: every field reads top - 1 - target_i
-    for floor, (v, c) in enumerate(factors, sum(head) + 1 - comb(n, 2) - len(factors)):
+    terms = {offset: 1}   # the monomial 1: every field reads top - 1 - target_i
+    for v, c in factors:
         steps = shifts and [(1 << sh, vi) for vi, sh in zip(v, shifts) if vi]
         moves = [(sh, vi) for vi, sh in zip(v[-3:], strides) if vi]
-        out: dict[int, dict[int, int]] = {}
-        # top degree first: bucket s fills out[s] before bucket s - 1 adds to it
-        for s, bucket in sorted(buckets.items(), reverse=True):
-            if s + 1 < floor:
-                break
-            if s >= floor and (c or moves):
-                kept = out[s] = {}
-                for key, p in bucket.items():
-                    q = p if c == 1 else c * p
-                    for sh, vi in moves:
-                        q += p << sh if vi == 1 else vi * p << sh
-                    kept[key] = q & mask
-            if steps:
-                up = out.setdefault(s + 1, {})
-                for key, p in bucket.items():
-                    for step, vi in steps:
-                        raised = key + step
-                        if not raised & guard:
-                            up[raised] = up.get(raised, 0) + (p if vi == 1 else vi * p)
-        buckets = out
+        out: dict[int, int] = {}
+        if c or moves:
+            for key, p in terms.items():
+                q = p if c == 1 else c * p
+                for sh, vi in moves:
+                    q += p << sh if vi == 1 else vi * p << sh
+                out[key] = q & mask
+        if steps:   # after every stay: a raise may land on a key that a stay writes
+            for key, p in terms.items():
+                for step, vi in steps:
+                    raised = key + step
+                    if not raised & guard:
+                        out[raised] = out.get(raised, 0) + (p if vi == 1 else vi * p)
+        terms = out
     value = 0
     for e, sign in _alternant(n - 1):
         if any(map(int.__lt__, target, e)):   # the shift has a negative entry
             continue
-        packed = buckets.get(sum(head) - sum(e[:-3]), {}).get(   # head field i: top - 1 - e_i
-            sum((top - 1 - ei) << sh for ei, sh in zip(e, shifts)), 0)
+        packed = terms.get(sum((top - 1 - ei) << sh for ei, sh in zip(e, shifts)), 0)
         low = sum((t - ei) * sh for t, ei, sh in zip(tail, e[-3:], strides))
         value += sign * (packed >> low & (1 << width) - 1)
     return value

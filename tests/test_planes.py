@@ -348,6 +348,7 @@ def vandermonde(n):
 @example(((2, 4, 0), [((0, 10**3, 0), 0)] * 3))  # the width bound in a middle-variable field
 @example(((4, 3, 2, 1), [((2, 1, 1, 0), 1)] * 4))  # a head over the packed triple
 @example(((2,), [((1,), 1)] * 6))                # one variable, packed alone
+@example(((5, 4, 3, 1, 0), [((1, 1, 1, 0, 1), 1)] * 4))  # a stay and a raise meet on one head
 def test_extract_equals_unpruned_fold(inputs):
     from fanocount.extraction import _extract
     target, factors = inputs
@@ -474,7 +475,7 @@ def test_dm_equals_bott_at_the_k4_frontier():
 
 
 def test_dm_equals_bott_at_k5():
-    # two head variables over the packed triple: heads of two fields keyed by degree
+    # three head variables over the packed triple: each head key packs three fields
     value = deg_planes_dm(3, 11, 5)
     assert value == 2887420948969853380084
     assert value == deg_planes_bott(3, 11, 5, TorusWeights.random(11, 5))

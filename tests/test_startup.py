@@ -152,3 +152,13 @@ def test_star_import_binds_every_public_name():
 def test_unknown_package_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(fanocount, "no_such_name")
+
+
+def test_private_attribute_probe_loads_no_module():
+    # no module's __all__ holds a _-prefixed name, so a probe such as inspect.unwrap's
+    # hasattr(fanocount, "__wrapped__") is refused before any module is loaded
+    found, loaded = loaded_by("import sys, fanocount; before = set(sys.modules); "
+                              "found = hasattr(fanocount, '__wrapped__') + hasattr(fanocount, '_x'); "
+                              "print(found, *sorted(set(sys.modules) - before))")
+    assert found == 0
+    assert not {m for m in loaded if m.startswith("fanocount.")}
