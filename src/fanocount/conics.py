@@ -201,11 +201,13 @@ def generic_conic_weights(r: int, seed: int) -> TorusWeights:
     {i, j}), plus a seeded positive shift, so no draw is rejected.  At r + 1 = p two
     seeds can give the same set; ``deg_conics`` redraws then."""
     _check_weight_count(r)
-    p = next(q for q in range(max(r + 1, 2), 2 * r + 3) if all(q % f for f in range(2, q)))
+    p = max(r + 1, 2)
+    while not all(map(p.__mod__, range(2, p))):
+        p += 1
     rng = random.Random(seed)
     unit, shift = rng.randint(1, p - 1), rng.randint(1, 2 * p * p)
-    return TorusWeights(tuple(2 * p * i + unit * i * i % p + shift
-                              for i in rng.sample(range(p), r + 1)))
+    return TorusWeights([2 * p * i + unit * i * i % p + shift
+                         for i in rng.sample(range(p), r + 1)])
 
 
 class BottSum(NamedTuple):
@@ -241,19 +243,8 @@ def _eta(d: int, r: int, point: Sequence[int]) -> int:
     return _unpack(numerator * inverse, width, width * n)
 
 
-# the six fixed conics x_a x_b = 0 of a plane, a <= b indexing its three coordinates
-_PAIRS = tuple(combinations_with_replacement(range(3), 2))
-# the two coordinates left when coordinate a of a plane is dropped
-_OTHERS = ((1, 2), (0, 2), (0, 1))
-# each conic of _PAIRS by the edges that hold its 2d + 1 roots, as (a, (k, l), c): the d + 1
-# with v_a = 0 are all the degree-d roots of the edge (k, l) of the other two coordinates; for
-# a != b the d others are those of the edge (a, c) with v_a >= 1, c the third coordinate, and
-# for the double line x_a^2 = 0, c = a, they are x_a times the degree-(d-1) roots of (k, l)
-_CONICS = tuple((a, _OTHERS[a], 3 - a - b if a != b else a) for a, b in _PAIRS)
-
-
 def _fiber_cofactors(plane: list[int]) -> tuple[int, tuple[int, ...]]:
-    """D and the cofactors D / Q_c of a plane, in ``_PAIRS`` order (``deg_conics_bott``)."""
+    """D and the cofactors D / Q_c of a plane's conics x_a x_b = 0, ab = 00, 01, 02, 11, 12, 22."""
     x0, x1, x2 = plane
     e01, e02, e12 = x0 - x1, x0 - x2, x1 - x2
     g0, g1, g2 = e01 + e02, e12 - e01, -e02 - e12
@@ -292,7 +283,7 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     For each fixed conic c (plane I = {i, j, k}, equation x_a x_b = 0):
 
     * local Chern contribution N_c: e_{3r-1} of the 2d + 1 roots <v, x> of the degree-d
-      monomials x^v not divisible by x_a x_b (``_CONICS``) at x = (-t_i, -t_j, -t_k),
+      monomials x^v not divisible by x_a x_b at x = (-t_i, -t_j, -t_k),
       ``eta_form_twisted`` there with fiber class t_a + t_b; the top field of a ``_pack``ed
       product in one ``_layout`` (its window and field width) for the whole sum, each root
       at most R = d max |t|;
@@ -309,11 +300,12 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     Vandermonde product 2 (e01 e02 e12)^2 D; no Q_c is +-1, so no cofactor is a multiple of D.
 
     Most roots depend on one edge {i, j} of the plane only, so each edge is packed once per
-    call, by weights: the d - 1 roots with v_i, v_j >= 1, then one root each for F_i->j
-    (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij, d + 2 steps.
+    call, in dicts keyed by weight: the d - 1 roots with v_i, v_j >= 1, then one root each for
+    F_i->j (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij, d + 2 steps.
     Packing is a ring map modulo 2^(B(w+1)), so the conic x_a x_b = 0, a != b, is
     E_bc F_a->c & mask, one product, and the double line x_a^2 = 0 extends E_bc by its d
     other roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3) products per sum.
+    A plane's six conics are written out, with no table to loop over and no tuple keys to hash.
 
     No denominator holds t_a or t_a + t_b, so zero weights and opposite pairs are valid.
     A repeated weight (``_plane_sum``) and two equal pair sums in one plane (D = 0, refused
@@ -324,28 +316,34 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     width, mask, low, y = _layout(3 * r - 1, 2 * d + 1, d * max(map(abs, weights)))
-    # (t_i, t_j) -> (E_ij, F_i->j), both orders of each edge; on root values (x, y) =
-    # (-t_i, -t_j) the degree-d roots are d y + m (x - y), m = 0..d
-    edges = {}
+    # wholes[t_i][t_j] = E_ij and toward[t_i][t_j] = F_i->j, both orders of each edge; on root
+    # values (x, y) = (-t_i, -t_j) the degree-d roots are d y + m (x - y), m = 0..d
+    wholes, toward = {ti: {} for ti in weights}, {ti: {} for ti in weights}
     for ti, tj in combinations(weights, 2):
         start, step = -ti - (d - 1) * tj, tj - ti
         # not a range, whose step may not be 0: a repeated weight is _plane_sum's to refuse
         inner = _pack(1, [start + m * step for m in range(d - 1)], width, mask, y)
-        from_i, from_j = (_pack(inner, [-d * w], width, mask, y) for w in (ti, tj))
-        whole = _pack(from_i, [-d * tj], width, mask, y)
-        edges[ti, tj], edges[tj, ti] = (whole, from_i), (whole, from_j)
+        toward[ti][tj] = from_i = _pack(inner, [-d * ti], width, mask, y)
+        toward[tj][ti] = _pack(inner, [-d * tj], width, mask, y)
+        wholes[ti][tj] = wholes[tj][ti] = _pack(from_i, [-d * tj], width, mask, y)
 
     def fiber(plane: list[int], _: int) -> int:
-        denominator, cofactors = _fiber_cofactors(plane)
-        numerator = 0
-        for (a, (k, l), c), cofactor in zip(_CONICS, cofactors):
-            whole = edges[plane[k], plane[l]][0]
-            if c != a:
-                conic = whole * edges[plane[a], plane[c]][1] & mask
-            else:
-                start, step = -plane[a] - (d - 1) * plane[l], plane[l] - plane[k]
-                conic = _pack(whole, range(start, start + d * step, step), width, mask, y)
-            numerator += _unpack(conic, width, low) * cofactor
+        x0, x1, x2 = plane
+        denominator, (c00, c01, c02, c11, c12, c22) = _fiber_cofactors(plane)
+        edge12, edge02, edge01 = wholes[x1][x2], wholes[x0][x2], wholes[x0][x1]
+        # x_a^2 = 0 extends E_kl by x_a times its degree-(d-1) roots; x_a x_b = 0 is E_kl F_a->c
+        start, step = -x0 - (d - 1) * x2, x2 - x1
+        conic = _pack(edge12, range(start, start + d * step, step), width, mask, y)
+        numerator = _unpack(conic, width, low) * c00
+        numerator += _unpack(edge12 * toward[x0][x2] & mask, width, low) * c01
+        numerator += _unpack(edge12 * toward[x0][x1] & mask, width, low) * c02
+        start, step = -x1 - (d - 1) * x2, x2 - x0
+        conic = _pack(edge02, range(start, start + d * step, step), width, mask, y)
+        numerator += _unpack(conic, width, low) * c11
+        numerator += _unpack(edge02 * toward[x1][x0] & mask, width, low) * c12
+        start, step = -x2 - (d - 1) * x1, x1 - x0
+        conic = _pack(edge01, range(start, start + d * step, step), width, mask, y)
+        numerator += _unpack(conic, width, low) * c22
         value, remainder = divmod(numerator, denominator)
         if remainder:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")
@@ -397,10 +395,14 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     """
     problem = _check_conic_degree_regime(d, r)
     rng = random.Random(seed)
-    weights = other = generic_conic_weights(r, rng.randrange(2**30))
+    weights = generic_conic_weights(r, rng.randrange(2**30))
     # permuted weights give the same sum even from a wrong kernel: redraw a repeated set
-    while sorted(other) == sorted(weights):
+    for _ in range(64):
         other = generic_conic_weights(r, rng.randrange(2**30))
+        if sorted(other) != sorted(weights):
+            break
+    else:
+        raise InconsistencyError(f"64 redraws for ({d},{r}) all repeat the first weight set")
     first, second = deg_conics_bott(d, r, weights), deg_conics_bott(d, r, other)
     if first.value != second.value:
         raise InconsistencyError(

@@ -12,9 +12,9 @@ names, so ``planes.deg_fano`` is ``extraction.deg_fano``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -60,7 +60,7 @@ def _weight_tuple(t: Sequence[int], r: int) -> tuple[int, ...]:
     tt = tuple(t)
     if len(tt) != r + 1:
         raise SingularWeightsError(f"need r+1 = {r + 1} weights, got {len(tt)}")
-    return tuple(_integer("a weight", w) for w in tt)
+    return tuple(map(partial(_integer, "a weight"), tt))
 
 
 @lru_cache(maxsize=None, typed=True)   # typed: 4.0 must not hit the entry of 4
@@ -169,14 +169,16 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     the roots with a positive multiple of t_i, c t_i + (a degree-(d-c) root of the prefix),
     c = 1..d: C(d-1+j, j) steps at depth j instead of C(d+k, k) at every plane, so the sum packs
     sum_j C(r-k+j+1, j+1) C(d-1+j, j) roots.  An inner node also keeps its roots of each degree
-    below d for its children, and a plane's parent pairs each c with the roots of degree d - c
-    once for all its planes.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied
-    in along the path, and prod_{j > max I} P_j comes from a suffix table."""
+    below d for its children.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied
+    in along the path, and prod_{j > max I} P_j comes from a suffix table.  Plain loops build
+    them all: in Python 3.11 each comprehension is a function call (PEP 709 inlines it in 3.12)."""
     if len(set(t)) != len(t):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {t}")
-    p = [prod(tj - tl for tl in t if tl != tj) for tj in t]
-    suffix = [1] * (r + 2)   # suffix[j] = prod_{l >= j} P_l
+    p, suffix = [1] * (r + 1), [1] * (r + 2)   # suffix[j] = prod_{l >= j} P_l
     for j in range(r, -1, -1):
+        for tl in t:
+            if tl != t[j]:
+                p[j] *= t[j] - tl
         suffix[j] = suffix[j + 1] * p[j]
     width, mask, _, y = layout
     numerator = 0
@@ -186,22 +188,28 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     for depth in range(k + 1):
         grown = []
         for start, point, packed, lower, factor in level:
-            if d and depth == k:   # a plane's roots c t_i + v take the same (c, v) for every i
-                offsets = [(c, lower[d - c]) for c in range(1, d + 1)]
             for i in range(start, r - k + depth + 1):
                 ti = t[i]
-                weight = factor * prod([ti - s for s in point]) ** 2
+                vandermonde = 1
+                for s in point:
+                    vandermonde *= ti - s
+                weight = factor * vandermonde * vandermonde
                 factor *= p[i]
                 here, below = packed, []
-                if d and depth < k:   # below[m]: the degree-m roots with t_i, from degree 0 up
+                if d and depth < k:   # below[m]: the degree-m roots with t_i, m < d; pack degree d
                     roots = []
-                    for m in range(d):
-                        roots = lower[m] + [ti + v for v in roots]
+                    for base in [*lower, []]:
+                        roots, shorter = base[:], roots
+                        for v in shorter:
+                            roots.append(ti + v)
                         below.append(roots)
-                    here = _pack(packed, [ti + v for v in roots], width, mask, y)
-                elif d:               # a plane keeps no roots
-                    here = _pack(packed, [ct + v for c, vs in offsets for ct in [c * ti]
-                                          for v in vs], width, mask, y)
+                    here = _pack(packed, below.pop(), width, mask, y)
+                elif d:               # a plane's roots c t_i + v, v of degree d - c in lower
+                    roots = []
+                    for c in range(1, d + 1):
+                        for v in lower[d - c]:
+                            roots.append(c * ti + v)
+                    here = _pack(packed, roots, width, mask, y)
                 if depth < k:
                     grown.append((i + 1, point + [ti], here, below, weight))
                 else:

@@ -12,7 +12,10 @@ Deliberately different computational routes from the ones in the package:
   divided form: every degree-d weight over the shifted degree-(d-2) weights;
 * the plane fixed-point sum with one Fraction per fixed plane, each plane's
   roots built from scratch, also for the Fano-scheme numbers that the package
-  computes by extraction only;
+  computes by extraction only, and the plane walk's undivided (numerator, D)
+  pair with every plane's products taken afresh;
+* the conic fiber driven by a table of its six conics, the form the package
+  had before it wrote the six out;
 * the emptiness of a Fano scheme straight from its defining inequalities;
 * the CLI's command line through argparse, the parser the CLI had before its own.
 
@@ -250,6 +253,37 @@ def divided_conic_bott(d, r, t):
     return total
 
 
+def flat_plane_sum(r, k, t, local):
+    """``planes._plane_sum``'s pair (numerator, D) plane by plane, with no prefix walk: with
+    P_j = prod_{l != j} (t_j - t_l), the numerator adds local(t_I) V(t_I)^2 prod_{j not in I}
+    P_j over the coordinate k-planes I, V the Vandermonde product, and D is
+    (-1)^C(k+1, 2) prod_j P_j.  Each product is taken afresh for every plane."""
+    p = [1] * (r + 1)
+    for j in range(r + 1):
+        for l in range(r + 1):
+            if l != j:
+                p[j] *= t[j] - t[l]
+    numerator = 0
+    for plane in itertools.combinations(range(r + 1), k + 1):
+        term = local([t[i] for i in plane])
+        for i, j in itertools.combinations(plane, 2):
+            term *= (t[j] - t[i]) ** 2
+        for j in range(r + 1):
+            if j not in plane:
+                term *= p[j]
+        numerator += term
+    denominator = (-1) ** comb(k + 1, 2)
+    for pj in p:
+        denominator *= pj
+    return numerator, denominator
+
+
+def plane_top_chern(d, r, k, point):
+    """e_n, n = (k+1)(r-k), of the C(d+k, k) roots <v, point>, |v| = d, by the plain loop."""
+    roots = [sum(vi * p for vi, p in zip(v, point)) for v in compositions(k + 1, d)]
+    return plain_top_chern((k + 1) * (r - k), roots, ())
+
+
 def divided_plane_bott(d, r, k, t):
     """Plane fixed-point sum with one Fraction per fixed plane I: the top Chern value of the
     weights of the degree-d monomials at t_I, by the plain loop, over
@@ -285,6 +319,56 @@ def fixed_point_fano(degrees, r, k, extra, t):
                     euler *= t[i] - t[j]
         total += Fraction(value, euler)
     return total
+
+
+# the six fixed conics x_a x_b = 0 of a plane, a <= b indexing its three coordinates
+_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
+# the two coordinates left when coordinate a of a plane is dropped
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+# each conic of _PAIRS by the edges that hold its 2d + 1 roots, as (a, (k, l), c): the d + 1
+# with v_a = 0 are all the degree-d roots of the edge (k, l) of the other two coordinates; for
+# a != b the d others are those of the edge (a, c) with v_a >= 1, c the third coordinate, and
+# for the double line x_a^2 = 0, c = a, they are x_a times the degree-(d-1) roots of (k, l)
+_CONICS = tuple((a, _OTHERS[a], 3 - a - b if a != b else a) for a, b in _PAIRS)
+
+
+def table_conic_bott(d, r, t):
+    """``conics.deg_conics_bott`` with its fiber driven by the ``_CONICS`` table: the same
+    packed edge products, keyed by weight pairs, and the six conics of a plane taken in a
+    loop over the table.  It shares the package's packing, plane walk and cofactors, so it
+    guards only the written-out fiber and its edge lookups."""
+    from fanocount.conics import BottSum, _check_conic_degree_regime, _fiber_cofactors
+    from fanocount.errors import InconsistencyError
+    from fanocount.planes import _layout, _pack, _plane_sum, _unpack, _weight_tuple
+    _check_conic_degree_regime(d, r)
+    weights = _weight_tuple(t, r)
+    width, mask, low, y = _layout(3 * r - 1, 2 * d + 1, d * max(map(abs, weights)))
+    edges = {}   # (t_i, t_j) -> (E_ij, F_i->j), both orders of each edge
+    for ti, tj in itertools.combinations(weights, 2):
+        start, step = -ti - (d - 1) * tj, tj - ti
+        inner = _pack(1, [start + m * step for m in range(d - 1)], width, mask, y)
+        from_i, from_j = (_pack(inner, [-d * w], width, mask, y) for w in (ti, tj))
+        whole = _pack(from_i, [-d * tj], width, mask, y)
+        edges[ti, tj], edges[tj, ti] = (whole, from_i), (whole, from_j)
+
+    def fiber(plane, _):
+        denominator, cofactors = _fiber_cofactors(plane)
+        numerator = 0
+        for (a, (k, l), c), cofactor in zip(_CONICS, cofactors):
+            whole = edges[plane[k], plane[l]][0]
+            if c != a:
+                conic = whole * edges[plane[a], plane[c]][1] & mask
+            else:
+                start, step = -plane[a] - (d - 1) * plane[l], plane[l] - plane[k]
+                conic = _pack(whole, range(start, start + d * step, step), width, mask, y)
+            numerator += _unpack(conic, width, low) * cofactor
+        value, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")
+        return value
+
+    numerator, denominator = _plane_sum(r, 2, weights, fiber)
+    return BottSum(Fraction((-1) ** r * numerator, denominator), numerator % denominator == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from fanocount.conics import (
 from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
-from oracles import (dense_conic_bott, dense_eta, divided_conic_bott, divided_conic_top_chern,
-                     plain_top_chern, six_term_untwisted_sum)
+from oracles import (_CONICS, dense_conic_bott, dense_eta, divided_conic_bott,
+                     divided_conic_top_chern, plain_top_chern, six_term_untwisted_sum,
+                     table_conic_bott)
 
 
 # frozen values: validated by constancy over independent weight draws,
@@ -225,8 +226,6 @@ def test_conic_roots_are_edge_products(inputs):
     # sum multiplies them as E_kl, all degree-d roots of the edge of the two coordinates
     # other than a, times F_a->c, those of the edge (a, c) with v_a >= 1, or, for the
     # double line (c = a), extends E_kl by x_a times the degree-(d-1) roots of (k, l)
-    from fanocount.conics import _CONICS
-
     def edge(m, i, j):   # degree-m roots on coordinates i, j, by v_i
         return {v: v * point[i] + (m - v) * point[j] for v in range(m + 1)}
 
@@ -365,6 +364,26 @@ def test_deg_conics_sums_at_two_different_weight_sets(monkeypatch):
             assert sorted(summed[0]) != sorted(summed[1])
             redrawn += len(draws) > 2
     assert redrawn > 0   # the seeds above include draws that share a set
+
+
+def test_deg_conics_stops_redrawing_a_repeated_weight_set(monkeypatch):
+    # a weight source that repeats one set forever ends in a coded error, not a hang
+    import fanocount.conics as conics
+    one_set, draws = generic_conic_weights(3, seed=11), []
+
+    def same_set(r, seed):
+        draws.append(seed)
+        return TorusWeights(reversed(one_set))
+
+    def forbidden(*args):
+        pytest.fail("a sum ran without a second weight set")
+
+    monkeypatch.setattr(conics, "generic_conic_weights", same_set)
+    monkeypatch.setattr(conics, "deg_conics_bott", forbidden)
+    with pytest.raises(InconsistencyError, match=r"^64 redraws for \(4,3\) all repeat the first "
+                                                 r"weight set$"):
+        conics.deg_conics(4, 3)
+    assert len(draws) == 65
 
 
 def test_fixed_points_include_double_lines():
@@ -572,6 +591,18 @@ def test_bott_sum_at_extreme_weights_is_the_divided_sum(inputs):
     d, r, t = inputs
     raw = 85393742658 if (d, r) == (7, 5) else 894156560
     assert deg_conics_bott(d, r, t) == (divided_conic_bott(d, r, t), True) == (raw, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conic_sums_at_extreme_weights())
+@example((7, 5, [10**6, -10**6, 3, -17, 999_983, 29]))
+@example((8, 3, [0, -10**6, 3, 999_999]))
+def test_written_out_fiber_equals_the_table_fiber(inputs):
+    # the six conics written out and their edges looked up by weight give the value and
+    # integrality flag of the fiber driven by the _CONICS table
+    d, r, t = inputs
+    ours, table = deg_conics_bott(d, r, t), table_conic_bott(d, r, t)
+    assert (ours.value, ours.is_integral) == (table.value, table.is_integral)
 
 
 @pytest.mark.parametrize("plane_cell,conic_cell,raw", [((4, 3, 1), (4, 3), 5016),

@@ -26,7 +26,9 @@ from fanocount.polycore import MultiPoly, weighted_linear_product
 from oracles import (
     divided_plane_bott,
     fixed_point_fano,
+    flat_plane_sum,
     plain_top_chern,
+    plane_top_chern,
     sympy_c2_fano,
     sympy_deg_ci_planes,
     sympy_deg_fano,
@@ -467,6 +469,51 @@ def test_plane_sum_at_extreme_weights_is_the_divided_sum(inputs):
     # one layout for the whole walk covers the largest root of every plane, in either window
     d, r, k, t = inputs
     assert deg_planes_bott(d, r, k, t) == divided_plane_bott(d, r, k, t) == deg_planes_dm(d, r, k)
+
+
+@st.composite
+def plane_walks(draw):
+    """k = 1..3, r = k + 1..9 and r + 1 distinct int weights: small ones, 0 and +-10^6
+    among them, and any others up to 10^6 in absolute value."""
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(k + 1, 9))
+    scalars = st.one_of(st.sampled_from([0, 10**6, -10**6]), st.integers(-3, 3),
+                        st.integers(-10**6, 10**6))
+    return r, k, draw(st.lists(scalars, min_size=r + 1, max_size=r + 1, unique=True))
+
+
+@settings(max_examples=60, deadline=2000)
+@given(plane_walks(), st.integers(-10**9, 10**9))
+@example((9, 3, [0, 10**6, -10**6, 1, -1, 2, -2, 3, -3, 999_999]), 7)
+@example((2, 1, [10**6, 0, -10**6]), 0)
+def test_plane_walk_pair_with_no_roots_is_the_flat_sum(walk, salt):
+    # d = 0: the walk hands every plane the packed product 1, and the pair (numerator, D),
+    # before any division, is the plane-by-plane sum for any integer local value
+    from fanocount.planes import _plane_sum
+    r, k, t = walk
+
+    def local(point):
+        return random.Random(hash((salt, *point))).getrandbits(48) - 2**47
+
+    def walked_local(point, packed):
+        assert packed == 1
+        return local(point)
+
+    assert _plane_sum(r, k, t, walked_local) == flat_plane_sum(r, k, t, local)
+
+
+@settings(max_examples=40, deadline=2000)
+@given(plane_walks(), st.integers(3, 5))
+@example((9, 3, [0, 10**6, -10**6, 1, -1, 2, -2, 3, -3, 999_999]), 3)
+@example((4, 1, [10**6, -10**6, 0, 999_999, -999_999]), 5)
+def test_plane_walk_pair_with_packed_roots_is_the_flat_sum(walk, d):
+    # d >= 3: each plane's packed readout is e_n of its C(d+k, k) roots, and the pair
+    # (numerator, D) is the plane-by-plane sum of those values
+    from fanocount.planes import _layout, _plane_sum, _unpack
+    r, k, t = walk
+    layout = width, _, low, _ = _layout((k + 1) * (r - k), comb(d + k, k), d * max(map(abs, t)))
+    walked = _plane_sum(r, k, t, lambda point, packed: _unpack(packed, width, low), d, layout)
+    assert walked == flat_plane_sum(r, k, t, lambda point: plane_top_chern(d, r, k, point))
 
 
 def test_dm_equals_bott_at_the_k4_frontier():
