@@ -198,13 +198,19 @@ def generic_conic_weights(r: int, seed: int) -> TorusWeights:
     The weights are r + 1 elements, in seeded order, of the Erdos-Turan Sidon set
     {2p i + (c i^2 mod p) : 0 <= i < p}, p the least prime > r (<= 2r + 2, Bertrand)
     and c a seeded unit mod p (a pair sum fixes i + j and i^2 + j^2 mod p, hence
-    {i, j}), plus a seeded positive shift, so no draw is rejected.  At r + 1 = p two
-    seeds can give the same set; ``deg_conics`` redraws then."""
+    {i, j}), plus a seeded positive shift, so no draw is rejected: :func:`_sidon_draw`
+    from ``random.Random(seed)``.  ``deg_conics`` draws both of its sets from one
+    generator of its own, so it does not call this."""
     _check_weight_count(r)
+    return _sidon_draw(r, random.Random(seed))
+
+
+def _sidon_draw(r: int, rng: random.Random) -> TorusWeights:
+    """The draw of :func:`generic_conic_weights`, from ``rng``.  At r + 1 = p two draws
+    can give the same set; ``deg_conics`` redraws then."""
     p = max(r + 1, 2)
     while not all(map(p.__mod__, range(2, p))):
         p += 1
-    rng = random.Random(seed)
     unit, shift = rng.randint(1, p - 1), rng.randint(1, 2 * p * p)
     return TorusWeights([2 * p * i + unit * i * i % p + shift
                          for i in rng.sample(range(p), r + 1)])
@@ -303,9 +309,12 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     call, in dicts keyed by weight: the d - 1 roots with v_i, v_j >= 1, then one root each for
     F_i->j (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij, d + 2 steps.
     Packing is a ring map modulo 2^(B(w+1)), so the conic x_a x_b = 0, a != b, is
-    E_bc F_a->c & mask, one product, and the double line x_a^2 = 0 extends E_bc by its d
-    other roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3) products per sum.
-    A plane's six conics are written out, with no table to loop over and no tuple keys to hash.
+    E_bc F_a->c, one product, and the double line x_a^2 = 0 extends E_bc by its d other
+    roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3) products per sum.  Each
+    step is ``_pack``'s, written in-line, and each of a plane's six conics is read as
+    ``_unpack`` reads it, in-line: no helper call per root or per conic, no table to loop
+    over and no tuple keys to hash.  A product is left unreduced, as the readout takes
+    field w only.
 
     No denominator holds t_a or t_a + t_b, so zero weights and opposite pairs are valid.
     A repeated weight (``_plane_sum``) and two equal pair sums in one plane (D = 0, refused
@@ -316,34 +325,47 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
     width, mask, low, y = _layout(3 * r - 1, 2 * d + 1, d * max(map(abs, weights)))
+    # _unpack in-line: the rounding half plus 2^(B-1) in field w, so the sign fix subtracts it
+    field, top = (1 << width) - 1, 1 << width - 1
+    offset = (1 << low >> 1) + (top << low)
     # wholes[t_i][t_j] = E_ij and toward[t_i][t_j] = F_i->j, both orders of each edge; on root
-    # values (x, y) = (-t_i, -t_j) the degree-d roots are d y + m (x - y), m = 0..d
+    # values (x, y) = (-t_i, -t_j) the degree-d roots are d y + m (x - y), m = 0..d.  Each step
+    # is _pack's: times (a + Y) with y, else times (1 + a Z)
     wholes, toward = {ti: {} for ti in weights}, {ti: {} for ti in weights}
     for ti, tj in combinations(weights, 2):
-        start, step = -ti - (d - 1) * tj, tj - ti
-        # not a range, whose step may not be 0: a repeated weight is _plane_sum's to refuse
-        inner = _pack(1, [start + m * step for m in range(d - 1)], width, mask, y)
-        toward[ti][tj] = from_i = _pack(inner, [-d * ti], width, mask, y)
-        toward[tj][ti] = _pack(inner, [-d * tj], width, mask, y)
-        wholes[ti][tj] = wholes[tj][ti] = _pack(from_i, [-d * tj], width, mask, y)
+        a, step, inner = -ti - (d - 1) * tj, tj - ti, 1
+        for _ in range(d - 1):   # not a range, whose step may not be 0: _plane_sum refuses it
+            inner = (a * inner + (inner << width) if y else inner + (a * inner << width)) & mask
+            a += step
+        a, b = -d * ti, -d * tj
+        toward[ti][tj] = from_i = (a * inner + (inner << width) if y
+                                   else inner + (a * inner << width)) & mask
+        toward[tj][ti] = (b * inner + (inner << width) if y
+                          else inner + (b * inner << width)) & mask
+        wholes[ti][tj] = wholes[tj][ti] = (b * from_i + (from_i << width) if y
+                                           else from_i + (b * from_i << width)) & mask
 
     def fiber(plane: list[int], _: int) -> int:
         x0, x1, x2 = plane
         denominator, (c00, c01, c02, c11, c12, c22) = _fiber_cofactors(plane)
         edge12, edge02, edge01 = wholes[x1][x2], wholes[x0][x2], wholes[x0][x1]
-        # x_a^2 = 0 extends E_kl by x_a times its degree-(d-1) roots; x_a x_b = 0 is E_kl F_a->c
-        start, step = -x0 - (d - 1) * x2, x2 - x1
-        conic = _pack(edge12, range(start, start + d * step, step), width, mask, y)
-        numerator = _unpack(conic, width, low) * c00
-        numerator += _unpack(edge12 * toward[x0][x2] & mask, width, low) * c01
-        numerator += _unpack(edge12 * toward[x0][x1] & mask, width, low) * c02
-        start, step = -x1 - (d - 1) * x2, x2 - x0
-        conic = _pack(edge02, range(start, start + d * step, step), width, mask, y)
-        numerator += _unpack(conic, width, low) * c11
-        numerator += _unpack(edge02 * toward[x1][x0] & mask, width, low) * c12
-        start, step = -x2 - (d - 1) * x1, x1 - x0
-        conic = _pack(edge01, range(start, start + d * step, step), width, mask, y)
-        numerator += _unpack(conic, width, low) * c22
+        # x_a^2 = 0 extends E_kl by x_a times its degree-(d-1) roots; x_a x_b = 0 is E_kl F_a->c,
+        # left unreduced: field w of a product does not depend on the bits above the window
+        conic, start, step = edge12, -x0 - (d - 1) * x2, x2 - x1
+        for a in range(start, start + d * step, step):
+            conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
+        numerator = ((conic + offset >> low & field) - top) * c00
+        numerator += ((edge12 * toward[x0][x2] + offset >> low & field) - top) * c01
+        numerator += ((edge12 * toward[x0][x1] + offset >> low & field) - top) * c02
+        conic, start, step = edge02, -x1 - (d - 1) * x2, x2 - x0
+        for a in range(start, start + d * step, step):
+            conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
+        numerator += ((conic + offset >> low & field) - top) * c11
+        numerator += ((edge02 * toward[x1][x0] + offset >> low & field) - top) * c12
+        conic, start, step = edge01, -x2 - (d - 1) * x1, x1 - x0
+        for a in range(start, start + d * step, step):
+            conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
+        numerator += ((conic + offset >> low & field) - top) * c22
         value, remainder = divmod(numerator, denominator)
         if remainder:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")
@@ -388,17 +410,18 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     """Validated degree of the locus of degree-d hypersurfaces in P^r
     containing a conic.
 
-    Runs the twisted fixed-point sum at two seeded weight assignments that
-    differ as sets, checks the two values agree and are integral, halves where
-    the general member carries two conics (:attr:`ConicProblem.two_conics`),
-    and returns a positive integer.
+    Runs the twisted fixed-point sum at two weight assignments that differ as
+    sets, both drawn as :func:`generic_conic_weights` draws them from one
+    ``random.Random(seed)``, checks the two values agree and are integral, halves
+    where the general member carries two conics (:attr:`ConicProblem.two_conics`),
+    and returns a positive integer.  The seed fixes the weights, not the value.
     """
     problem = _check_conic_degree_regime(d, r)
     rng = random.Random(seed)
-    weights = generic_conic_weights(r, rng.randrange(2**30))
+    weights = _sidon_draw(r, rng)
     # permuted weights give the same sum even from a wrong kernel: redraw a repeated set
     for _ in range(64):
-        other = generic_conic_weights(r, rng.randrange(2**30))
+        other = _sidon_draw(r, rng)
         if sorted(other) != sorted(weights):
             break
     else:

@@ -337,29 +337,36 @@ def test_generic_weights_refuse_a_negative_ambient_with_a_code():
     assert err.value.code == "ambient-too-small"
 
 
-def test_deg_conics_sums_at_two_different_weight_sets(monkeypatch):
-    # permuted weights give the same sum from any kernel, so deg_conics must sum at
-    # two weight sets; at r + 1 = p (r = 4, 6, 10) a draw holds all p Sidon elements
-    # and two draws share a set every few hundred seeds, which forces a redraw
+def record_deg_conics_draws(monkeypatch):
+    """deg_conics with its draws recorded in ``draws`` and each summed weight set in
+    ``summed`` by a stub sum of 2: the function, draws, summed."""
     import fanocount.conics as conics
-    draws, summed = [], []
+    draws, summed, sidon_draw = [], [], conics._sidon_draw
 
-    def record_draw(r, seed):
-        draws.append(generic_conic_weights(r, seed))
+    def record_draw(r, rng):
+        draws.append(sidon_draw(r, rng))
         return draws[-1]
 
     def record_sum(d, r, t):
         summed.append(t)
         return conics.BottSum(value=Fraction(2), is_integral=True)
 
-    monkeypatch.setattr(conics, "generic_conic_weights", record_draw)
+    monkeypatch.setattr(conics, "_sidon_draw", record_draw)
     monkeypatch.setattr(conics, "deg_conics_bott", record_sum)
+    return conics.deg_conics, draws, summed
+
+
+def test_deg_conics_sums_at_two_different_weight_sets(monkeypatch):
+    # permuted weights give the same sum from any kernel, so deg_conics must sum at
+    # two weight sets; at r + 1 = p (r = 4, 6, 10) a draw holds all p Sidon elements
+    # and two draws share a set every few hundred seeds, which forces a redraw
+    deg_conics, draws, summed = record_deg_conics_draws(monkeypatch)
     redrawn = 0
     for d, r in ((4, 3), (6, 4), (9, 6), (15, 10)):
         for seed in range(1000):
             draws.clear()
             summed.clear()
-            conics.deg_conics(d, r, seed)
+            deg_conics(d, r, seed)
             assert summed == [draws[0], draws[-1]]
             assert sorted(summed[0]) != sorted(summed[1])
             redrawn += len(draws) > 2
@@ -371,19 +378,59 @@ def test_deg_conics_stops_redrawing_a_repeated_weight_set(monkeypatch):
     import fanocount.conics as conics
     one_set, draws = generic_conic_weights(3, seed=11), []
 
-    def same_set(r, seed):
-        draws.append(seed)
+    def same_set(r, rng):
+        draws.append(rng)
         return TorusWeights(reversed(one_set))
 
     def forbidden(*args):
         pytest.fail("a sum ran without a second weight set")
 
-    monkeypatch.setattr(conics, "generic_conic_weights", same_set)
+    monkeypatch.setattr(conics, "_sidon_draw", same_set)
     monkeypatch.setattr(conics, "deg_conics_bott", forbidden)
     with pytest.raises(InconsistencyError, match=r"^64 redraws for \(4,3\) all repeat the first "
                                                  r"weight set$"):
         conics.deg_conics(4, 3)
     assert len(draws) == 65
+    assert len({id(rng) for rng in draws}) == 1   # every draw from the one generator
+
+
+def test_deg_conics_seeds_one_generator(monkeypatch):
+    # both weight sets come from the dispatcher's one generator; the public draw seeds its
+    # own and still gives the weights it gave when the dispatcher called it
+    import fanocount.conics as conics
+    seeded = []
+
+    class Counted(random.Random):
+        def __init__(self, *seed):
+            seeded.append(seed)
+            super().__init__(*seed)
+
+    monkeypatch.setattr(conics.random, "Random", Counted)
+    assert conics.deg_conics(5, 3, seed=3) == CONIC_DEGREES[(5, 3)]
+    assert seeded == [(3,)]
+    assert generic_conic_weights(5, 3) == TorusWeights((136, 92, 105, 122, 162, 76))
+    assert generic_conic_weights(3, 11) == TorusWeights((67, 80, 57, 36))
+    assert seeded == [(3,), (3,), (11,)]
+
+
+def test_deg_conics_draws_are_sidon_sets(monkeypatch):
+    # the contract test_generic_weights_are_a_sidon_set keeps for the public draw, for the
+    # draws deg_conics makes from its own generator
+    deg_conics, draws, summed = record_deg_conics_draws(monkeypatch)
+    for r in range(3, 41):
+        d = (3 * r - 2) // 2 + 1   # the least d with epsilon > 0
+        for seed in (0, 1, 2, 1729, 2**30 + 7, 10**12):
+            draws.clear()
+            summed.clear()
+            deg_conics(d, r, seed)
+            assert len(summed) == 2 and sorted(summed[0]) != sorted(summed[1])
+            for t in draws:
+                assert len(set(t)) == len(t) == r + 1 and min(t) > 0
+                sums = [t[a] + t[b]
+                        for a, b in itertools.combinations_with_replacement(range(r + 1), 2)]
+                assert len(set(sums)) == len(sums)
+                if r <= 5:
+                    assert max(t) < 40 * (r + 2)
 
 
 def test_fixed_points_include_double_lines():
@@ -451,18 +498,28 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
     # one conic off by one leaves its plane's fiber sum non-integral; one plane's
     # fiber value off by one breaks the sum's integrality and the two-draw agreement;
     # negated values pass both and fail positivity.  Each fixed conic's value is read
-    # from its packed product by one ``_unpack``; readouts 0-5 are the six conics of the
-    # first plane, and each is caught because no cofactor D / Q_c is a multiple of D.
+    # from its packed product by one shift down to field w (``low``) and a mask; readouts
+    # 0-5 are the six conics of the first plane, and each is caught because no cofactor
+    # D / Q_c is a multiple of D.
     import fanocount.conics as conics
-    unpack, plane_sum = conics._unpack, conics._plane_sum
+    layout, plane_sum, cofactors = conics._layout, conics._plane_sum, conics._fiber_cofactors
     weights = generic_conic_weights(3, seed=11)
     for readout in range(6):
         calls = itertools.count()
-        monkeypatch.setattr(conics, "_unpack",
-                            lambda *field: unpack(*field) + (next(calls) == readout))
+
+        class Low(int):   # the readout shift: readout number ``readout`` reads one more
+            def __rrshift__(self, packed):
+                return (packed >> int(self)) + (next(calls) == readout)
+
+        def shifted_layout(*size):
+            width, mask, low, y = layout(*size)
+            return width, mask, Low(low), y
+
+        monkeypatch.setattr(conics, "_layout", shifted_layout)
         with pytest.raises(InconsistencyError, match="fiber sum at plane weights"):
             deg_conics_bott(4, 3, weights)
-    monkeypatch.setattr(conics, "_unpack", unpack)
+        assert next(calls) == 6   # the first plane's six readouts, then the error
+    monkeypatch.setattr(conics, "_layout", layout)
 
     def one_plane_off(r, k, t, local, *packing):
         planes = itertools.count()
@@ -474,7 +531,12 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
     with pytest.raises(InconsistencyError, match="not constant"):
         deg_conics(5, 3)
     monkeypatch.setattr(conics, "_plane_sum", plane_sum)
-    monkeypatch.setattr(conics, "_unpack", lambda *field: -unpack(*field))
+
+    def negated(plane):   # every cofactor negated: every fiber value is negated
+        denominator, each = cofactors(plane)
+        return denominator, tuple(-cofactor for cofactor in each)
+
+    monkeypatch.setattr(conics, "_fiber_cofactors", negated)
     with pytest.raises(InconsistencyError, match="is -282880 <= 0"):
         deg_conics(5, 3)
     with pytest.raises(InconsistencyError, match="is -2508 <= 0"):
@@ -485,8 +547,9 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
 def test_conic_sum_packs_each_edge_once(monkeypatch, d, r, steps, products):
     # each of the C(r+1, 2) edges packs its d + 2 roots once per sum; at each plane the
     # three double lines pack d roots each and the three other conics are one product each
+    # (a step is one root's factor, reduced by the window's mask once; a product is not)
     import fanocount.conics as conics
-    pack, weights = conics._pack, generic_conic_weights(r, seed=3)
+    layout, weights = conics._layout, generic_conic_weights(r, seed=3)
     raw = deg_conics_bott(d, r, weights)
     packed, multiplied = [], itertools.count()
 
@@ -495,12 +558,16 @@ def test_conic_sum_packs_each_edge_once(monkeypatch, d, r, steps, products):
             next(multiplied)
             return int(self) * other
 
-    def counted_pack(product, roots, *layout):
-        roots = list(roots)
-        packed.append(len(roots))
-        return Packed(pack(int(product), roots, *layout))
+    class Mask(int):   # the window's mask: reducing a step by it counts one step
+        def __rand__(self, product):
+            packed.append(1)
+            return Packed(product & int(self))
 
-    monkeypatch.setattr(conics, "_pack", counted_pack)
+    def counted_layout(*size):
+        width, mask, low, y = layout(*size)
+        return width, Mask(mask), low, y
+
+    monkeypatch.setattr(conics, "_layout", counted_layout)
     assert deg_conics_bott(d, r, weights) == raw
     assert sum(packed) == steps == (d + 2) * comb(r + 1, 2) + 3 * d * comb(r + 1, 3)
     assert next(multiplied) == products == 3 * comb(r + 1, 3)
