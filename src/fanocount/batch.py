@@ -96,8 +96,6 @@ def _parse_items(text: str, multidegree: bool) -> list[tuple[int, ...]]:
             items.update((x,) for x in range(lo, hi + 1))
         else:
             items.add(tuple(int(p) for p in (chunk.split("+") if multidegree else [chunk])))
-    if not items:
-        raise ValueError(f"empty list {text!r}")
     return sorted(items)
 
 

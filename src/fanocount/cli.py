@@ -271,9 +271,8 @@ def run(request: CommandRequest) -> ResultEnvelope:
             envelope.put("closed_form", comparison.value, "closed-form-eta(1,1,1)")
             envelope.put("closed_matches_fixed_point", comparison.consistent,
                          "cross-method-comparison")
-            if comparison.ratio is not None:
-                envelope.put("closed_to_fixed_point_ratio", comparison.ratio,
-                             "cross-method-comparison")
+            envelope.put("closed_to_fixed_point_ratio", comparison.ratio,
+                         "cross-method-comparison")
 
     return envelope
 

@@ -45,8 +45,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
 from .extraction import DEFAULT_SEED, _integer, weight_vectors
-from .planes import (TorusWeights, _check_weight_count, _layout, _pack, _plane_sum, _roots,
-                     _unpack, _weight_tuple)
+from .planes import TorusWeights, _check_weight_count, _layout, _plane_sum, _roots, _weight_tuple
 
 if TYPE_CHECKING:   # the reference forms import the symbolic layer when they run
     from .polycore import MultiPoly, TruncatedSeries
@@ -224,29 +223,20 @@ class BottSum(NamedTuple):
 
 
 def _eta(d: int, r: int, point: Sequence[int]) -> int:
-    """``eta_form(d, r).evaluate(point)`` at an int point, by the packed kernel: the Z^n
-    coefficient, n = 3r - 1, of prod (1 + aZ) over the roots a = <v, point>, |v| = d, over
-    prod (1 + bZ) over the degree-(d-2) roots b.  Both are ``_pack``ed in the Z^n window
-    and divided by one modular inverse: packing is a ring map from Z[Z]/(Z^(n+1)), and the
-    packed divisor product is 1 mod 2^B, so odd and invertible, and its inverse lifts from 1
-    by Newton-Hensel steps, each doubling the bits it is exact to.  With N roots and divisors,
-    each at most M, every quotient coefficient h_m, m <= n, has |h_m| <= C(N+m-1, m) M^m,
-    so this B leaves a sign bit and the rounding readout absorbs the fields below h_n."""
+    """``eta_form(d, r).evaluate(point)`` at an int point, by its definition: the Z^n
+    coefficient, n = 3r - 1, of prod (1 + aZ) over the roots a = <v, point>, |v| = d, divided
+    by prod (1 + bZ) over the degree-(d-2) roots b.  The n + 1 int coefficients of the series
+    truncated at Z^n take each factor (1 + aZ) from the top coefficient down, then divide by
+    each (1 + bZ) in place from the bottom coefficient up."""
     n = 3 * r - 1
-    roots, divisors = _roots(d, point), _roots(d - 2, point)
-    size = max(1, *map(abs, roots), *map(abs, divisors))
-    width = (comb(len(roots) + len(divisors) + n - 1, n) * size ** n).bit_length() + 2
-    bits = width * (n + 1)
-    mask = (1 << bits) - 1
-    numerator = _pack(1, roots, width, mask, False)
-    divisor = _pack(1, divisors, width, mask, False)
-    # Newton-Hensel: x (2 - divisor x) doubles the bits of an inverse, and 1 is one to B bits
-    inverse, known = 1, width
-    while known < bits:
-        known = min(2 * known, bits)
-        low_bits = (1 << known) - 1
-        inverse = inverse * (2 - (divisor & low_bits) * inverse) & low_bits
-    return _unpack(numerator * inverse, width, width * n)
+    coeffs = [1] + [0] * n
+    for a in _roots(d, point):
+        for j in range(n, 0, -1):
+            coeffs[j] += a * coeffs[j - 1]
+    for b in _roots(d - 2, point):
+        for j in range(1, n + 1):
+            coeffs[j] -= b * coeffs[j - 1]
+    return coeffs[n]
 
 
 def _fiber_cofactors(plane: list[int]) -> tuple[int, tuple[int, ...]]:
@@ -443,12 +433,13 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
 
 
 class ClosedFormComparison(NamedTuple):
-    """The published closed form next to the validated fixed-point value."""
+    """The published closed form next to the validated fixed-point value, a positive
+    integer (:func:`deg_conics`), and their exact ratio."""
 
     value: Fraction
     fixed_point_value: Fraction
     consistent: bool
-    ratio: Fraction | None
+    ratio: Fraction
 
 
 def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormComparison:
@@ -467,7 +458,7 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
         value=value,
         fixed_point_value=reference,
         consistent=value == reference,
-        ratio=None if reference == 0 else value / reference,
+        ratio=value / reference,
     )
 
 

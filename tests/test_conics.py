@@ -245,15 +245,20 @@ def test_conic_roots_are_edge_products(inputs):
 
 
 def test_kernel_at_shift_zero_is_eta():
-    # shift 0 drops the twist: the kernel reproduces eta(1,1,1) and eta_form
+    # shift 0 drops the twist: the kernel reproduces eta(1,1,1) and the expanded eta_form,
+    # a route that shares no code with the series quotient, at seeded points with a zero
+    # entry and entries up to +-10^6
     from fanocount.conics import _eta
     for (d, r), expected in sorted(ETA_ONES.items()):
         assert _eta(d, r, (1, 1, 1)) == expected
-    eta = eta_form(4, 3)
     rng = random.Random(8)
-    for _ in range(5):
-        point = [rng.randint(-30, 30) for _ in range(3)]
-        assert _eta(4, 3, point) == eta.evaluate(point)
+    for d, r in [(4, 3), (5, 3), (6, 3), (7, 4), (8, 4)]:
+        eta = eta_form(d, r)
+        points = [[rng.randint(-30, 30) for _ in range(3)] for _ in range(3)]
+        points += [[rng.randint(-10**6, 10**6) for _ in range(3)] for _ in range(2)]
+        points += [[0, rng.randint(-10**6, 10**6), rng.randint(-30, 30)]]
+        for point in points:
+            assert _eta(d, r, point) == eta.evaluate(point)
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,7 +274,7 @@ def test_kernel_at_shift_zero_is_eta():
 @example(2, 8, [-10**6, 10**6, 1])
 @example(7, 5, [5, 11, 13])
 def test_eta_equals_plain_top_chern(d, r, point):
-    # one modular inverse of the packed divisor product gives the divided form's e_n
+    # the series quotient gives the divided form's e_n; the oracle runs the same passes
     from fanocount.conics import _eta
     from fanocount.planes import _roots
     value = _eta(d, r, point)
@@ -714,13 +719,16 @@ def test_float_weights_raise_a_coded_error():
 
 
 def test_wrong_weight_counts_and_repeated_weights_are_singular_weights():
-    # the untwisted sum divides by no weight difference, so it takes a repeated weight
+    # the untwisted sum divides by no weight difference, so it takes a repeated weight;
+    # it divides by every weight and every pair sum, so a zero or an opposite pair is singular
     cases = [(call, weights) for call in (lambda t: deg_planes_bott(4, 3, 1, t),
                                           lambda t: deg_conics_bott(4, 3, t),
                                           lambda t: deg_conics_untwisted_sum(4, 3, t))
              for weights in ((1, 2, 5), (1, 2, 5, 7, 11))]
     cases += [(lambda t: deg_planes_bott(4, 3, 1, t), (1, 2, 2, 7)),
-              (lambda t: deg_conics_bott(4, 3, t), (1, 3, 9, 3))]
+              (lambda t: deg_conics_bott(4, 3, t), (1, 3, 9, 3)),
+              (lambda t: deg_conics_untwisted_sum(4, 3, t), (0, 2, 5, 7)),
+              (lambda t: deg_conics_untwisted_sum(4, 3, t), (1, -1, 5, 7))]
     for call, weights in cases:
         with pytest.raises(SingularWeightsError) as err:
             call(weights)

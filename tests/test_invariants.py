@@ -135,6 +135,9 @@ def test_canonical_degree():
     assert canonical_degree(ProblemSpec((3,), 4, 1), 45) == 45
     assert canonical_degree(ProblemSpec((2, 2), 5, 1), 32) == 0
     assert canonical_degree(ProblemSpec((5,), 5, 1), 6125) == 496125
+    with pytest.raises(RegimeError) as err:
+        canonical_degree(ProblemSpec((8,), 4, 1), 1)    # delta = -3
+    assert err.value.code == "delta-negative"
 
 
 # ---------------------------------------------------------------------------
