@@ -37,7 +37,6 @@ the twisted fixed-point sum reproduces it.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
@@ -189,30 +188,51 @@ def fixed_point_census(r: int) -> int:
 
 
 def generic_conic_weights(r: int, seed: int) -> TorusWeights:
-    """Distinct positive integer weights with all pairwise sums t_a + t_b (a <= b)
-    distinct, so the six inside every 3-subset are, which is all the twisted sum
-    needs; deterministic in ``seed``.  Only the untwisted sum needs more, nonzero
-    weights and no opposite pairs, which positivity gives.
-
-    The weights are r + 1 elements, in seeded order, of the Erdos-Turan Sidon set
-    {2p i + (c i^2 mod p) : 0 <= i < p}, p the least prime > r (<= 2r + 2, Bertrand)
-    and c a seeded unit mod p (a pair sum fixes i + j and i^2 + j^2 mod p, hence
-    {i, j}), plus a seeded positive shift, so no draw is rejected: :func:`_sidon_draw`
-    from ``random.Random(seed)``.  ``deg_conics`` draws both of its sets from one
-    generator of its own, so it does not call this."""
+    """Distinct positive integer weights with all pairwise sums t_a + t_b (a <= b) distinct, so
+    the six inside every 3-subset are, which is all the twisted sum needs; deterministic in
+    ``seed``, an integer.  Only the untwisted sum needs more, nonzero weights and no opposite
+    pairs, which positivity gives.  The weights are r + 1 elements, in drawn order, of the
+    Erdos-Turan Sidon set {2p i + (c i^2 mod p) : 0 <= i < p}, p the least prime > r (<= 2r + 2,
+    Bertrand) and c a drawn unit mod p (a pair sum fixes i + j and i^2 + j^2 mod p, hence
+    {i, j}), plus a drawn positive shift, so no draw is rejected: the first :func:`_sidon_draw`
+    from ``_splitmix64(seed)``, as in ``deg_conics``."""
     _check_weight_count(r)
-    return _sidon_draw(r, random.Random(seed))
+    return _sidon_draw(r, _sidon_prime(r), _splitmix64(_integer("seed", seed)))
 
 
-def _sidon_draw(r: int, rng: random.Random) -> TorusWeights:
-    """The draw of :func:`generic_conic_weights`, from ``rng``.  At r + 1 = p two draws
-    can give the same set; ``deg_conics`` redraws then."""
+def _sidon_prime(r: int) -> int:
+    """The least prime p > r, at least 2."""
     p = max(r + 1, 2)
     while not all(map(p.__mod__, range(2, p))):
         p += 1
-    unit, shift = rng.randint(1, p - 1), rng.randint(1, 2 * p * p)
-    return TorusWeights([2 * p * i + unit * i * i % p + shift
-                         for i in rng.sample(range(p), r + 1)])
+    return p
+
+
+def _splitmix64(seed: int) -> Iterator[int]:
+    """The SplitMix64 stream of 64-bit ints from ``seed`` mod 2^64, in plain int arithmetic."""
+    state, full = seed, (1 << 64) - 1
+    while True:
+        state = state + 0x9E3779B97F4A7C15 & full
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 & full
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & full
+        yield z ^ z >> 31
+
+
+def _sidon_draw(r: int, p: int, words: Iterator[int]) -> TorusWeights:
+    """A draw of :func:`generic_conic_weights`, p = ``_sidon_prime(r)``: c, the shift and the
+    indices (a partial Fisher-Yates shuffle) are the digits of a divmod chain on 64-bit ``words``,
+    with 32 bits to spare over their radix (p - 1) 2p^2 p!/(p-r-1)! < 2p^(r+4).  At r + 1 = p two
+    draws can give the same set; ``deg_conics`` redraws then."""
+    x, pool = next(words), list(range(p))
+    for _ in range(((r + 4) * p.bit_length() + 32) // 64):
+        x = x << 64 | next(words)
+    x, unit = divmod(x, p - 1)
+    x, shift = divmod(x, 2 * p * p)
+    for m in range(r + 1):   # position m takes one of the p - m indices left, then its weight
+        x, j = divmod(x, p - m)
+        i, pool[m + j] = pool[m + j], pool[m]
+        pool[m] = 2 * p * i + (unit + 1) * i * i % p + shift + 1
+    return TorusWeights(pool[:r + 1])
 
 
 class BottSum(NamedTuple):
@@ -401,17 +421,18 @@ def deg_conics(d: int, r: int, seed: int = DEFAULT_SEED) -> int:
     containing a conic.
 
     Runs the twisted fixed-point sum at two weight assignments that differ as
-    sets, both drawn as :func:`generic_conic_weights` draws them from one
-    ``random.Random(seed)``, checks the two values agree and are integral, halves
-    where the general member carries two conics (:attr:`ConicProblem.two_conics`),
-    and returns a positive integer.  The seed fixes the weights, not the value.
+    sets, the first two distinct :func:`_sidon_draw` draws from one ``_splitmix64(seed)``
+    (the first is :func:`generic_conic_weights`), checks the two values agree and are
+    integral, halves where the general member carries two conics
+    (:attr:`ConicProblem.two_conics`), and returns a positive integer.  The seed, an
+    integer, fixes the weights, not the value.
     """
     problem = _check_conic_degree_regime(d, r)
-    rng = random.Random(seed)
-    weights = _sidon_draw(r, rng)
+    p, words = _sidon_prime(r), _splitmix64(_integer("seed", seed))
+    weights = _sidon_draw(r, p, words)
     # permuted weights give the same sum even from a wrong kernel: redraw a repeated set
     for _ in range(64):
-        other = _sidon_draw(r, rng)
+        other = _sidon_draw(r, p, words)
         if sorted(other) != sorted(weights):
             break
     else:

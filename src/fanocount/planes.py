@@ -42,10 +42,10 @@ class TorusWeights(tuple):
     @classmethod
     def random(cls, r: int, seed: int) -> "TorusWeights":
         """r+1 distinct random integer weights from [-b, b], b = max(50, r);
-        deterministic in ``seed``."""
+        deterministic in ``seed``, an integer (else ``not-an-integer``)."""
         _check_weight_count(r)
         bound = max(50, r)
-        rng = random.Random(seed)
+        rng = random.Random(_integer("seed", seed))
         return cls(rng.sample(range(-bound, bound + 1), r + 1))
 
 
@@ -83,11 +83,10 @@ def tau_poly(d: int, r: int, k: int) -> MultiPoly:
 
 
 def _roots(d: int, point: Sequence[int]) -> list[int]:
-    """Values <v, point>, |v| = d: the Chern roots of the d-th symmetric power
-    of a bundle whose Chern roots take the values ``point``.  Each v is a
-    multiset of d indices, so <v, point> is the sum of a d-combination with
-    replacement of the point's entries.  Only ``conics._eta`` and the tests build
-    roots this way; the plane sum grows them along its prefix walk (:func:`_plane_sum`)."""
+    """Values <v, point>, |v| = d: the Chern roots of the d-th symmetric power of a bundle whose
+    Chern roots take the values ``point``.  Each v is a multiset of d indices, so <v, point> is
+    the sum of a d-combination with replacement of the point's entries.  Only ``conics._eta``
+    and the tests build roots this way; :func:`_plane_sum` grows them along its prefix walk."""
     return [sum(c) for c in combinations_with_replacement(point, d)]
 
 
@@ -137,7 +136,7 @@ def _pack(packed: int, roots: Iterable[int], width: int, mask: int, y: bool) -> 
     fields, mask = 2^(B(w+1)) - 1: (a + Y) for each root with ``y``, else (1 + a Z).
     Reducing mod 2^(B(w+1)) after every step keeps only the window and changes nothing
     modulo that power of two, so only the full product's coefficients in the window need a
-    bound (:func:`_layout`)."""
+    bound (:func:`_layout`).  The reference for both Bott sums' in-line steps."""
     if y:
         for a in roots:
             packed = (a * packed + (packed << width)) & mask
@@ -161,17 +160,18 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     k-planes I, as (numerator, D): with P_j = prod_{l != j} (t_j - t_l), a term is
     local(t_I, packed_I) V(t_I)^2 prod_{j not in I} P_j / D, D = (-1)^C(k+1, 2) prod_j P_j.
     The weights are ints (:func:`_weight_tuple`), so ``local`` sees ints only.
-    packed_I is the product of the C(d+k, k) roots <v, t_I>, |v| = d, ``_pack``ed from 1 in
-    ``layout``; with d = 0 it is 1, and ``layout`` is not read.
+    packed_I is the product of the C(d+k, k) roots <v, t_I>, |v| = d, packed from 1 in
+    ``layout`` as :func:`_pack` packs it; with d = 0 it is 1, and ``layout`` is not used.
 
     The (k+1)-subsets are walked in lexicographic order as a prefix tree, one depth at a time.
     A node extends its parent's prefix by one index i and its parent's packed product by only
     the roots with a positive multiple of t_i, c t_i + (a degree-(d-c) root of the prefix),
     c = 1..d: C(d-1+j, j) steps at depth j instead of C(d+k, k) at every plane, so the sum packs
-    sum_j C(r-k+j+1, j+1) C(d-1+j, j) roots.  An inner node also keeps its roots of each degree
-    below d for its children.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied
-    in along the path, and prod_{j > max I} P_j comes from a suffix table.  Plain loops build
-    them all: in Python 3.11 each comprehension is a function call (PEP 709 inlines it in 3.12)."""
+    sum_j C(r-k+j+1, j+1) C(d-1+j, j) roots, each by ``_pack``'s step written in-line in the loops:
+    no root list and no call per node.  An inner node also keeps its roots of each degree below d
+    for its children.  V(t_I)^2 and the P_l of the indices a prefix skips are multiplied in along
+    the path, and prod_{j > max I} P_j comes from a suffix table.  Plain loops build them all: in
+    Python 3.11 each comprehension is a function call (PEP 709 inlines it in 3.12)."""
     if len(set(t)) != len(t):
         raise SingularWeightsError(f"weights must be pairwise distinct, got {t}")
     p, suffix = [1] * (r + 1), [1] * (r + 2)   # suffix[j] = prod_{l >= j} P_l
@@ -196,20 +196,19 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
                 weight = factor * vandermonde * vandermonde
                 factor *= p[i]
                 here, below = packed, []
-                if d and depth < k:   # below[m]: the degree-m roots with t_i, m < d; pack degree d
+                if d:   # the roots c t_i + v, v a degree-(d - c) root of the prefix: _pack's steps
+                    for c in range(1, d + 1):
+                        ci = c * ti
+                        for v in lower[d - c]:
+                            here = ((ci + v) * here + (here << width) if y
+                                    else here + ((ci + v) * here << width)) & mask
+                if d and depth < k:   # below[m]: the degree-m roots of the prefix with t_i, m < d
                     roots = []
-                    for base in [*lower, []]:
+                    for base in lower:
                         roots, shorter = base[:], roots
                         for v in shorter:
                             roots.append(ti + v)
                         below.append(roots)
-                    here = _pack(packed, below.pop(), width, mask, y)
-                elif d:               # a plane's roots c t_i + v, v of degree d - c in lower
-                    roots = []
-                    for c in range(1, d + 1):
-                        for v in lower[d - c]:
-                            roots.append(c * ti + v)
-                    here = _pack(packed, roots, width, mask, y)
                 if depth < k:
                     grown.append((i + 1, point + [ti], here, below, weight))
                 else:

@@ -28,7 +28,7 @@ tracer = Tracer()
 tracer.install()
 planes.deg_planes_bott(4, 3, 1, planes.TorusWeights.random(3, 1))
 conics.deg_conics(5, 3)
-conics.generic_conic_weights(3, 1)   # deg_conics draws from its own generator, not this
+conics.generic_conic_weights(3, 1)   # deg_conics draws through _sidon_draw, not this
 with contextlib.redirect_stdout(io.StringIO()):
     code = fanocount.cli.main(["paper-check"])
 tracer.dump(sys.argv[1])

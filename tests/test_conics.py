@@ -348,8 +348,8 @@ def record_deg_conics_draws(monkeypatch):
     import fanocount.conics as conics
     draws, summed, sidon_draw = [], [], conics._sidon_draw
 
-    def record_draw(r, rng):
-        draws.append(sidon_draw(r, rng))
+    def record_draw(r, p, words):
+        draws.append(sidon_draw(r, p, words))
         return draws[-1]
 
     def record_sum(d, r, t):
@@ -383,8 +383,8 @@ def test_deg_conics_stops_redrawing_a_repeated_weight_set(monkeypatch):
     import fanocount.conics as conics
     one_set, draws = generic_conic_weights(3, seed=11), []
 
-    def same_set(r, rng):
-        draws.append(rng)
+    def same_set(r, p, words):
+        draws.append(words)
         return TorusWeights(reversed(one_set))
 
     def forbidden(*args):
@@ -396,12 +396,13 @@ def test_deg_conics_stops_redrawing_a_repeated_weight_set(monkeypatch):
                                                  r"weight set$"):
         conics.deg_conics(4, 3)
     assert len(draws) == 65
-    assert len({id(rng) for rng in draws}) == 1   # every draw from the one generator
+    assert len({id(words) for words in draws}) == 1   # every draw from the one stream
 
 
 def test_deg_conics_seeds_one_generator(monkeypatch):
-    # both weight sets come from the dispatcher's one generator; the public draw seeds its
-    # own and still gives the weights it gave when the dispatcher called it
+    # both weight sets come from the dispatcher's one integer stream, and no draw seeds a
+    # random.Random; the public draws are pinned, so a seed gives these weights on every
+    # Python version
     import fanocount.conics as conics
     seeded = []
 
@@ -410,12 +411,11 @@ def test_deg_conics_seeds_one_generator(monkeypatch):
             seeded.append(seed)
             super().__init__(*seed)
 
-    monkeypatch.setattr(conics.random, "Random", Counted)
+    monkeypatch.setattr(random, "Random", Counted)
     assert conics.deg_conics(5, 3, seed=3) == CONIC_DEGREES[(5, 3)]
-    assert seeded == [(3,)]
-    assert generic_conic_weights(5, 3) == TorusWeights((136, 92, 105, 122, 162, 76))
-    assert generic_conic_weights(3, 11) == TorusWeights((67, 80, 57, 36))
-    assert seeded == [(3,), (3,), (11,)]
+    assert generic_conic_weights(5, 3) == TorusWeights((160, 144, 129, 102, 72, 115))
+    assert generic_conic_weights(3, 11) == TorusWeights((46, 37, 16, 27))
+    assert seeded == []
 
 
 def test_deg_conics_draws_are_sidon_sets(monkeypatch):
@@ -424,11 +424,12 @@ def test_deg_conics_draws_are_sidon_sets(monkeypatch):
     deg_conics, draws, summed = record_deg_conics_draws(monkeypatch)
     for r in range(3, 41):
         d = (3 * r - 2) // 2 + 1   # the least d with epsilon > 0
-        for seed in (0, 1, 2, 1729, 2**30 + 7, 10**12):
+        for seed in (0, 1, 2, 1729, 2**30 + 7, 10**12, -1, 2**64 + 1, 10**30):
             draws.clear()
             summed.clear()
             deg_conics(d, r, seed)
             assert len(summed) == 2 and sorted(summed[0]) != sorted(summed[1])
+            assert len(draws) >= 2 and draws[0] == generic_conic_weights(r, seed)
             for t in draws:
                 assert len(set(t)) == len(t) == r + 1 and min(t) > 0
                 sums = [t[a] + t[b]
@@ -436,6 +437,31 @@ def test_deg_conics_draws_are_sidon_sets(monkeypatch):
                 assert len(set(sums)) == len(sums)
                 if r <= 5:
                     assert max(t) < 40 * (r + 2)
+
+
+def test_sidon_draw_reaches_every_unit_shift_and_index():
+    # r = 3, p = 5: over seeds 0..1999 the first draw takes every unit c, every shift
+    # 1..2p^2 and every index i at every position; each draw is decomposed against
+    # {2p i + (c i^2 mod p) + shift}, and only one (c, shift) fits it
+    p, units, shifts, placed = 5, set(), set(), set()
+    for seed in range(2000):
+        t = generic_conic_weights(3, seed)
+        fits = []
+        for c, i0 in itertools.product(range(1, p), range(p)):
+            shift = min(t) - (2 * p * i0 + c * i0 * i0 % p)
+            index = {2 * p * i + c * i * i % p + shift: i for i in range(p)}
+            if 1 <= shift <= 2 * p * p and set(t) <= set(index):
+                fits.append((c, shift, [index[w] for w in t]))
+        assert len(fits) == 1
+        (c, shift, indices), = fits
+        units.add(c)
+        shifts.add(shift)
+        placed.update(enumerate(indices))
+    assert units == set(range(1, p)) and shifts == set(range(1, 2 * p * p + 1))
+    assert placed == set(itertools.product(range(4), range(p)))
+    # the stream starts from the seed mod 2^64
+    assert generic_conic_weights(3, 2**64 + 1) == generic_conic_weights(3, 1)
+    assert generic_conic_weights(3, -1) == generic_conic_weights(3, 2**64 - 1)
 
 
 def test_fixed_points_include_double_lines():

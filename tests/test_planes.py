@@ -85,6 +85,22 @@ def test_non_integer_parameters_are_refused_with_a_code(call):
     assert err.value.code == "not-an-integer"
 
 
+@pytest.mark.parametrize("seed", [None, [1], 1.5, "7", Fraction(7)],
+                         ids=["none", "list", "float", "str", "fraction"])
+@pytest.mark.parametrize("draw", [
+    lambda seed: conics.deg_conics(4, 3, seed=seed),
+    lambda seed: conics.deg_conics_closed(5, 3, seed=seed),
+    lambda seed: conics.generic_conic_weights(3, seed),
+    lambda seed: TorusWeights.random(3, seed),
+], ids=["deg-conics", "deg-conics-closed", "conic-weights", "torus-weights"])
+def test_non_integer_seeds_are_refused_with_a_code(draw, seed):
+    # None would draw from OS entropy, and a float or a string would be hashed: either way
+    # two calls would not be deterministic in the seed
+    with pytest.raises(RegimeError) as err:
+        draw(seed)
+    assert err.value.code == "not-an-integer"
+
+
 def test_gamma_delta_sum_to_zero():
     # (spec, delta): planes on cubic fourfolds have gamma = 1, lines on cubic threefolds
     # form a surface, k-planes on two quadrics in P^(2k+3) a (k+1)-fold
@@ -411,26 +427,61 @@ def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
 @pytest.mark.parametrize("d,r,k,steps", [(4, 8, 3, 3170), (7, 9, 2, 3620), (4, 3, 1, 27)])
 def test_plane_sum_extends_each_parent_product(monkeypatch, d, r, k, steps):
     # a node at depth j packs only the C(d-1+j, j) roots with a positive multiple of its
-    # newest weight, and each fixed plane's value is read once
+    # newest weight, and each fixed plane's value is read once; the walk's steps are in-line,
+    # so a patched _layout's mask counts them: each step reduces by it once
     import fanocount.planes as planes_module
-    pack, unpack = planes_module._pack, planes_module._unpack
+    layout, unpack = planes_module._layout, planes_module._unpack
     packed, reads = [], count()
 
-    def counted_pack(product, roots, *layout):
-        roots = list(roots)
-        packed.append(len(roots))
-        return pack(product, roots, *layout)
+    class Mask(int):   # the window's mask: reducing a step by it counts one step
+        def __rand__(self, product):
+            packed.append(1)
+            return product & int(self)
+
+    def counted_layout(*size):
+        width, mask, low, y = layout(*size)
+        return width, Mask(mask), low, y
 
     def counted_unpack(*field):
         next(reads)
         return unpack(*field)
 
-    monkeypatch.setattr(planes_module, "_pack", counted_pack)
+    monkeypatch.setattr(planes_module, "_layout", counted_layout)
     monkeypatch.setattr(planes_module, "_unpack", counted_unpack)
-    assert deg_planes_bott(d, r, k, TorusWeights.random(r, 1)) == deg_planes_dm(d, r, k)
+    weights = TorusWeights.random(r, 1)
+    assert deg_planes_bott(d, r, k, weights) == deg_planes_dm(d, r, k)
     assert sum(packed) == steps \
         == sum(comb(r - k + j + 1, j + 1) * comb(d - 1 + j, j) for j in range(k + 1))
     assert next(reads) == comb(r + 1, k + 1)
+    # a d = 0 walk, as the conic sum's, takes no step: every plane sees the product 1
+    packed.clear()
+    products = []
+    planes_module._plane_sum(r, k, weights, lambda point, product: products.append(product) or 1,
+                             0, counted_layout((k + 1) * (r - k), comb(d + k, k), d * 50))
+    assert packed == [] and products == [1] * comb(r + 1, k + 1)
+
+
+def test_plane_walk_products_are_pack_products():
+    # the walk's in-line steps give each plane the product _pack makes of its roots, in
+    # either window: packing is a ring map modulo 2^(B(w+1)), so the order of roots is free
+    from fanocount.planes import _layout, _pack, _plane_sum, _roots
+    windows = set()
+    for d, r, k, t in ((4, 3, 1, (3, -7, 11, 0)), (12, 3, 1, (3, -7, 11, 0)),
+                       (6, 5, 2, (10**6, -2, 5, 0, -10**6, 999_999)), (3, 7, 3, range(-4, 4)),
+                       (5, 6, 2, (9, -8, 7, -6, 5, -4, 3))):
+        layout = width, mask, _, y = _layout((k + 1) * (r - k), comb(d + k, k),
+                                             d * max(map(abs, t)))
+        seen = []
+
+        def local(point, packed):
+            assert packed == _pack(1, _roots(d, point), width, mask, y)
+            seen.append(point)
+            return 0
+
+        _plane_sum(r, k, tuple(t), local, d, layout)
+        assert len(seen) == comb(r + 1, k + 1)
+        windows.add(y)
+    assert windows == {True, False}   # (12, 3, 1) packs in the Z window, the others in Y
 
 
 @st.composite
