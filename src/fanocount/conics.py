@@ -320,11 +320,12 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     F_i->j (v_i >= 1) and F_j->i (v_j >= 1), and one more for the whole edge E_ij, d + 2 steps.
     Packing is a ring map modulo 2^(B(w+1)), so the conic x_a x_b = 0, a != b, is
     E_bc F_a->c, one product, and the double line x_a^2 = 0 extends E_bc by its d other
-    roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3) products per sum.  Each
-    step is ``_pack``'s, written in-line, and each of a plane's six conics is read as
-    ``_unpack`` reads it, in-line: no helper call per root or per conic, no table to loop
-    over and no tuple keys to hash.  A product is left unreduced, as the readout takes
-    field w only.
+    roots: (d + 2) C(r+1, 2) + 3d C(r+1, 3) steps and 3 C(r+1, 3) products per sum.  The
+    fiber loops over the plane's three vertices a, (a, b, c) in cyclic order, and reads the
+    double line x_a^2 = 0 and the pair conic x_a x_b = 0 at each.  Each step is ``_pack``'s
+    and each readout ``_unpack``'s, written in-line: no helper call per root or per conic
+    and no tuple keys to hash.  A product is left unreduced, as the readout takes field w
+    only.
 
     No denominator holds t_a or t_a + t_b, so zero weights and opposite pairs are valid.
     A repeated weight (``_plane_sum``) and two equal pair sums in one plane (D = 0, refused
@@ -358,24 +359,18 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     def fiber(plane: list[int], _: int) -> int:
         x0, x1, x2 = plane
         denominator, (c00, c01, c02, c11, c12, c22) = _fiber_cofactors(plane)
-        edge12, edge02, edge01 = wholes[x1][x2], wholes[x0][x2], wholes[x0][x1]
-        # x_a^2 = 0 extends E_kl by x_a times its degree-(d-1) roots; x_a x_b = 0 is E_kl F_a->c,
-        # left unreduced: field w of a product does not depend on the bits above the window
-        conic, start, step = edge12, -x0 - (d - 1) * x2, x2 - x1
-        for a in range(start, start + d * step, step):
-            conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
-        numerator = ((conic + offset >> low & field) - top) * c00
-        numerator += ((edge12 * toward[x0][x2] + offset >> low & field) - top) * c01
-        numerator += ((edge12 * toward[x0][x1] + offset >> low & field) - top) * c02
-        conic, start, step = edge02, -x1 - (d - 1) * x2, x2 - x0
-        for a in range(start, start + d * step, step):
-            conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
-        numerator += ((conic + offset >> low & field) - top) * c11
-        numerator += ((edge02 * toward[x1][x0] + offset >> low & field) - top) * c12
-        conic, start, step = edge01, -x2 - (d - 1) * x1, x1 - x0
-        for a in range(start, start + d * step, step):
-            conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
-        numerator += ((conic + offset >> low & field) - top) * c22
+        numerator = 0
+        # at vertex a, (a, b, c) a cyclic order, x_a^2 = 0 extends E_bc by x_a times its
+        # degree-(d-1) roots and x_a x_b = 0 is E_bc F_a->c, left unreduced: field w of a
+        # product does not depend on the bits above the window
+        for xa, xb, xc, double, pair in ((x0, x1, x2, c00, c01), (x1, x2, x0, c11, c12),
+                                         (x2, x0, x1, c22, c02)):
+            conic = edge = wholes[xb][xc]
+            start, step = -xa - (d - 1) * xc, xc - xb
+            for a in range(start, start + d * step, step):
+                conic = (a * conic + (conic << width) if y else conic + (a * conic << width)) & mask
+            for conic, cofactor in ((conic, double), (edge * toward[xa][xc], pair)):
+                numerator += ((conic + offset >> low & field) - top) * cofactor
         value, remainder = divmod(numerator, denominator)
         if remainder:
             raise InconsistencyError(f"fiber sum at plane weights {plane} is not an integer")

@@ -336,7 +336,9 @@ def table_conic_bott(d, r, t):
     """``conics.deg_conics_bott`` with its fiber driven by the ``_CONICS`` table: the same
     packed edge products, keyed by weight pairs, and the six conics of a plane taken in a
     loop over the table.  It shares the package's packing, plane walk and cofactors, so it
-    guards only the written-out fiber and its edge lookups."""
+    guards only the fiber's edge lookups and the cyclic order of its loop over a plane's
+    vertices, which reads x_0 x_2 = 0 as E_01 F_2->1 and steps the roots of x_1^2 = 0 from
+    the x_0 end, where the table reads E_12 F_0->1 and steps from the x_2 end."""
     from fanocount.conics import BottSum, _check_conic_degree_regime, _fiber_cofactors
     from fanocount.errors import InconsistencyError
     from fanocount.planes import _layout, _pack, _plane_sum, _unpack, _weight_tuple

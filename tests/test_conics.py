@@ -324,6 +324,17 @@ def test_fixed_point_census_rejects_small_ambients_with_a_code(r):
     assert err.value.code == "ambient-too-small"
 
 
+def test_fixed_point_census_guard_keeps_its_message(monkeypatch):
+    # the enumeration always meets r(r^2 - 1); the guard is shown with one conic dropped
+    import fanocount.conics as conics
+    fixed_points = conics.conic_fixed_points
+    monkeypatch.setattr(conics, "conic_fixed_points",
+                        lambda r: itertools.islice(fixed_points(r), 1, None))
+    with pytest.raises(InconsistencyError,
+                       match="fixed-point enumeration gave 23, closed form gives 24"):
+        fixed_point_census(3)
+
+
 def test_generic_weights_are_a_sidon_set():
     # every pair sum t_a + t_b (a <= b) distinct, so the six of every plane are
     for r in range(0, 41):
@@ -530,8 +541,8 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
     # fiber value off by one breaks the sum's integrality and the two-draw agreement;
     # negated values pass both and fail positivity.  Each fixed conic's value is read
     # from its packed product by one shift down to field w (``low``) and a mask; readouts
-    # 0-5 are the six conics of the first plane, and each is caught because no cofactor
-    # D / Q_c is a multiple of D.
+    # 0-5 are the first plane's six conics, a double line and a pair conic at each of its
+    # three vertices, and each is caught because no cofactor D / Q_c is a multiple of D.
     import fanocount.conics as conics
     layout, plane_sum, cofactors = conics._layout, conics._plane_sum, conics._fiber_cofactors
     weights = generic_conic_weights(3, seed=11)
@@ -571,6 +582,20 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
     with pytest.raises(InconsistencyError, match="is -282880 <= 0"):
         deg_conics(5, 3)
     with pytest.raises(InconsistencyError, match="is -2508 <= 0"):
+        deg_conics(4, 3)
+
+
+def test_deg_conics_integrality_and_parity_guards_keep_their_messages(monkeypatch):
+    # a correct kernel gives an integer, even at (4, 3); the guards after the two-draw
+    # agreement are shown with both sums taken from a stub
+    import fanocount.conics as conics
+    monkeypatch.setattr(conics, "deg_conics_bott",
+                        lambda d, r, t: conics.BottSum(Fraction(5017, 2), False))
+    with pytest.raises(InconsistencyError, match=r"sum for \(5,3\) is not an integer: 5017/2"):
+        deg_conics(5, 3)
+    monkeypatch.setattr(conics, "deg_conics_bott",
+                        lambda d, r, t: conics.BottSum(Fraction(5017), True))
+    with pytest.raises(InconsistencyError, match="quartic-surface count 5017 is odd; cannot halve"):
         deg_conics(4, 3)
 
 
@@ -695,9 +720,10 @@ def test_bott_sum_at_extreme_weights_is_the_divided_sum(inputs):
 @given(conic_sums_at_extreme_weights())
 @example((7, 5, [10**6, -10**6, 3, -17, 999_983, 29]))
 @example((8, 3, [0, -10**6, 3, 999_999]))
-def test_written_out_fiber_equals_the_table_fiber(inputs):
-    # the six conics written out and their edges looked up by weight give the value and
-    # integrality flag of the fiber driven by the _CONICS table
+def test_cyclic_fiber_equals_the_table_fiber(inputs):
+    # the loop over a plane's three vertices in cyclic order reads the pair conic
+    # x_a x_b = 0 as E_bc F_a->c, so x_0 x_2 = 0 as E_01 F_2->1 where the _CONICS table reads
+    # E_12 F_0->1: both factorisations give the same value and integrality flag
     d, r, t = inputs
     ours, table = deg_conics_bott(d, r, t), table_conic_bott(d, r, t)
     assert (ours.value, ours.is_integral) == (table.value, table.is_integral)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fanocount.errors import RegimeError
+from fanocount.errors import InconsistencyError, RegimeError
 from fanocount.invariants import (
     AB_coeffs,
     IrregularityCase,
@@ -49,6 +49,15 @@ def test_sym_power_coeffs_small_only_low_rank():
         with pytest.raises(RegimeError) as err:
             sym_power_coeffs_small(3, k)
         assert err.value.code == "no-closed-form"
+
+
+def test_closed_form_remainder_guard_keeps_its_message(monkeypatch):
+    # (3n + 2) C(n+1, 3) is always a multiple of 4; the guard is shown with each binomial
+    # one too large: 11 (4 + 1) = 55 leaves 3 at n = 3
+    import fanocount.invariants as invariants
+    monkeypatch.setattr(invariants, "comb", lambda n, k: comb(n, k) + 1)
+    with pytest.raises(InconsistencyError, match=r"closed-form alpha\(3,1\) leaves remainder 3"):
+        sym_power_coeffs_small(3, 1)
 
 
 @pytest.mark.parametrize("function", [sym_power_coeffs, sym_power_coeffs_small])
@@ -178,6 +187,17 @@ def test_surface_invariants_regime():
     with pytest.raises(RegimeError) as err:
         surface_invariants(ProblemSpec((3,), 5, 1))
     assert err.value.code == "delta-not-two"
+
+
+def test_noether_guard_keeps_its_message(monkeypatch):
+    # K^2 + e is 12 chi(O) on every surface spec; the guard is shown with K^2 one too large:
+    # 45 + 1 + 27 for the lines on a cubic threefold
+    import fanocount.invariants as invariants
+    canonical = invariants.canonical_degree
+    monkeypatch.setattr(invariants, "canonical_degree",
+                        lambda spec, deg_f: canonical(spec, deg_f) + 1)
+    with pytest.raises(InconsistencyError, match=r"K\^2 \+ e = 73 is not divisible by 12"):
+        surface_invariants(ProblemSpec((3,), 4, 1))
 
 
 def delta2_specs(max_r=8, max_d=6):

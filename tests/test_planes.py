@@ -686,6 +686,18 @@ def test_linear_system_guard_keeps_its_code(monkeypatch):
     assert err.value.code == "linear-system-too-small"
 
 
+def test_extraction_positivity_guards_keep_their_messages(monkeypatch):
+    # every in-regime extraction is positive; both guards are shown with the coefficient
+    # taken from a stub
+    import fanocount.extraction as extraction_module
+    monkeypatch.setattr(extraction_module, "_extract", lambda target, factors: 0)
+    with pytest.raises(InconsistencyError, match=r"degrees \(4,\), r=3, k=1 computed as 0; "
+                                                 "expected a positive integer"):
+        deg_planes_dm(4, 3, 1)
+    with pytest.raises(InconsistencyError, match=r"deg F = 0 for .*; expected positive"):
+        deg_fano(ProblemSpec((3,), 4, 1))
+
+
 # ---------------------------------------------------------------------------
 # Fano degrees and c2 integrals
 # ---------------------------------------------------------------------------

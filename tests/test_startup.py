@@ -154,6 +154,24 @@ def test_unknown_package_attribute_is_an_attribute_error():
         getattr(fanocount, "no_such_name")
 
 
+def test_missing_dependency_of_a_submodule_is_not_an_attribute_error(monkeypatch):
+    # a ModuleNotFoundError for another module than the one asked for is a broken
+    # dependency inside it, re-raised as is and not read as a missing name
+    asked = []
+
+    def broken_import(name, package=None):
+        asked.append((name, package))
+        raise ModuleNotFoundError("No module named 'missing_dependency'",
+                                  name="missing_dependency")
+
+    monkeypatch.setattr(fanocount, "import_module", broken_import)
+    with pytest.raises(ModuleNotFoundError) as err:
+        getattr(fanocount, "broken_submodule")
+    assert err.value.name == "missing_dependency"
+    assert asked == [(".broken_submodule", "fanocount")]
+    assert "broken_submodule" not in vars(fanocount)
+
+
 def test_private_attribute_probe_loads_no_module():
     # no module's __all__ holds a _-prefixed name, so a probe such as inspect.unwrap's
     # hasattr(fanocount, "__wrapped__") is refused before any module is loaded
