@@ -236,9 +236,9 @@ def _sidon_draw(r: int, p: int, words: Iterator[int]) -> TorusWeights:
 
 
 class BottSum(NamedTuple):
-    """Raw fixed-point sum plus an integrality flag."""
+    """Raw fixed-point sum, an int if integral and else a ``Fraction``, plus an integrality flag."""
 
-    value: Fraction
+    value: int | Fraction
     is_integral: bool
 
 
@@ -330,8 +330,9 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     No denominator holds t_a or t_a + t_b, so zero weights and opposite pairs are valid.
     A repeated weight (``_plane_sum``) and two equal pair sums in one plane (D = 0, refused
     before any cofactor is formed) raise :class:`SingularWeightsError`.  The sum is a
-    constant positive integer, returned as a raw rational with an integrality flag;
-    halving for (d, r) = (4, 3) is the dispatcher's job.
+    constant positive integer, returned as an int with an integrality flag by one ``divmod``
+    by the plane walk's denominator; only a sum that is not an integer, which takes a faulty
+    kernel, is returned as a ``Fraction``.  Halving for (d, r) = (4, 3) is the dispatcher's job.
     """
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)
@@ -378,7 +379,10 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
 
     # with d = 0 the plane walk packs no roots, and fiber ignores its product
     numerator, denominator = _plane_sum(r, 2, weights, fiber)
-    return BottSum(Fraction((-1) ** r * numerator, denominator), numerator % denominator == 0)
+    value, remainder = divmod((-1) ** r * numerator, denominator)
+    if remainder:   # only a faulty kernel leaves one
+        return BottSum(Fraction((-1) ** r * numerator, denominator), False)
+    return BottSum(value, True)
 
 
 def deg_conics_untwisted_sum(d: int, r: int, t: Sequence[int]) -> Fraction:

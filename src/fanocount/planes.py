@@ -15,6 +15,7 @@ import random
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb, factorial
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InconsistencyError, RegimeError, SingularWeightsError
@@ -55,12 +56,16 @@ def _check_weight_count(r: int) -> None:
 
 
 def _weight_tuple(t: Sequence[int], r: int) -> tuple[int, ...]:
-    """The r + 1 weights as ints, by :func:`_integer`.  Every term of a fixed-point sum has
-    degree 0 in the weights, so an integer multiple serves wherever rational weights would."""
+    """The r + 1 weights as ints by ``operator.index`` in one ``map``, else by :func:`_integer`,
+    whose coded error names the first bad weight.  Every term of a fixed-point sum has degree 0
+    in the weights, so an integer multiple serves wherever rational weights would."""
     tt = tuple(t)
     if len(tt) != r + 1:
         raise SingularWeightsError(f"need r+1 = {r + 1} weights, got {len(tt)}")
-    return tuple(map(partial(_integer, "a weight"), tt))
+    try:
+        return tuple(map(index, tt))
+    except TypeError:
+        return tuple(map(partial(_integer, "a weight"), tt))
 
 
 @lru_cache(maxsize=None, typed=True)   # typed: 4.0 must not hit the entry of 4

@@ -569,7 +569,8 @@ def test_conic_integrality_and_positivity_guards(monkeypatch):
                          *packing)
 
     monkeypatch.setattr(conics, "_plane_sum", one_plane_off)
-    assert deg_conics_bott(4, 3, weights).is_integral is False
+    off = deg_conics_bott(4, 3, weights)
+    assert off.is_integral is False and type(off.value) is Fraction
     with pytest.raises(InconsistencyError, match="not constant"):
         deg_conics(5, 3)
     monkeypatch.setattr(conics, "_plane_sum", plane_sum)
@@ -732,8 +733,7 @@ def test_cyclic_fiber_equals_the_table_fiber(inputs):
 @pytest.mark.parametrize("plane_cell,conic_cell,raw", [((4, 3, 1), (4, 3), 5016),
                                                       ((3, 5, 2), (7, 5), 85393742658)])
 def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_cell, raw):
-    # the conic sum builds one Fraction per call, its value, and no module builds one for
-    # the plane sum
+    # an integral conic sum is an int by one divmod, so neither sum builds a Fraction
     import fanocount.conics as conics
     import fanocount.planes as planes
     plane_degree = deg_planes_dm(*plane_cell)
@@ -756,18 +756,32 @@ def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_
     assert (len(fractions), plane_sums) == (0, [(r, k)])
     d, r = conic_cell
     assert deg_conics_bott(d, r, generic_conic_weights(r, seed=3)) == (raw, True)
-    assert (len(fractions), plane_sums) == (1, [(r, k), (r, 2)])
+    assert (len(fractions), plane_sums) == (0, [(r, k), (r, 2)])
+
+
+@pytest.mark.parametrize("d,r,y", [(4, 3, True), (9, 3, False)])
+def test_integral_conic_sums_are_ints_in_both_windows(d, r, y):
+    # (4, 3) packs in the Y window and (9, 3) in the Z window; an integral sum is an int
+    from fanocount.planes import _layout
+    assert _layout(3 * r - 1, 2 * d + 1, 1)[3] is y
+    for seed in (3, 11, 17):
+        total = deg_conics_bott(d, r, generic_conic_weights(r, seed=seed))
+        assert type(total.value) is int and total.is_integral is True
 
 
 def test_float_weights_raise_a_coded_error():
-    # so do Fraction and str weights: every weight is an int, as every other integer input
-    for weights in ((0.5, 2, 5, 7), (Fraction(1, 2), 2, 5, 7), (1, "2", 5, 7)):
+    # so do Fraction, str and None weights, in any position: every weight is an int, as every
+    # other integer input, and the message names the first weight that is not one
+    for weights in ((0.5, 2, 5, 7), (Fraction(1, 2), 2, 5, 7), (1, "2", 5, 7), (1, 2, 5, 0.5),
+                    (None, 2, 5, 7), (1, 2, 5, None), (1, 0.5, "2", None)):
+        bad = next(w for w in weights if type(w) is not int)
         for call in (lambda: deg_planes_bott(4, 3, 1, weights),
                      lambda: deg_conics_bott(4, 3, weights),
                      lambda: deg_conics_untwisted_sum(4, 3, weights)):
             with pytest.raises(RegimeError) as err:
                 call()
             assert err.value.code == "not-an-integer"
+            assert str(err.value) == f"not-an-integer: a weight must be an integer, got {bad!r}"
 
 
 def test_wrong_weight_counts_and_repeated_weights_are_singular_weights():
