@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # the order of loading; a name is looked up in each module's __all__ in turn, and
 # the symbolic reference layer comes last, so no runtime name loads it
-_MODULES = ("errors", "planes", "invariants", "conics", "polycore")
+_MODULES = ("errors", "planes", "invariants", "classification", "conics", "polycore")
 
 
 def __getattr__(name: str):

@@ -8,8 +8,7 @@ from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .cli import _SURFACE_FIELDS, _SWEEP_TARGETS, CommandRequest, format_exact, run
-from .errors import RegimeError
-from .extraction import ProblemSpec
+from .errors import ProblemSpec, RegimeError
 
 __all__ = ["paper_check", "sweep_rows"]
 
@@ -83,19 +82,27 @@ def paper_check() -> bool:
     return failures == 0
 
 
-def _parse_items(text: str, multidegree: bool) -> list[tuple[int, ...]]:
-    """A sweep column: comma-separated items, each an int or a lo..hi range of
-    ints with lo <= hi, and with ``multidegree`` also degrees joined by '+' (e.g. 2+2)."""
+def _parse_items(text: str, column: str) -> list[tuple[int, ...]]:
+    """A sweep column: comma-separated items, each an int or a lo..hi range of ints with
+    lo <= hi, and in the "degrees" column also degrees joined by '+' (e.g. 2+2).  A parse
+    error names the ``column`` and its text, as the envelope subcommands do."""
+
+    def number(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError as exc:
+            raise ValueError(f"cannot parse {column} {text!r}: {exc}") from None
+
     items: set[tuple[int, ...]] = set()
     for chunk in text.split(","):
         lo, dots, hi = chunk.partition("..")
         if dots:
-            lo, hi = int(lo), int(hi)
+            lo, hi = number(lo), number(hi)
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r} in {text!r}")
             items.update((x,) for x in range(lo, hi + 1))
         else:
-            items.add(tuple(int(p) for p in (chunk.split("+") if multidegree else [chunk])))
+            items.add(tuple(map(number, chunk.split("+") if column == "degrees" else [chunk])))
     return sorted(items)
 
 

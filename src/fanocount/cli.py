@@ -17,12 +17,10 @@ import os
 import sys
 from typing import NamedTuple, Sequence
 
-# the extraction route runs the default methods; planes (the fixed-point route),
-# invariants, conics and batch are imported where a subcommand needs them, so the
+# extraction (the coefficient fold), planes (the fixed-point route), invariants,
+# classification, conics and batch are imported where a subcommand runs them, so the
 # other subcommands start without compiling them
-from . import extraction
-from .errors import InconsistencyError, RegimeError
-from .extraction import DEFAULT_SEED, ProblemSpec
+from .errors import DEFAULT_SEED, InconsistencyError, ProblemSpec, RegimeError
 
 __all__ = ["CommandRequest", "ResultEnvelope", "main", "paper_check", "run", "sweep_rows"]
 
@@ -202,6 +200,7 @@ def run(request: CommandRequest) -> ResultEnvelope:
     if sub == "planes":
         d, r, k = request.degrees[0], request.r, request.k
         if method in ("dm", "both"):
+            from . import extraction
             envelope.put("deg_dm" if method == "both" else "deg",
                          extraction.deg_planes_dm(d, r, k),
                          "vandermonde-coefficient-extraction")
@@ -219,11 +218,13 @@ def run(request: CommandRequest) -> ResultEnvelope:
             envelope.put("equal", True, "cross-method-comparison")
 
     elif sub == "ci-planes":
+        from . import extraction
         spec = _spec_for(request)
         envelope.put("deg", extraction.deg_ci_planes(spec), "ci-coefficient-extraction")
         envelope.put("gamma", spec.gamma, "codimension-arithmetic")
 
     elif sub == "fano-degree":
+        from . import extraction
         spec = _spec_for(request)
         envelope.put("deg", extraction.deg_fano(spec), "plucker-coefficient-extraction")
         envelope.put("gamma", spec.gamma, "codimension-arithmetic")
@@ -240,16 +241,16 @@ def run(request: CommandRequest) -> ResultEnvelope:
             envelope.put(f"gamma_{i}", c.gamma, "sym-power-chern-coeffs")
 
     elif sub == "irregularity":
-        from . import invariants
-        result = invariants.irregularity_classify(_spec_for(request))
+        from . import classification
+        result = classification.irregularity_classify(_spec_for(request))
         envelope.put("case", result.case.value, "irregularity-classification")
         if result.k is not None:
             envelope.put("k", result.k, "irregularity-classification")
         envelope.put("note", result.note, "irregularity-classification")
 
     elif sub == "picard":
-        from . import invariants
-        info = invariants.picard_number(_spec_for(request))
+        from . import classification
+        info = classification.picard_number(_spec_for(request))
         envelope.put("rho", info.rho, "picard-classification")
         envelope.put("components", info.components, "picard-classification")
         envelope.put("note", info.note, "picard-classification")
@@ -388,9 +389,9 @@ def _dispatch(sub: str, values: dict) -> int:
     try:
         if sub == "sweep":
             from . import batch
-            degree_items = batch._parse_items(values["d"], multidegree=True)
-            r_values, k_values = ([n for (n,) in batch._parse_items(text, multidegree=False)]
-                                  for text in (values["r"], values["k"]))
+            degree_items = batch._parse_items(values["d"], "degrees")
+            r_values, k_values = ([n for (n,) in batch._parse_items(values[name], f"{name} values")]
+                                  for name in ("r", "k"))
             print(CSV_HEADER)
             for row in batch.sweep_rows(values["target"], degree_items, r_values, k_values,
                                         skip_log=lambda msg: print(msg, file=sys.stderr)):

@@ -37,16 +37,19 @@ the twisted fixed-point sum reproduces it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .extraction import DEFAULT_SEED, _integer, weight_vectors
+from .errors import (DEFAULT_SEED, InconsistencyError, RegimeError, SingularWeightsError, _integer,
+                     weight_vectors)
 from .planes import TorusWeights, _check_weight_count, _layout, _plane_sum, _roots, _weight_tuple
 
-if TYPE_CHECKING:   # the reference forms import the symbolic layer when they run
+if TYPE_CHECKING:
+    # fractions (with decimal) is imported where a rational value is built, and the
+    # symbolic layer by the reference forms when they run
+    from fractions import Fraction
+
     from .polycore import MultiPoly, TruncatedSeries
 
 __all__ = [
@@ -381,6 +384,7 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     numerator, denominator = _plane_sum(r, 2, weights, fiber)
     value, remainder = divmod((-1) ** r * numerator, denominator)
     if remainder:   # only a faulty kernel leaves one
+        from fractions import Fraction
         return BottSum(Fraction((-1) ** r * numerator, denominator), False)
     return BottSum(value, True)
 
@@ -407,6 +411,7 @@ def deg_conics_untwisted_sum(d: int, r: int, t: Sequence[int]) -> Fraction:
         raise SingularWeightsError("the untwisted sum divides by every weight; one is zero")
     if any(a + b == 0 for a, b in combinations(weights, 2)):
         raise SingularWeightsError("the untwisted sum divides by every pair sum; one is zero")
+    from fractions import Fraction
     total = Fraction(0)
     for plane in combinations(weights, 3):
         pair_sums = [a + b for a, b in combinations_with_replacement(plane, 2)]
@@ -472,6 +477,7 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
     if _check_conic_degree_regime(d, r).two_conics:
         raise RegimeError("halving-case",
                           "the closed form excludes (4, 3), where the count halves")
+    from fractions import Fraction
     value = -Fraction(5, 32) * comb(r + 1, 3) * _eta(d, r, (1, 1, 1))
     reference = Fraction(deg_conics(d, r, seed=seed))
     return ClosedFormComparison(
@@ -494,6 +500,7 @@ def conic_factor_report(anchor: int | None = None) -> str:
     it; otherwise the report computes it.  The twisted sum is twice that
     value: :func:`deg_conics` checked it at two weight draws before halving.
     """
+    from fractions import Fraction
     d, r = 4, 3
     eta_ones = _eta(d, r, (1, 1, 1))
     planes_count = comb(r + 1, 3)

@@ -12,9 +12,10 @@ form by the Vandermonde polynomial V turns "coefficient of the top Schur basis e
 sums of ``planes`` give the plane counts independently; this module imports nothing from
 ``planes`` or ``conics``, so no extraction can reach a fixed-point kernel.
 
-Codimension bookkeeping: gamma = sum_j C(d_j + k, k) - (k+1)(r-k) is the codimension (in the
-parameter space of complete intersections) of the locus of members containing a k-plane; its
-negation delta is the expected dimension of the Fano scheme of a single member.
+The problem record ``ProblemSpec``, its regime checks and ``weight_vectors`` are the shared
+vocabulary of ``errors``, which this module re-exports.  Only the subcommands that fold load
+this module: the ``planes`` methods, ``ci-planes``, ``fano-degree``, ``surface``, ``sweep``
+and ``paper-check``, and the conic route through the re-export of ``planes``.
 """
 
 from __future__ import annotations
@@ -22,96 +23,14 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, prod
-from operator import index
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .errors import InconsistencyError, RegimeError
+from .errors import (DEFAULT_SEED, ExponentVector, InconsistencyError, ProblemSpec, RegimeError,
+                     _check_hypersurface_regime, _check_nonempty_regime, _integer,
+                     weight_vectors)
 
 __all__ = ["DEFAULT_SEED", "ExponentVector", "ProblemSpec", "c2_fano_integral", "deg_ci_planes",
            "deg_fano", "deg_planes_dm", "linear_system_dim", "weight_vectors"]
-
-# Fixed documented seed for reproducible torus-weight draws.
-DEFAULT_SEED = 1729
-
-ExponentVector = tuple[int, ...]
-
-
-def weight_vectors(nvars: int, total: int) -> list[ExponentVector]:
-    """All tuples of ``nvars`` non-negative ints summing to ``total``, in
-    lexicographic order (stars and bars), as a list: none for a negative total."""
-    nvars, total = _integer("nvars", nvars), _integer("total", total)
-    if nvars <= 0:
-        raise RegimeError("plane-dimension",
-                          f"need nvars = k + 1 >= 1 variables, got nvars={nvars}")
-    if total < 0:   # one variable would otherwise take the whole negative total
-        return []
-    vectors = []
-    for bars in combinations(range(total + nvars - 1), nvars - 1):
-        prev = -1
-        vec = []
-        for b in bars:
-            vec.append(b - prev - 1)
-            prev = b
-        vec.append(total + nvars - 2 - prev)
-        vectors.append(tuple(vec))
-    return vectors
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int by ``operator.index``: ints and int-like values pass, while a
-    float, a string or a ``Fraction`` is refused rather than truncated or left to crash."""
-    try:
-        return index(value)
-    except TypeError:
-        raise RegimeError("not-an-integer", f"{name} must be an integer, got {value!r}") from None
-
-
-class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k", int)])):
-    """A counting problem: complete intersections of multidegree ``degrees``
-    in projective ``r``-space, probed for ``k``-planes.
-
-    The order of ``degrees`` matters to :func:`deg_ci_planes` (the last entry
-    is the degree that varies in its linear system); all other formulas are
-    symmetric in the degrees.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, degrees: Sequence[int], r: int, k: int):
-        degrees = tuple(_integer("a degree", d) for d in degrees)
-        r, k = _integer("r", r), _integer("k", k)
-        if not degrees:
-            raise RegimeError("degrees-empty", "degrees must be non-empty")
-        if any(d < 2 for d in degrees):
-            raise RegimeError("degree-too-small", f"need every degree >= 2, got {degrees}")
-        if r < 3:
-            raise RegimeError("ambient-too-small", f"need r >= 3, got r={r}")
-        if k < 1:
-            raise RegimeError("plane-dimension", f"need k >= 1, got k={k}")
-        return super().__new__(cls, degrees, r, k)
-
-    @classmethod
-    def _make(cls, iterable):   # _replace builds through _make: validate there too
-        return cls(*iterable)
-
-    @property
-    def m(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def gamma(self) -> int:
-        """Codimension of the containing-a-k-plane locus; positive means the
-        general member carries no k-plane."""
-        return sum(comb(d + self.k, self.k) for d in self.degrees) \
-            - (self.k + 1) * (self.r - self.k)
-
-    @property
-    def delta(self) -> int:
-        """Expected dimension of the Fano scheme of k-planes (= -gamma)."""
-        return -self.gamma
-
-    def sorted_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -120,28 +39,6 @@ class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k
 
 def _psi_target(r: int, k: int) -> tuple[int, ...]:
     return tuple(r - i for i in range(k + 1))
-
-
-def _check_plane_dimension(r: int, k: int) -> None:
-    if k < 1 or 2 * k >= r:
-        raise RegimeError("plane-dimension", f"need 1 <= k and 2k < r, got k={k}, r={r}")
-
-
-def _check_hypersurface_regime(d: int, r: int, k: int) -> None:
-    for name, value in (("d", d), ("r", r), ("k", k)):
-        _integer(name, value)
-    if d < 3:
-        raise RegimeError(
-            "degree-too-small",
-            f"the plane-count degree formula needs d >= 3 (quadrics carry "
-            f"positive-dimensional plane families and reducible Fano schemes); got d={d}")
-    _check_plane_dimension(r, k)
-    g = comb(d + k, k) - (k + 1) * (r - k)
-    if g <= 0:
-        raise RegimeError(
-            "gamma-not-positive",
-            f"gamma({d},{r},{k}) = {g} <= 0: the general hypersurface already "
-            "contains k-planes, so the containing locus is not proper")
 
 
 def deg_planes_dm(d: int, r: int, k: int) -> int:
@@ -318,12 +215,6 @@ def _ci_extraction(degrees: tuple[int, ...], r: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Fano schemes of positive expected dimension
 # ---------------------------------------------------------------------------
-
-def _check_nonempty_regime(spec: ProblemSpec) -> None:
-    if spec.r < 2 * spec.k + spec.m:
-        raise RegimeError("nonempty-regime",
-                          f"need r >= 2k + m = {2 * spec.k + spec.m}, got r = {spec.r}")
-
 
 def _fano_extraction(spec: ProblemSpec, target: tuple[int, ...], ones: int) -> int:
     """Coefficient of x^target in V * Q * (x_0 + ... + x_k)^ones, by :func:`_extract`."""

@@ -1,5 +1,4 @@
-"""Chern-number coefficients and surface invariants of Fano schemes, plus the
-irregularity and Picard-number classifications.
+"""Chern-number coefficients and surface invariants of Fano schemes.
 
 For a general complete intersection whose Fano scheme F of k-planes is a
 smooth surface (expected dimension delta = 2), the Chern numbers of F are
@@ -18,35 +17,29 @@ K^2, the holomorphic Euler characteristic by Noether's formula
 chi = (K^2 + e)/12, the arithmetic genus p_a = chi - 1, and the signature
 4*chi - e.
 
-The classification functions record two facts about these Fano schemes: which
-ones are irregular (exactly three families), and which very general complete
-intersections have Fano schemes of Picard number bigger than one (three
-exceptional families of quadric type).
+The two integrals come from the extraction route, reached through its module when
+``surface_invariants`` runs, so a wrapper or patch installed on ``extraction`` is the
+one that runs.  The irregularity and Picard classifications, which need neither
+integral, live in ``classification``.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .errors import InconsistencyError, RegimeError
-from .extraction import ProblemSpec, _check_nonempty_regime, _integer, c2_fano_integral, deg_fano
+from . import extraction
+from .errors import InconsistencyError, ProblemSpec, RegimeError, _integer
 
 __all__ = [
-    "Classification",
     "InvariantReport",
-    "IrregularityCase",
-    "PicardInfo",
     "SymPowerCoeffs",
     "AB_coeffs",
     "canonical_coefficient",
     "canonical_degree",
     "combinatorial_identity",
-    "irregularity_classify",
     "is_smooth_fano",
-    "picard_number",
     "surface_invariants",
     "sym_power_coeffs",
     "sym_power_coeffs_small",
@@ -179,8 +172,8 @@ def surface_invariants(spec: ProblemSpec) -> InvariantReport:
     if spec.delta != 2:
         raise RegimeError("delta-not-two",
                           f"surface invariants need delta = 2, got delta = {spec.delta}")
-    deg_f = deg_fano(spec)
-    c2int = c2_fano_integral(spec)
+    deg_f = extraction.deg_fano(spec)
+    c2int = extraction.c2_fano_integral(spec)
     a, b = AB_coeffs(spec)
     k2 = canonical_degree(spec, deg_f)
     euler = a * deg_f + b * c2int
@@ -204,83 +197,3 @@ def surface_invariants(spec: ProblemSpec) -> InvariantReport:
         signature=4 * chi - euler,
         smooth_fano=is_smooth_fano(spec),
     )
-
-
-# ---------------------------------------------------------------------------
-# classifications
-# ---------------------------------------------------------------------------
-
-class IrregularityCase(Enum):
-    CUBIC_THREEFOLD_LINES = "irregular-cubic-threefold-lines"
-    CUBIC_FIVEFOLD_PLANES = "irregular-cubic-fivefold-planes"
-    TWO_QUADRICS = "irregular-two-quadrics"
-    REGULAR = "regular"
-
-
-class Classification(NamedTuple):
-    case: IrregularityCase
-    k: int | None
-    note: str
-
-
-def _require_nonempty_fano(spec: ProblemSpec, task: str) -> None:
-    if spec.delta < 2:
-        raise RegimeError("delta-too-small", f"{task} needs delta >= 2, got {spec.delta}")
-    _check_nonempty_regime(spec)
-
-
-def irregularity_classify(spec: ProblemSpec) -> Classification:
-    """Which Fano schemes of general complete intersections (irreducible, of
-    dimension >= 2) are irregular.
-
-    Exactly three families: lines on cubic threefolds, planes on cubic
-    fivefolds, and k-planes on intersections of two quadrics in P^{2k+3}
-    (dimension k+1).  Everything else has vanishing irregularity; in
-    particular r >= 2k + m + 2 forces regularity.
-    """
-    _require_nonempty_fano(spec, "classification")
-    degs = spec.sorted_degrees()
-    if degs == (2,) and spec.r == 2 * spec.k + 1:
-        raise RegimeError(
-            "reducible-fano",
-            "the Fano scheme of middle-dimensional planes on an even-dimensional "
-            "quadric has two components, so the irreducibility hypothesis fails")
-    if degs == (3,) and spec.r == 4 and spec.k == 1:
-        return Classification(IrregularityCase.CUBIC_THREEFOLD_LINES, None,
-                              "surface of lines on a general cubic threefold")
-    if degs == (3,) and spec.r == 6 and spec.k == 2:
-        return Classification(IrregularityCase.CUBIC_FIVEFOLD_PLANES, None,
-                              "surface of planes on a general cubic fivefold")
-    if degs == (2, 2) and spec.r == 2 * spec.k + 3:
-        return Classification(
-            IrregularityCase.TWO_QUADRICS, spec.k,
-            f"(k+1)-dimensional Fano scheme of k-planes on two general quadrics, k={spec.k}")
-    return Classification(IrregularityCase.REGULAR, None, "irregularity vanishes")
-
-
-VERY_GENERAL_NOTE = ("Picard numbers refer to the very general complete intersection; "
-                     "'general' is not enough here.")
-
-
-class PicardInfo(NamedTuple):
-    rho: int
-    components: int
-    note: str
-
-
-def picard_number(spec: ProblemSpec) -> PicardInfo:
-    """Picard number of the Fano scheme of the very general complete
-    intersection with delta >= 2: equal to 1 except for three quadric-type
-    families.  For the two-component quadric case the number refers to each
-    component.  Requires r >= 2k + m: below it the Fano scheme is empty."""
-    _require_nonempty_fano(spec, "Picard classification")
-    degs = spec.sorted_degrees()
-    k = spec.k
-    if degs == (2,) and spec.r == 2 * k + 1:
-        return PicardInfo(1, 2, "two isomorphic disjoint components, each of Picard "
-                                "number 1. " + VERY_GENERAL_NOTE)
-    if degs == (2,) and spec.r == 2 * k + 3:
-        return PicardInfo(2, 1, VERY_GENERAL_NOTE)
-    if degs == (2, 2) and spec.r == 2 * k + 4:
-        return PicardInfo(2 * k + 6, 1, VERY_GENERAL_NOTE)
-    return PicardInfo(1, 1, VERY_GENERAL_NOTE)

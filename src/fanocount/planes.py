@@ -18,17 +18,15 @@ from math import comb, factorial
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import InconsistencyError, RegimeError, SingularWeightsError
-from .extraction import (DEFAULT_SEED, ExponentVector, ProblemSpec, _check_hypersurface_regime,
-                         _check_plane_dimension, _integer, c2_fano_integral, deg_ci_planes,
-                         deg_fano, deg_planes_dm, linear_system_dim, weight_vectors)
+from .errors import (InconsistencyError, RegimeError, SingularWeightsError,
+                     _check_hypersurface_regime, _check_plane_dimension, _integer)
+from .extraction import c2_fano_integral, deg_ci_planes, deg_fano, deg_planes_dm, linear_system_dim
 
 if TYPE_CHECKING:   # the reference form tau_poly imports the symbolic layer when it runs
     from .polycore import MultiPoly
 
-__all__ = ["DEFAULT_SEED", "ExponentVector", "ProblemSpec", "TorusWeights", "c2_fano_integral",
-           "deg_ci_planes", "deg_fano", "deg_planes_bott", "deg_planes_dm", "linear_system_dim",
-           "tau_poly", "weight_vectors"]
+__all__ = ["TorusWeights", "c2_fano_integral", "deg_ci_planes", "deg_fano", "deg_planes_bott",
+           "deg_planes_dm", "linear_system_dim", "tau_poly"]
 
 
 class TorusWeights(tuple):

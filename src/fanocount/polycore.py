@@ -12,7 +12,8 @@ here is what the tests check those routes against, the reference forms
 ``planes.tau_poly``, ``conics.eta_form``, ``conics.eta_form_twisted`` and
 ``conics.chern_Ed_series`` (each loads this module when it runs), and the
 ``MultiPoly.mul`` that the benchmark's tracer wraps.  The dependency runs
-one way: this module imports ``extraction``, and no runtime module imports it.
+one way: this module imports only the shared vocabulary of ``errors``, and no runtime
+module imports it.
 
 Conventions:
 
@@ -32,8 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DimensionError, NotInvertibleError
-from .extraction import ExponentVector, weight_vectors
+from .errors import DimensionError, ExponentVector, NotInvertibleError, weight_vectors
 
 __all__ = [
     "ExactScalar",

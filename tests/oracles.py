@@ -32,7 +32,7 @@ from math import comb
 import sympy as sp
 
 from fanocount.cli import _COMMANDS, _SWEEP_TARGETS
-from fanocount.planes import DEFAULT_SEED
+from fanocount.errors import DEFAULT_SEED
 
 
 def compositions(nvars, total):

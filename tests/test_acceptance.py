@@ -18,17 +18,15 @@ from fanocount.conics import (
     fixed_point_census,
     generic_conic_weights,
 )
-from fanocount.errors import RegimeError
+from fanocount.classification import IrregularityCase, irregularity_classify, picard_number
+from fanocount.errors import ProblemSpec, RegimeError
 from fanocount.invariants import (
-    IrregularityCase,
     combinatorial_identity,
-    irregularity_classify,
-    picard_number,
     surface_invariants,
     sym_power_coeffs,
     sym_power_coeffs_small,
 )
-from fanocount.planes import ProblemSpec, TorusWeights, deg_planes_bott, deg_planes_dm
+from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
 from fanocount.polycore import weighted_linear_product
 
 

@@ -568,6 +568,22 @@ def test_sweep_skips_cells_that_spec_validation_rejects():
 def test_sweep_empty_range_is_parameter_error(capsys):
     code, _, err = invoke(capsys, "sweep", "planes", "--d", "", "--r", "3", "--k", "1")
     assert code == 2 and "parameter error" in err
+    assert err == "parameter error: cannot parse degrees '': " \
+                  "invalid literal for int() with base 10: ''\n"
+
+
+@pytest.mark.parametrize("flags,column,text,part", [
+    (("--d", "3,,", "--r", "4", "--k", "1"), "degrees", "3,,", ""),
+    (("--d", "3", "--r", "4..x", "--k", "1"), "r values", "4..x", "x"),
+    (("--d", "3", "--r", "4", "--k", "x..2"), "k values", "x..2", "x"),
+    (("--d", "3+y", "--r", "4", "--k", "1"), "degrees", "3+y", "y"),
+])
+def test_sweep_parse_error_names_its_column_and_text(capsys, flags, column, text, part):
+    # as the envelope subcommands name the degrees they cannot parse
+    code, out, err = invoke(capsys, "sweep", "fano-degree", *flags)
+    assert code == 2 and out == ""
+    assert err == f"parameter error: cannot parse {column} {text!r}: " \
+                  f"invalid literal for int() with base 10: {part!r}\n"
 
 
 @pytest.mark.parametrize("r", ["6..5", "4,6..5"])
@@ -581,6 +597,8 @@ def test_sweep_reversed_range_is_parameter_error(capsys, r):
 def test_sweep_r_and_k_take_no_multidegrees(capsys, r, k):
     code, out, err = invoke(capsys, "sweep", "fano-degree", "--d", "3", "--r", r, "--k", k)
     assert code == 2 and out == "" and err.startswith("parameter error:")
+    column, text = ("r", r) if "+" in r else ("k", k)
+    assert err.startswith(f"parameter error: cannot parse {column} values {text!r}: ")
 
 
 # ---------------------------------------------------------------------------

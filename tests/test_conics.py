@@ -512,19 +512,21 @@ def test_bott_sum_frozen(dr, expected):
 
 
 def test_extraction_routes_and_eta_build_no_fraction(monkeypatch):
-    # neither plane route imports Fraction, and conics builds one only for a rational value
+    # no route binds Fraction, and conics imports one only where it builds a rational value
+    import fractions as fractions_module
+
     import fanocount.conics as conics
     import fanocount.extraction as extraction
     import fanocount.planes as planes
     from fanocount.extraction import ProblemSpec, c2_fano_integral, deg_ci_planes, deg_fano
-    assert not hasattr(planes, "Fraction") and not hasattr(extraction, "Fraction")
+    assert not any(hasattr(module, "Fraction") for module in (planes, extraction, conics))
     fractions = []
 
     def counted_fraction(*args):
         fractions.append(args)
         return Fraction(*args)
 
-    monkeypatch.setattr(conics, "Fraction", counted_fraction)
+    monkeypatch.setattr(fractions_module, "Fraction", counted_fraction)
     assert deg_planes_dm(4, 3, 1) == 320
     assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
     assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
@@ -734,6 +736,8 @@ def test_cyclic_fiber_equals_the_table_fiber(inputs):
                                                       ((3, 5, 2), (7, 5), 85393742658)])
 def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_cell, raw):
     # an integral conic sum is an int by one divmod, so neither sum builds a Fraction
+    import fractions as fractions_module
+
     import fanocount.conics as conics
     import fanocount.planes as planes
     plane_degree = deg_planes_dm(*plane_cell)
@@ -748,7 +752,7 @@ def test_both_bott_sums_go_through_one_plane_sum(monkeypatch, plane_cell, conic_
         plane_sums.append(args[:2])
         return real_plane_sum(*args)
 
-    monkeypatch.setattr(conics, "Fraction", counted_fraction)
+    monkeypatch.setattr(fractions_module, "Fraction", counted_fraction)
     for module in (conics, planes):
         monkeypatch.setattr(module, "_plane_sum", counted_plane_sum)
     d, r, k = plane_cell

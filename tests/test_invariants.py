@@ -4,21 +4,19 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fanocount.errors import InconsistencyError, RegimeError
+from fanocount.classification import IrregularityCase, irregularity_classify, picard_number
+from fanocount.errors import InconsistencyError, ProblemSpec, RegimeError
 from fanocount.invariants import (
     AB_coeffs,
-    IrregularityCase,
     canonical_coefficient,
     canonical_degree,
     combinatorial_identity,
-    irregularity_classify,
     is_smooth_fano,
-    picard_number,
     surface_invariants,
     sym_power_coeffs,
     sym_power_coeffs_small,
 )
-from fanocount.planes import ProblemSpec, c2_fano_integral, deg_fano
+from fanocount.planes import c2_fano_integral, deg_fano
 
 from oracles import fano_scheme_empty
 from test_source import documented_regime_codes

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fanocount import conics
-from fanocount.errors import InconsistencyError, RegimeError, SingularWeightsError
+from fanocount.errors import (InconsistencyError, ProblemSpec, RegimeError, SingularWeightsError,
+                              weight_vectors)
 from fanocount.planes import (
-    ProblemSpec,
     TorusWeights,
     c2_fano_integral,
     deg_ci_planes,
@@ -19,7 +19,6 @@ from fanocount.planes import (
     deg_planes_dm,
     linear_system_dim,
     tau_poly,
-    weight_vectors,
 )
 from fanocount.polycore import MultiPoly, weighted_linear_product
 

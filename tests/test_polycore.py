@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanocount.errors import DimensionError, NotInvertibleError
-from fanocount.planes import weight_vectors
+from fanocount.errors import DimensionError, NotInvertibleError, weight_vectors
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
 

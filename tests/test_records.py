@@ -7,15 +7,10 @@ import pytest
 
 from fanocount.cli import CommandRequest, ResultEnvelope
 from fanocount.conics import ClosedFormComparison, ConicProblem
-from fanocount.errors import RegimeError
-from fanocount.invariants import (
-    Classification,
-    InvariantReport,
-    IrregularityCase,
-    PicardInfo,
-    SymPowerCoeffs,
-)
-from fanocount.planes import ProblemSpec, TorusWeights
+from fanocount.classification import Classification, IrregularityCase, PicardInfo
+from fanocount.errors import ProblemSpec, RegimeError
+from fanocount.invariants import InvariantReport, SymPowerCoeffs
+from fanocount.planes import TorusWeights
 from fanocount.polycore import MultiPoly, TruncatedSeries
 
 SPEC = "ProblemSpec(degrees=(3,), r=4, k=1)"

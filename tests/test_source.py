@@ -69,6 +69,20 @@ def test_extraction_route_imports_neither_fixed_point_module():
     assert _importers_of("fanocount.conics", {"extraction.py"}) == []
 
 
+def test_shared_vocabulary_imports_no_route():
+    # errors holds what every module shares, ProblemSpec and the regime checks among it,
+    # and every CLI process loads it: it must load no route and no classification
+    for module in ("extraction", "planes", "conics", "invariants", "classification"):
+        assert _importers_of(f"fanocount.{module}", {"errors.py"}) == []
+
+
+def test_classifications_import_no_route():
+    # irregularity and picard read only the problem's numbers: neither the fold nor a
+    # fixed-point kernel is reachable from them
+    for module in ("extraction", "planes", "conics"):
+        assert _importers_of(f"fanocount.{module}", {"classification.py"}) == []
+
+
 def test_runtime_imports_only_the_standard_library():
     # the runtime keeps no dependencies: every absolute import is a stdlib module
     imported = set()
@@ -158,17 +172,20 @@ def _import_time_statements(body):
 # that runs none of them does not compile it.  The symbolic layer is imported only inside
 # the reference forms that expand it; the batch subcommands only by the CLI branches that
 # run them; the fixed-point route only by the CLI branch of the Bott methods and by the
-# conic route that builds on its kernel.  fractions (with decimal) is for the rational
-# values of the conic report and the symbolic layer; every value of planes and invariants
-# is an int.
+# conic route that builds on its kernel; the coefficient fold only by the fixed-point
+# route, which re-exports its names, and by the surface assembly that runs it.
+# fractions (with decimal) is for the symbolic layer; conics imports it only where it
+# builds a rational value, and every value of planes and invariants is an int.
 IMPORT_TIME_IMPORTERS = {
     "fanocount.polycore": set(),
     "fanocount.invariants": set(),
+    "fanocount.classification": set(),
     "fanocount.conics": set(),
     "fanocount.batch": set(),
     "fanocount.cli": {"__main__", "batch"},
     "fanocount.planes": {"conics"},
-    "fractions": {"conics", "polycore"},
+    "fanocount.extraction": {"planes", "invariants"},
+    "fractions": {"polycore"},
 }
 
 
@@ -195,8 +212,8 @@ def test_package_parses_at_the_oldest_supported_python():
 
 
 def test_shared_scalar_names_have_one_definition():
-    # defined once, not copied: planes, conics and polycore import the extraction route's
-    # names from there, and the rational scalar type is the symbolic layer's own
+    # defined once, not copied: every module imports the shared vocabulary from errors,
+    # and the rational scalar type is the symbolic layer's own
     defined = {"weight_vectors": [], "ExactScalar": [], "ExponentVector": []}
     for path, tree in _modules():
         for node in ast.walk(tree):
@@ -206,8 +223,8 @@ def test_shared_scalar_names_have_one_definition():
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id in defined:
                         defined[target.id].append(path.name)
-    assert defined == {"weight_vectors": ["extraction.py"], "ExactScalar": ["polycore.py"],
-                       "ExponentVector": ["extraction.py"]}
+    assert defined == {"weight_vectors": ["errors.py"], "ExactScalar": ["polycore.py"],
+                       "ExponentVector": ["errors.py"]}
 
 
 def _defines(node, name):

@@ -12,11 +12,17 @@ import pytest
 import fanocount
 
 SRC = str(Path(fanocount.__file__).resolve().parents[1])
-MODULES = ("errors", "planes", "invariants", "conics", "polycore")
-CORE = {"fanocount", "fanocount.cli", "fanocount.errors", "fanocount.extraction"}
-# the fixed-point route, and the conic module that builds on it
-PLANES = {"fanocount.planes"}
+MODULES = ("errors", "planes", "invariants", "classification", "conics", "polycore")
+CORE = {"fanocount", "fanocount.cli", "fanocount.errors"}
+# the coefficient fold; the fixed-point route, which re-exports the fold's names; and the
+# conic module that builds on the fixed-point route
+EXTRACTION = {"fanocount.extraction"}
+PLANES = {"fanocount.planes", *EXTRACTION}
 CONICS = {"fanocount.conics", *PLANES}
+BATCH = {"fanocount.batch"}
+CLASSIFICATION = {"fanocount.classification"}
+# what only a rational value needs: fractions, and the decimal it imports
+RATIONALS = {"fractions", "decimal"}
 
 # runs main() as ``python -m fanocount`` does, then prints the exit code and
 # the modules the run added to those the interpreter started with
@@ -38,39 +44,52 @@ def loaded_by(code: str, *argv: str) -> tuple[int, set[str]]:
     return int(out[0]), set(out[1:])
 
 
-# one job per subcommand class, and the modules it adds to CORE
+# one job per subcommand class: its exit code, the modules it adds to CORE, and the number
+# of package modules it loaded while every process loaded the fold and the classifications
+# sat in invariants, a number no job may exceed
 JOBS = [
-    (("fano-degree", "--d", "3", "--r", "4", "--k", "1"), set()),
-    (("ci-planes", "--d", "2,3", "--r", "4", "--k", "1"), set()),
-    (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), PLANES),
-    (("planes", "--method", "dm", "--d", "4", "--r", "3", "--k", "1"), set()),
-    (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), {"fanocount.batch"}),
-    (("sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1"), {"fanocount.batch"}),
-    (("surface", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
-    (("irregularity", "--d", "3", "--r", "4", "--k", "1"), {"fanocount.invariants"}),
-    (("picard", "--d", "2", "--r", "5", "--k", "1"), {"fanocount.invariants"}),
-    (("conics", "--d", "5", "--r", "3", "--method", "both"), CONICS),
-    (("conics", "--format=json", "--d", "4", "--r", "3"), CONICS),
-    (("fano-degree", "--format=json", "--d", "3", "--r", "4", "--k", "1"), set()),
-    (("planes", "--format=json", "--d", "4,4", "--r", "3", "--k", "1"), set()),
-    (("paper-check",), {"fanocount.batch", "fanocount.invariants", *CONICS}),
+    (("fano-degree", "--d", "3", "--r", "4", "--k", "1"), 0, EXTRACTION, 4),
+    (("ci-planes", "--d", "2,3", "--r", "4", "--k", "1"), 0, EXTRACTION, 4),
+    (("planes", "--d", "4", "--r", "3", "--k", "1", "--method", "both"), 0, PLANES, 5),
+    (("planes", "--method", "dm", "--d", "4", "--r", "3", "--k", "1"), 0, EXTRACTION, 4),
+    (("sweep", "fano-degree", "--d", "3,2+2", "--r", "4..5", "--k", "1"), 0,
+     {*BATCH, *EXTRACTION}, 5),
+    (("sweep", "planes", "--d", "4,2+2", "--r", "3", "--k", "1"), 0, {*BATCH, *EXTRACTION}, 5),
+    (("surface", "--d", "3", "--r", "4", "--k", "1"), 0,
+     {"fanocount.invariants", *EXTRACTION}, 5),
+    (("irregularity", "--d", "3", "--r", "4", "--k", "1"), 0, CLASSIFICATION, 5),
+    (("picard", "--d", "2", "--r", "5", "--k", "1"), 0, CLASSIFICATION, 5),
+    (("conics", "--d", "5", "--r", "3", "--method", "both"), 0, CONICS, 6),
+    (("conics", "--format=json", "--d", "4", "--r", "3"), 0, CONICS, 6),
+    (("conics", "--d", "3", "--r", "4"), 2, CONICS, 6),   # conics in moving families
+    (("fano-degree", "--format=json", "--d", "3", "--r", "4", "--k", "1"), 0, EXTRACTION, 4),
+    (("planes", "--format=json", "--d", "4,4", "--r", "3", "--k", "1"), 2, set(), 4),
+    (("paper-check",), 0, {*BATCH, "fanocount.invariants", *CONICS}, 8),
 ]
+# the jobs that build a Fraction: the closed form's comparison and the conic report
+RATIONAL_JOBS = {("conics", "--d", "5", "--r", "3", "--method", "both"), ("paper-check",)}
 
 
 # a job's id is its subcommand, joined to its next token when an earlier job has that id
-IDS = [argv[0] if all(earlier[0] != argv[0] for earlier, _ in JOBS[:i])
-       else f"{argv[0]}-{argv[1].lstrip('-')}" for i, (argv, _) in enumerate(JOBS)]
+IDS = [argv[0] if all(earlier[0] != argv[0] for earlier, *_ in JOBS[:i])
+       else f"{argv[0]}-{argv[1].lstrip('-')}" for i, (argv, *_) in enumerate(JOBS)]
 
 
-@pytest.mark.parametrize("argv,extra", JOBS, ids=IDS)
-def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
+@pytest.mark.parametrize("argv,exit_code,extra,before", JOBS, ids=IDS)
+def test_subcommand_loads_only_the_modules_it_runs(argv, exit_code, extra, before):
     code, loaded = loaded_by(PROBE, *argv)
-    assert code == (2 if "4,4" in argv else 0)   # planes of two degrees: a regime error
+    assert code == exit_code
     assert "dataclasses" not in loaded
-    assert {m for m in loaded if m.startswith("fanocount")} == CORE | extra
-    # every value of planes and invariants is an int: only the conic jobs need Fraction
-    if "fanocount.conics" not in extra:
-        assert loaded.isdisjoint({"fractions", "decimal"})
+    package = {m for m in loaded if m.startswith("fanocount")}
+    assert package == CORE | extra
+    assert len(package) <= before
+    # irregularity and picard compile no coefficient fold and no surface assembly
+    if argv[0] in ("irregularity", "picard"):
+        assert package.isdisjoint({"fanocount.extraction", "fanocount.invariants"})
+    # every value of planes and invariants is an int, and an integral conic sum or a
+    # refusal builds no Fraction: only the closed form and the report need fractions
+    if argv not in RATIONAL_JOBS:
+        assert loaded.isdisjoint(RATIONALS)
     # the command line is split without argparse and what it loads for its messages
     assert loaded.isdisjoint({"argparse", "gettext", "locale"})
     # a JSON envelope, of a result or of a regime error, is written without json
@@ -80,18 +99,18 @@ def test_subcommand_loads_only_the_modules_it_runs(argv, extra):
 def test_every_subcommand_has_a_job():
     # so that each envelope subcommand is shown to start without the batch module
     from fanocount.cli import _COMMANDS
-    assert {argv[0] for argv, _ in JOBS} == {*_COMMANDS, "paper-check", "sweep"}
+    assert {argv[0] for argv, *_ in JOBS} == {*_COMMANDS, "paper-check", "sweep"}
 
 
 def test_runtime_modules_do_not_load_the_symbolic_layer():
     # polycore is the reference layer: only the reference forms import it, when they run
     _, loaded = loaded_by("import sys; before = set(sys.modules); "
                           "import fanocount.extraction, fanocount.planes, fanocount.conics, "
-                          "fanocount.invariants, fanocount.cli; "
+                          "fanocount.invariants, fanocount.classification, fanocount.cli; "
                           "print(0, *sorted(set(sys.modules) - before))")
     assert "fanocount.polycore" not in loaded
     assert {"fanocount.extraction", "fanocount.planes", "fanocount.conics",
-            "fanocount.invariants"} <= loaded
+            "fanocount.invariants", "fanocount.classification"} <= loaded
 
 
 def test_importing_the_package_loads_no_module():
@@ -103,14 +122,14 @@ def test_importing_the_package_loads_no_module():
 # package module -> the package modules that importing it loads, itself and the package included
 IMPORTS = {
     "cli": CORE,
-    "batch": {*CORE, "fanocount.batch"},
+    "batch": {*CORE, *BATCH},
     "errors": {"fanocount", "fanocount.errors"},
-    "extraction": {"fanocount", "fanocount.errors", "fanocount.extraction"},
-    "planes": {"fanocount", "fanocount.errors", "fanocount.extraction", *PLANES},
-    "invariants": {"fanocount", "fanocount.errors", "fanocount.extraction",
-                   "fanocount.invariants"},
-    "conics": {"fanocount", "fanocount.errors", "fanocount.extraction", *CONICS},
-    "polycore": {"fanocount", "fanocount.errors", "fanocount.extraction", "fanocount.polycore"},
+    "extraction": {"fanocount", "fanocount.errors", *EXTRACTION},
+    "planes": {"fanocount", "fanocount.errors", *PLANES},
+    "invariants": {"fanocount", "fanocount.errors", "fanocount.invariants", *EXTRACTION},
+    "conics": {"fanocount", "fanocount.errors", *CONICS},
+    "polycore": {"fanocount", "fanocount.errors", "fanocount.polycore"},
+    "classification": {"fanocount", "fanocount.errors", *CLASSIFICATION},
 }
 
 
