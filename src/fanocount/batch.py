@@ -7,30 +7,32 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .cli import _SURFACE_FIELDS, _SWEEP_TARGETS, CommandRequest, format_exact, run
+from .cli import _SWEEP_TARGETS, CommandRequest, format_exact, run
 from .errors import ProblemSpec, RegimeError
 
 __all__ = ["paper_check", "sweep_rows"]
 
 # the anchor whose validated value the conic reconciliation report reuses
 _CONIC_ANCHOR = "quartic surfaces with a conic: deg"
+# the report's label of a surface result, where it is not the result's name
+_SURFACE_LABELS = {"c2": "c2 integral", "K2": "K^2", "chi": "chi(O)"}
 
 
 def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     """The fixed checklist of published values: one entry per line of the
     regression report."""
-    from . import conics, invariants
+    from . import conics
     checks: list[tuple[str, Callable[[], object], object]] = []
 
     def surface_family(label: str, degrees: tuple[int, ...], r: int,
                        expected: dict[str, int]) -> None:
-        spec = ProblemSpec(degrees, r, expected.pop("_k", 1))
-        # one invariant computation per family; a failed one is not cached,
+        request = CommandRequest("surface", degrees, r, expected.pop("_k", 1))
+        # one run of the surface subcommand per family; a failed one is not cached,
         # so each anchor of the family reports the exception as its FAIL line
-        report = cache(lambda: invariants.surface_invariants(spec))
-        checks.extend(
-            (f"{label}: {anchor}", lambda attr=attr: getattr(report(), attr), expected[name])
-            for name, attr, _, anchor in _SURFACE_FIELDS if anchor)
+        results = cache(lambda: run(request).results)
+        checks.extend((f"{label}: {_SURFACE_LABELS.get(name, name)}",
+                       lambda name=name: int(results()[name]["value"]), value)
+                      for name, value in expected.items())
 
     surface_family("lines on cubic threefolds", (3,), 4,
                    {"deg": 45, "c2": 27, "A": 6, "B": -9, "e": 27, "K2": 45, "chi": 6})

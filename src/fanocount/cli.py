@@ -15,30 +15,96 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import NamedTuple, Sequence
+from importlib import import_module
+from operator import attrgetter
+from typing import Callable, NamedTuple, Sequence
 
-# extraction (the coefficient fold), planes (the fixed-point route), invariants,
-# classification, conics and batch are imported where a subcommand runs them, so the
-# other subcommands start without compiling them
+# a route's module is imported when it runs (``_call``), and batch when a batch subcommand does
 from .errors import DEFAULT_SEED, InconsistencyError, ProblemSpec, RegimeError
 
 __all__ = ["CommandRequest", "ResultEnvelope", "main", "paper_check", "run", "sweep_rows"]
 
 CSV_HEADER = "d,r,k,gamma,delta,value,method"
 
-# envelope subcommand -> (help, --method choices with the default first, takes --k)
+
+class Route(NamedTuple):
+    """A --method entry: ``attr`` of the package module ``module``, looked up as it runs (so a
+    wrapper installed there runs, and no subcommand loads a module it does not run), and each
+    result it fills, unless None: (name, attribute path in its value or "" for it, provenance)."""
+
+    method: str
+    module: str
+    attr: str
+    fills: tuple[tuple[str, str, str], ...]
+    seeded: bool = False     # the callable takes seed=
+    advisory: bool = False   # no route: both runs it after the routes, with reference=
+
+
+class Command(NamedTuple):
+    """A subcommand: its routes take (d, r[, k]) of one degree if ``hypersurface``, else a spec."""
+
+    help: str
+    routes: tuple[Route, ...]   # in --method order, the default first
+    notes: Callable = lambda *args: ()   # (*args, first route's value) -> results after theirs
+    hypersurface: bool = False
+    takes_k: bool = True
+
+
+_CODIM, _IRREGULARITY, _PICARD = ("codimension-arithmetic", "irregularity-classification",
+                                  "picard-classification")
 _COMMANDS = {
-    "planes": ("degree of the locus of hypersurfaces containing a k-plane",
-               ("dm", "bott", "both"), True),
-    "ci-planes": ("degree of the containing-a-k-plane locus in a linear system on a complete "
-                  "intersection", (), True),
-    "fano-degree": ("Plucker degree of the Fano scheme", (), True),
-    "surface": ("invariants of a Fano surface (delta = 2)", (), True),
-    "irregularity": ("irregularity classification", (), True),
-    "picard": ("Picard number of the very general member", (), True),
-    "conics": ("degree of the locus of hypersurfaces containing a conic",
-               ("bott", "closed", "both"), False),
+    "planes": Command("degree of the locus of hypersurfaces containing a k-plane", (
+        Route("dm", "extraction", "deg_planes_dm",
+              (("deg", "", "vandermonde-coefficient-extraction"),)),
+        Route("bott", "planes", "deg_planes_bott", (("deg", "", "fixed-point-residue-sum"),),
+              seeded=True)),
+        hypersurface=True),
+    "ci-planes": Command(
+        "degree of the containing-a-k-plane locus in a linear system on a complete intersection",
+        (Route("extraction", "extraction", "deg_ci_planes",
+               (("deg", "", "ci-coefficient-extraction"),)),),
+        lambda spec, _: [("gamma", spec.gamma, _CODIM)]),
+    "fano-degree": Command("Plucker degree of the Fano scheme", (
+        Route("extraction", "extraction", "deg_fano",
+              (("deg", "", "plucker-coefficient-extraction"),)),),
+        lambda spec, _: [("gamma", spec.gamma, _CODIM), ("delta", spec.delta, _CODIM)]),
+    "surface": Command("invariants of a Fano surface (delta = 2)", (
+        Route("extraction", "invariants", "surface_invariants", (
+            ("deg", "deg_f", "plucker-coefficient-extraction"),
+            ("c2", "c2_integral", "schubert-c2-extraction"),
+            ("A", "a_coeff", "tangent-chern-combination"),
+            ("B", "b_coeff", "tangent-chern-combination"),
+            ("e", "euler", "chern-number-combination"),
+            ("K2", "k_delta", "canonical-self-intersection"),
+            ("chi", "chi_o", "noether-quotient"), ("p_a", "p_a", "noether-quotient"),
+            ("signature", "signature", "signature-formula"),
+            ("c1_coeff", "c1_coeff", "canonical-class-multiple"))),),
+        lambda _, report: [(f"{name}_{i}", getattr(c, name), "sym-power-chern-coeffs")
+                           for i, c in enumerate(report.per_degree, start=1)
+                           for name in ("alpha", "beta", "gamma")]),
+    "irregularity": Command("irregularity classification", (
+        Route("classification", "classification", "irregularity_classify", (
+            ("case", "case.value", _IRREGULARITY), ("k", "k", _IRREGULARITY),
+            ("note", "note", _IRREGULARITY))),)),
+    "picard": Command("Picard number of the very general member", (
+        Route("classification", "classification", "picard_number", (
+            ("rho", "rho", _PICARD), ("components", "components", _PICARD),
+            ("note", "note", _PICARD))),)),
+    "conics": Command("degree of the locus of hypersurfaces containing a conic", (
+        Route("bott", "conics", "deg_conics", (("deg", "", "twisted-fixed-point-sum"),),
+              seeded=True),
+        Route("closed", "conics", "deg_conics_closed", (
+            ("closed_form", "value", "closed-form-eta(1,1,1)"),
+            ("closed_matches_fixed_point", "consistent", "cross-method-comparison"),
+            ("closed_to_fixed_point_ratio", "ratio", "cross-method-comparison")),
+            seeded=True, advisory=True)),
+        lambda d, r, _: [("halved", True, "two-conics-on-general-quartic")]
+        * import_module(".conics", __package__).ConicProblem(d, r).two_conics,
+        hypersurface=True, takes_k=False),
 }
+
+# sweep target -> the method column of its rows: its default route's, which computes them
+_SWEEP_TARGETS = {name: _COMMANDS[name].routes[0].method for name in ("planes", "fano-degree")}
 
 # batch subcommand -> (help, {flag: (int, str or the choices, default, help)}), where a
 # default of None marks a required flag; the sweep also takes its target
@@ -49,24 +115,6 @@ _BATCH_COMMANDS = {
         "r": (str, None, "r values: comma list or lo..hi"),
         "k": (str, None, "k values: comma list or lo..hi")}),
 }
-
-# sweep target -> the method column of its rows, which run's default method computes
-_SWEEP_TARGETS = {"planes": "dm", "fano-degree": "extraction"}
-
-# (result name, InvariantReport attribute, provenance, paper-check label or None),
-# in the order of the surface envelope
-_SURFACE_FIELDS = (
-    ("deg", "deg_f", "plucker-coefficient-extraction", "deg"),
-    ("c2", "c2_integral", "schubert-c2-extraction", "c2 integral"),
-    ("A", "a_coeff", "tangent-chern-combination", "A"),
-    ("B", "b_coeff", "tangent-chern-combination", "B"),
-    ("e", "euler", "chern-number-combination", "e"),
-    ("K2", "k_delta", "canonical-self-intersection", "K^2"),
-    ("chi", "chi_o", "noether-quotient", "chi(O)"),
-    ("p_a", "p_a", "noether-quotient", None),
-    ("signature", "signature", "signature-formula", None),
-    ("c1_coeff", "c1_coeff", "canonical-class-multiple", None),
-)
 
 # (exception class, envelope status, stderr label, exit code); the first match wins
 _FAILURES = ((RegimeError, "regime-error", "regime error", 2),
@@ -164,117 +212,69 @@ class ResultEnvelope:
         return "\n".join(lines)
 
 
+def _methods(command: Command) -> tuple[str, ...]:   # every entry, and both if there are two
+    return (*(entry.method for entry in command.routes), "both") if command.routes[1:] else ()
+
+
 def _echo_inputs(request: CommandRequest) -> dict[str, str]:
-    _, methods, takes_k = _COMMANDS[request.subcommand]
-    echo = {"subcommand": request.subcommand, "format": request.format,
-            "seed": str(request.seed)}
-    if request.degrees:
-        echo["d"] = ",".join(str(d) for d in request.degrees)
-    echo["r"] = str(request.r)
-    if takes_k:
-        echo["k"] = str(request.k)
-    if methods:
-        echo["method"] = request.method
-    return echo
+    command = _COMMANDS[request.subcommand]
+    echo = {"subcommand": request.subcommand, "format": request.format, "seed": str(request.seed),
+            "d": ",".join(map(str, request.degrees)), "r": str(request.r), "k": str(request.k),
+            "method": request.method}
+    unused = {"d": not request.degrees, "k": not command.takes_k, "method": not _methods(command)}
+    return {name: text for name, text in echo.items() if not unused.get(name)}
 
 
-def _spec_for(request: CommandRequest) -> ProblemSpec:
-    return ProblemSpec(degrees=request.degrees, r=request.r, k=request.k)
+def _call(entry: Route, args: tuple, seed: int, **keywords) -> tuple[object, list[tuple]]:
+    """``entry``'s value at ``args``, and the (name, value, provenance) of each result it fills."""
+    value = getattr(import_module(f".{entry.module}", __package__), entry.attr)(
+        *args, **keywords, **({"seed": seed} if entry.seeded else {}))
+    return value, [(name, got, provenance) for name, path, provenance in entry.fills
+                   if (got := attrgetter(path)(value) if path else value) is not None]
 
 
 def run(request: CommandRequest) -> ResultEnvelope:
-    """Dispatch one envelope-producing subcommand."""
+    """Run one envelope subcommand by the entry its method names.  ``both`` runs every route,
+    and they must agree: on their values, or on refusing with one regime code."""
     sub = request.subcommand
     if sub not in _COMMANDS:
         raise ValueError(f"unknown subcommand {sub!r}")
-    choices = _COMMANDS[sub][1]
+    command, choices = _COMMANDS[sub], _methods(_COMMANDS[sub])
     method = request.method or (choices[0] if choices else None)
     if method is not None and method not in choices:
         raise ValueError(f"{sub} takes a method from {choices}, got {method!r}")
     # the echo shows the method that runs
     envelope = ResultEnvelope(inputs=_echo_inputs(request._replace(method=method)))
-    if sub in ("planes", "conics") and len(request.degrees) != 1:
+    if command.hypersurface and len(request.degrees) != 1:
         raise RegimeError("hypersurface-only",
                           f"{sub} takes a single degree, got {request.degrees}")
-
-    if sub == "planes":
-        d, r, k = request.degrees[0], request.r, request.k
-        if method in ("dm", "both"):
-            from . import extraction
-            envelope.put("deg_dm" if method == "both" else "deg",
-                         extraction.deg_planes_dm(d, r, k),
-                         "vandermonde-coefficient-extraction")
-        if method in ("bott", "both"):
-            from . import planes
-            weights = planes.TorusWeights.random(r, request.seed)
-            envelope.put("deg_bott" if method == "both" else "deg",
-                         planes.deg_planes_bott(d, r, k, weights),
-                         "fixed-point-residue-sum")
-        if method == "both":
-            dm, bott = (envelope.results[name]["value"] for name in ("deg_dm", "deg_bott"))
-            if dm != bott:
-                raise InconsistencyError(f"planes routes disagree at d={d} r={r} k={k}: "
-                                         f"dm gives {dm}, bott gives {bott}")
-            envelope.put("equal", True, "cross-method-comparison")
-
-    elif sub == "ci-planes":
-        from . import extraction
-        spec = _spec_for(request)
-        envelope.put("deg", extraction.deg_ci_planes(spec), "ci-coefficient-extraction")
-        envelope.put("gamma", spec.gamma, "codimension-arithmetic")
-
-    elif sub == "fano-degree":
-        from . import extraction
-        spec = _spec_for(request)
-        envelope.put("deg", extraction.deg_fano(spec), "plucker-coefficient-extraction")
-        envelope.put("gamma", spec.gamma, "codimension-arithmetic")
-        envelope.put("delta", spec.delta, "codimension-arithmetic")
-
-    elif sub == "surface":
-        from . import invariants
-        report = invariants.surface_invariants(_spec_for(request))
-        for name, attr, provenance, _ in _SURFACE_FIELDS:
-            envelope.put(name, getattr(report, attr), provenance)
-        for i, c in enumerate(report.per_degree, start=1):
-            envelope.put(f"alpha_{i}", c.alpha, "sym-power-chern-coeffs")
-            envelope.put(f"beta_{i}", c.beta, "sym-power-chern-coeffs")
-            envelope.put(f"gamma_{i}", c.gamma, "sym-power-chern-coeffs")
-
-    elif sub == "irregularity":
-        from . import classification
-        result = classification.irregularity_classify(_spec_for(request))
-        envelope.put("case", result.case.value, "irregularity-classification")
-        if result.k is not None:
-            envelope.put("k", result.k, "irregularity-classification")
-        envelope.put("note", result.note, "irregularity-classification")
-
-    elif sub == "picard":
-        from . import classification
-        info = classification.picard_number(_spec_for(request))
-        envelope.put("rho", info.rho, "picard-classification")
-        envelope.put("components", info.components, "picard-classification")
-        envelope.put("note", info.note, "picard-classification")
-
-    elif sub == "conics":
-        from . import conics
-        d, r = request.degrees[0], request.r
-        # the comparison carries the validated fixed-point value, so "both"
-        # runs the fixed-point sums once
-        comparison = (conics.deg_conics_closed(d, r, seed=request.seed)
-                      if method in ("closed", "both") else None)
-        if method in ("bott", "both"):
-            deg = (conics.deg_conics(d, r, seed=request.seed) if comparison is None
-                   else comparison.fixed_point_value)
-            envelope.put("deg", deg, "twisted-fixed-point-sum")
-            if conics.ConicProblem(d, r).two_conics:
-                envelope.put("halved", True, "two-conics-on-general-quartic")
-        if comparison is not None:
-            envelope.put("closed_form", comparison.value, "closed-form-eta(1,1,1)")
-            envelope.put("closed_matches_fixed_point", comparison.consistent,
-                         "cross-method-comparison")
-            envelope.put("closed_to_fixed_point_ratio", comparison.ratio,
-                         "cross-method-comparison")
-
+    args = ((request.degrees[0], request.r, request.k)[:2 + command.takes_k]
+            if command.hypersurface else (ProblemSpec(request.degrees, request.r, request.k),))
+    entries = [entry for entry in command.routes if method in ("both", None, entry.method)]
+    routes = [entry for entry in entries if not entry.advisory]
+    outcomes = []   # each route's value and results, or its refusal
+    for route in routes:
+        try:
+            outcomes.append((*_call(route, args, request.seed), None))
+        except RegimeError as exc:
+            outcomes.append((None, [], exc))
+    verdicts = [f"refuses ({exc.code})" if exc else "gives " + ", ".join(
+        format_exact(value) for _, value, _ in found) for _, found, exc in outcomes]
+    if len(set(verdicts)) > 1:
+        at = " ".join(f"{n}={envelope.inputs[n]}" for n in "drk" if n in envelope.inputs)
+        raise InconsistencyError(f"{sub} routes disagree at {at}: " + ", ".join(
+            f"{route.method} {verdict}" for route, verdict in zip(routes, verdicts)))
+    if outcomes and outcomes[0][2]:
+        raise outcomes[0][2]   # every route refused, with the same code
+    results = [(f"{name}_{route.method}" if routes[1:] else name, *result)
+               for route, (_, found, _) in zip(routes, outcomes) for name, *result in found]
+    results += [("equal", True, "cross-method-comparison")] * len(routes[1:2])
+    first = outcomes[0][0] if outcomes else None   # read by the notes and the advisory entries
+    results += command.notes(*args, first) if outcomes else []
+    for entry in (entry for entry in entries if entry.advisory):
+        results += _call(entry, args, request.seed, reference=first)[1]
+    for result in results:
+        envelope.put(*result)
     return envelope
 
 
@@ -282,10 +282,10 @@ def _flags(sub: str) -> dict[str, tuple]:
     """A subcommand's flags in usage order, in the form of ``_BATCH_COMMANDS``."""
     if sub not in _COMMANDS:
         return _BATCH_COMMANDS[sub][1]
-    _, methods, takes_k = _COMMANDS[sub]
+    methods = _methods(_COMMANDS[sub])
     return {"d": (str, None, "degree, or comma-separated degrees for complete intersections"),
             "r": (int, None, "ambient projective dimension"),
-            **({"k": (int, None, "plane dimension")} if takes_k else {}),
+            **({"k": (int, None, "plane dimension")} if _COMMANDS[sub].takes_k else {}),
             **({"method": (methods, methods[0], f"route (default {methods[0]})")} if methods
                else {}),
             "format": (("table", "json", "csv"), "table", "output format (default table)"),

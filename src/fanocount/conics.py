@@ -467,9 +467,10 @@ class ClosedFormComparison(NamedTuple):
     ratio: Fraction
 
 
-def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormComparison:
-    """Evaluate the closed form -(5/32) C(r+1, 3) eta(1,1,1) exactly, as
-    published, alongside the validated fixed-point sum.
+def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED,
+                      reference: int | None = None) -> ClosedFormComparison:
+    """Evaluate the closed form -(5/32) C(r+1, 3) eta(1,1,1) exactly, as published, next to
+    the validated fixed-point sum: ``reference`` if the caller has it, else ``deg_conics``'s.
 
     The two disagree (see :func:`conic_factor_report`); the comparison records
     the exact ratio.  Advisory only: the dispatcher never uses this value.
@@ -479,13 +480,8 @@ def deg_conics_closed(d: int, r: int, seed: int = DEFAULT_SEED) -> ClosedFormCom
                           "the closed form excludes (4, 3), where the count halves")
     from fractions import Fraction
     value = -Fraction(5, 32) * comb(r + 1, 3) * _eta(d, r, (1, 1, 1))
-    reference = Fraction(deg_conics(d, r, seed=seed))
-    return ClosedFormComparison(
-        value=value,
-        fixed_point_value=reference,
-        consistent=value == reference,
-        ratio=value / reference,
-    )
+    reference = Fraction(deg_conics(d, r, seed=seed) if reference is None else reference)
+    return ClosedFormComparison(value, reference, value == reference, value / reference)
 
 
 def conic_factor_report(anchor: int | None = None) -> str:

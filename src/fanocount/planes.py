@@ -18,7 +18,7 @@ from math import comb, factorial
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import (InconsistencyError, RegimeError, SingularWeightsError,
+from .errors import (DEFAULT_SEED, InconsistencyError, RegimeError, SingularWeightsError,
                      _check_hypersurface_regime, _check_plane_dimension, _integer)
 from .extraction import c2_fano_integral, deg_ci_planes, deg_fano, deg_planes_dm, linear_system_dim
 
@@ -220,8 +220,10 @@ def _plane_sum(r: int, k: int, t: Sequence[int], local: Callable, d: int = 0,
     return numerator, (-1) ** comb(k + 1, 2) * suffix[0]
 
 
-def deg_planes_bott(d: int, r: int, k: int, t: Sequence[int]) -> int:
-    """The same degree as :func:`deg_planes_dm`, by the torus fixed-point sum
+def deg_planes_bott(d: int, r: int, k: int, t: Sequence[int] | None = None,
+                    seed: int = DEFAULT_SEED) -> int:
+    """The same degree as :func:`deg_planes_dm`, by the torus fixed-point sum at the weights
+    ``t``, else at ``TorusWeights.random(r, seed)`` (drawn after the regime checks):
 
         sum over (k+1)-subsets I of  tau(t_i : i in I) / prod_{i in I, j not in I} (t_i - t_j).
 
@@ -231,12 +233,11 @@ def deg_planes_bott(d: int, r: int, k: int, t: Sequence[int]) -> int:
     :func:`_plane_sum` builds those products along its prefix walk, each plane extending
     its parent prefix's product, and adds up the values.
 
-    Each term is a rational function of the weights but the sum is a constant
-    positive integer; a non-zero remainder or a quotient <= 0 raises
-    :class:`InconsistencyError`.
+    Each term is a rational function of the weights but the sum is a constant positive integer;
+    a non-zero remainder or a quotient <= 0 raises :class:`InconsistencyError`.
     """
     _check_hypersurface_regime(d, r, k)
-    weights = _weight_tuple(t, r)
+    weights = _weight_tuple(TorusWeights.random(r, seed) if t is None else t, r)
     layout = width, _, low, _ = _layout((k + 1) * (r - k), comb(d + k, k),
                                         d * max(map(abs, weights)))
     numerator, denominator = _plane_sum(

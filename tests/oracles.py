@@ -31,7 +31,7 @@ from math import comb
 
 import sympy as sp
 
-from fanocount.cli import _COMMANDS, _SWEEP_TARGETS
+from fanocount.cli import _COMMANDS, _SWEEP_TARGETS, _methods
 from fanocount.errors import DEFAULT_SEED
 
 
@@ -439,12 +439,12 @@ def build_parser():
                     "containing planes or conics, and invariants of their Fano schemes.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name, (text, methods, takes_k) in _COMMANDS.items():
-        command = subs.add_parser(name, help=text)
+    for name, entry in _COMMANDS.items():
+        command, methods = subs.add_parser(name, help=entry.help), _methods(entry)
         command.add_argument("--d", required=True,
                              help="degree, or comma-separated degrees for complete intersections")
         command.add_argument("--r", required=True, type=int, help="ambient projective dimension")
-        if takes_k:
+        if entry.takes_k:
             command.add_argument("--k", required=True, type=int, help="plane dimension")
         if methods:
             command.add_argument("--method", choices=methods, default=methods[0])

@@ -16,6 +16,7 @@ import fanocount
 from fanocount.batch import paper_check, sweep_rows
 from fanocount.cli import (_COMMANDS, _SWEEP_TARGETS, CSV_HEADER, CommandRequest,
                            ResultEnvelope, _parse, main, run)
+from fanocount.errors import RegimeError
 from oracles import build_parser
 
 
@@ -193,7 +194,7 @@ def test_planes_both_methods_agree(capsys):
 def test_planes_both_disagreement_is_an_inconsistency(capsys, monkeypatch):
     import fanocount.planes as planes_module
     monkeypatch.setattr(planes_module, "deg_planes_bott",
-                        lambda d, r, k, weights: planes_module.deg_planes_dm(d, r, k) + 1)
+                        lambda d, r, k, seed: planes_module.deg_planes_dm(d, r, k) + 1)
     code, out, err = invoke(capsys, "planes", "--d", "4", "--r", "3", "--k", "1",
                             "--method", "both", "--format", "json")
     assert code == 1
@@ -201,6 +202,57 @@ def test_planes_both_disagreement_is_an_inconsistency(capsys, monkeypatch):
     assert payload["status"] == "inconsistency" and payload["results"] == {}
     assert err == ("internal inconsistency: planes routes disagree at d=4 r=3 k=1: "
                    "dm gives 320, bott gives 321\n")
+
+
+def _refuse(code):
+    def refusing(*args, **kwargs):
+        raise RegimeError(code, "refused by the test")
+    return refusing
+
+
+@pytest.mark.parametrize("d,bott,verdicts", [
+    (4, _refuse("singular-weights"), "dm gives 320, bott refuses (singular-weights)"),
+    (2, lambda d, r, k, seed: 320, "dm refuses (degree-too-small), bott gives 320"),
+    (2, _refuse("plane-dimension"),
+     "dm refuses (degree-too-small), bott refuses (plane-dimension)"),
+], ids=["bott-refuses", "dm-refuses", "different-codes"])
+def test_planes_both_routes_must_agree_on_refusing(capsys, monkeypatch, d, bott, verdicts):
+    # one route answering where another refuses, or two routes refusing with different
+    # codes, is an internal inconsistency, like two different values
+    import fanocount.planes as planes_module
+    monkeypatch.setattr(planes_module, "deg_planes_bott", bott)
+    code, out, err = invoke(capsys, "planes", "--d", str(d), "--r", "3", "--k", "1",
+                            "--method", "both")
+    assert code == 1 and out == "status: inconsistency\n"
+    assert err == f"internal inconsistency: planes routes disagree at d={d} r=3 k=1: {verdicts}\n"
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_planes_routes_refuse_alike(capsys, d):
+    # every route checks the regime before it computes anything (bott before it draws its
+    # weights), so dm, bott and both refuse each out-of-regime input with one code and exit 2
+    refused = 0
+    for r in range(-1, 5):
+        for k in range(-1, 4):
+            outcomes = set()
+            for method in ("dm", "bott", "both"):
+                code, _, err = invoke(capsys, "planes", "--d", str(d), "--r", str(r),
+                                      "--k", str(k), "--method", method)
+                outcomes.add((code, err.split(": ")[1] if code else None))
+            assert len(outcomes) == 1, (d, r, k, outcomes)
+            (code, _), = outcomes
+            assert code in (0, 2), (d, r, k, outcomes)
+            refused += code == 2
+    assert refused == 30 - (d == 4)   # (4, 3, 1) is the grid's one cell in regime
+
+
+def test_only_these_subcommands_have_fewer_than_two_routes():
+    # the ratchet of the two-route contract, read from the route table: the set only shrinks,
+    # and a new subcommand lands with two routes.  The closed conic form is advisory, no route.
+    single = {name for name, command in _COMMANDS.items()
+              if sum(not route.advisory for route in command.routes) < 2}
+    assert single == {"ci-planes", "fano-degree", "surface", "irregularity", "picard", "conics"}
+    assert [route.method for route in _COMMANDS["conics"].routes if route.advisory] == ["closed"]
 
 
 def test_bott_runs_are_seed_reproducible(capsys):

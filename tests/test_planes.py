@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, count
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,7 +34,7 @@ from oracles import (
     sympy_deg_planes,
     sympy_tau,
 )
-from test_source import documented_regime_codes
+from test_source import documented_regime_codes, route_modules
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +286,19 @@ def test_deg_planes_bott_fixed_weight_examples():
     assert deg_planes_bott(4, 3, 1, (0, 3, 11, -4)) == 320
 
 
+def test_deg_planes_bott_draws_its_weights_after_the_regime_checks(monkeypatch):
+    # without weights the sum runs at TorusWeights.random(r, seed); an input out of regime is
+    # refused with the fold's code before any draw (a draw refuses r = -1 as ambient-too-small)
+    assert deg_planes_bott(4, 3, 1, seed=7) == deg_planes_bott(4, 3, 1, TorusWeights.random(3, 7))
+    monkeypatch.setattr(TorusWeights, "random", lambda *args: pytest.fail("weights drawn"))
+    for d, r, k in ((4, -1, 1), (2, 3, 1), (3, 3, 1)):
+        with pytest.raises(RegimeError) as dm:
+            deg_planes_dm(d, r, k)
+        with pytest.raises(RegimeError) as bott:
+            deg_planes_bott(d, r, k)
+        assert bott.value.code == dm.value.code
+
+
 def test_deg_planes_bott_integrality_and_positivity_guards(monkeypatch):
     # a wrong value at one fixed point leaves a remainder; negated values a quotient < 0
     # (the value at each fixed plane is read from its packed product by one ``_unpack``)
@@ -395,27 +408,35 @@ def test_extract_refuses_negative_factors(factor):
         _extract((3,) * len(v), [((1,) * len(v), 1), factor])
 
 
+# the kernels of each fixed-point route's module, which no other route may reach
+FIXED_POINT_HELPERS = {
+    "planes": ("_roots", "_plane_sum", "_layout", "_z_width", "_pack", "_unpack"),
+    "conics": ("_fiber_cofactors",)}
+
+
 def test_extraction_and_fixed_point_routes_are_independent(monkeypatch):
-    # DM never calls a fixed-point helper, and the Bott sums never call the fold
-    import fanocount.conics as conics_module
-    import fanocount.extraction as extraction_module
-    import fanocount.planes as planes_module
+    # DM never calls a fixed-point helper, and the Bott sums never call the fold; the modules
+    # are the route table's
+    from importlib import import_module
+
     from fanocount.conics import _eta, deg_conics_bott, deg_conics_closed, \
         deg_conics_untwisted_sum, generic_conic_weights
 
     def forbidden(*args, **kwargs):
         pytest.fail("one route reached the other route's kernel")
 
+    assert set(FIXED_POINT_HELPERS) == route_modules(True)
     with monkeypatch.context() as patch:
-        for helper in ("_roots", "_plane_sum", "_layout", "_z_width", "_pack", "_unpack"):
-            patch.setattr(planes_module, helper, forbidden)
-        patch.setattr(conics_module, "_fiber_cofactors", forbidden)
+        for module, helpers in FIXED_POINT_HELPERS.items():
+            for helper in helpers:
+                patch.setattr(import_module(f"fanocount.{module}"), helper, forbidden)
         assert deg_planes_dm(4, 3, 1) == 320
         assert deg_ci_planes(ProblemSpec((2, 3), 4, 1)) == 168
         assert deg_fano(ProblemSpec((3,), 4, 1)) == 45
         assert c2_fano_integral(ProblemSpec((3,), 4, 1)) == 27
-    for module in (extraction_module, planes_module, conics_module):   # wherever it is bound
-        monkeypatch.setattr(module, "_extract", forbidden, raising=False)
+    for module in route_modules(False) | route_modules(True):   # wherever it is bound
+        monkeypatch.setattr(import_module(f"fanocount.{module}"), "_extract", forbidden,
+                            raising=False)
     assert deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
     assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).value == 5016
     assert deg_conics_untwisted_sum(4, 3, (1, 2, 5, 7)) != 0
@@ -481,6 +502,43 @@ def test_plane_walk_products_are_pack_products():
         assert len(seen) == comb(r + 1, k + 1)
         windows.add(y)
     assert windows == {True, False}   # (12, 3, 1) packs in the Z window, the others in Y
+
+
+# (r, k) -> the degree of the Grassmannian G(k+1, r+1) in its Plucker embedding
+PLUCKER_DEGREES = {(3, 1): 2, (4, 1): 5, (5, 2): 42, (6, 2): 462, (7, 3): 24024, (9, 2): 1385670}
+
+
+def hook_length_degree(r: int, k: int) -> int:
+    """n! over the hook lengths of the (k+1) x (r-k) rectangle, n = (k+1)(r-k): its box (i, j)
+    has the hook (r-k-1-j) + (k-i) + 1 = r - i - j."""
+    return factorial((k + 1) * (r - k)) // prod(r - i - j for i in range(k + 1)
+                                                for j in range(r - k))
+
+
+def test_hook_length_formula_gives_the_plucker_degrees():
+    assert {cell: hook_length_degree(*cell) for cell in PLUCKER_DEGREES} == PLUCKER_DEGREES
+
+
+@st.composite
+def grassmannian_weights(draw):
+    """A cell (r, k) of ``PLUCKER_DEGREES`` and r + 1 distinct integer weights."""
+    r, k = draw(st.sampled_from(sorted(PLUCKER_DEGREES)))
+    return r, k, draw(st.lists(st.integers(-60, 60), min_size=r + 1, max_size=r + 1, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grassmannian_weights())
+def test_plane_walk_integrates_over_the_grassmannian(inputs):
+    # the walk is an integrator of its own, part of neither route: with d = 0 it integrates a
+    # local over G(k+1, r+1) by its fixed points.  1 integrates to 0, as the Grassmannian has
+    # positive dimension n, and sum(t_I)^n, the weight of the Plucker class to the top power,
+    # to the Plucker degree
+    from fanocount.planes import _plane_sum
+    r, k, t = inputs
+    n = (k + 1) * (r - k)
+    assert divmod(*_plane_sum(r, k, t, lambda point, packed: 1)) == (0, 0)
+    assert divmod(*_plane_sum(r, k, t, lambda point, packed: sum(point) ** n)) \
+        == (hook_length_degree(r, k), 0)
 
 
 @st.composite
