@@ -25,7 +25,7 @@ twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel par
 the numerator: the twisted term is the top elementary symmetric function of the
 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme), read without division from
 packed products of coordinate edges (``deg_conics_bott``).  The forms remain as the
-references the tests check it against.  The dispatcher validates the sum by
+references the tests check it against.  ``deg_conics`` validates the sum by
 recomputing at a second weight set and, for quartic surfaces, halves the result (the
 general quartic surface in the locus carries two conics).
 
@@ -55,7 +55,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BottSum",
     "ClosedFormComparison",
-    "ConicFixedPoint",
     "ConicProblem",
     "chern_Ed_series",
     "conic_factor_report",
@@ -166,10 +165,7 @@ def eta_form_twisted(d: int, r: int) -> MultiPoly:
 # fixed points
 # ---------------------------------------------------------------------------
 
-ConicFixedPoint = tuple[tuple[int, int, int], tuple[int, int]]
-
-
-def conic_fixed_points(r: int) -> Iterator[ConicFixedPoint]:
+def conic_fixed_points(r: int) -> Iterator[tuple[tuple[int, int, int], tuple[int, int]]]:
     """Torus-fixed conics: a coordinate plane (3-subset I of {0..r}) together
     with an unordered pair {a, b} from I, a = b allowed (the double line
     x_a^2 = 0).  Six conics per plane."""
@@ -335,7 +331,7 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     before any cofactor is formed) raise :class:`SingularWeightsError`.  The sum is a
     constant positive integer, returned as an int with an integrality flag by one ``divmod``
     by the plane walk's denominator; only a sum that is not an integer, which takes a faulty
-    kernel, is returned as a ``Fraction``.  Halving for (d, r) = (4, 3) is the dispatcher's job.
+    kernel, is returned as a ``Fraction``.  ``deg_conics`` halves the count for (d, r) = (4, 3).
     """
     _check_conic_degree_regime(d, r)
     weights = _weight_tuple(t, r)

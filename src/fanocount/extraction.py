@@ -13,9 +13,10 @@ sums of ``planes`` give the plane counts independently; this module imports noth
 ``planes`` or ``conics``, so no extraction can reach a fixed-point kernel.
 
 The problem record ``ProblemSpec``, its regime checks and ``weight_vectors`` are the shared
-vocabulary of ``errors``, which this module re-exports.  Only the subcommands that fold load
-this module: the ``planes`` methods, ``ci-planes``, ``fano-degree``, ``surface``, ``sweep``
-and ``paper-check``, and the conic route through the re-export of ``planes``.
+vocabulary of ``errors``; this module imports them and exports only its four routes.  Only the
+subcommands that fold load this module: the ``planes`` methods, ``ci-planes``,
+``fano-degree``, ``surface``, ``sweep`` and ``paper-check``, and the conic route through the
+re-export of ``planes``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from itertools import combinations, permutations
 from math import comb, prod
 from typing import Sequence
 
-from .errors import (DEFAULT_SEED, ExponentVector, InconsistencyError, ProblemSpec, RegimeError,
-                     _check_hypersurface_regime, _check_nonempty_regime, _integer,
-                     weight_vectors)
+from .errors import (ExponentVector, InconsistencyError, ProblemSpec, RegimeError,
+                     _check_hypersurface_regime, _check_nonempty_regime, weight_vectors)
 
-__all__ = ["DEFAULT_SEED", "ExponentVector", "ProblemSpec", "c2_fano_integral", "deg_ci_planes",
-           "deg_fano", "deg_planes_dm", "linear_system_dim", "weight_vectors"]
+__all__ = ["c2_fano_integral", "deg_ci_planes", "deg_fano", "deg_planes_dm"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +135,6 @@ def _extract(target: tuple[int, ...], factors: Sequence[tuple[Sequence[int], int
 # complete intersections
 # ---------------------------------------------------------------------------
 
-def linear_system_dim(r: int, cut_degrees: Sequence[int], d: int) -> int:
-    """Dimension of the linear system of degree-d divisors on a general
-    complete intersection X of multidegree ``cut_degrees`` in P^r.
-
-    Computed as h^0(X, O_X(d)) - 1 with h^0 obtained by inclusion-exclusion
-    over subsets of the cutting degrees (the restriction of degree-d forms is
-    surjective and the syzygies of a regular sequence are generated by the
-    obvious products).  Heuristic in the sense that it presumes the general
-    complete intersection; it is exact for those.
-    """
-    r, d = _integer("r", r), _integer("d", d)
-    cut_degrees = tuple(_integer("a cut degree", e) for e in cut_degrees)
-    if r < 0:
-        raise RegimeError("ambient-too-small", f"need r >= 0, got r={r}")
-    if any(e < 1 for e in cut_degrees):
-        raise RegimeError("degree-too-small", f"need every cut degree >= 1, got {cut_degrees}")
-    return sum((-1) ** j * comb(d - sum(cut) + r, r) for j in range(len(cut_degrees) + 1)
-               for cut in combinations(cut_degrees, j) if sum(cut) <= d) - 1
-
-
 def deg_ci_planes(spec: ProblemSpec) -> int:
     """Degree of the locus, inside the linear system of degree-d_m divisors on
     a general complete intersection X of multidegree (d_1, ..., d_{m-1}), of
@@ -169,7 +148,7 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
 
     Distinct regime failures carry distinct codes: product-degree-too-small,
     plane-dimension, ambient-fano-empty, gamma-not-positive,
-    fano-dimension-negative, linear-system-too-small.
+    fano-dimension-negative.
     """
     degrees, r, k, m = spec.degrees, spec.r, spec.k, spec.m
     if prod(degrees) <= 2:
@@ -191,12 +170,6 @@ def deg_ci_planes(spec: ProblemSpec) -> int:
         raise RegimeError(
             "fano-dimension-negative",
             f"the ambient Fano scheme has expected dimension {rho} < 0")
-    sys_dim = linear_system_dim(r, degrees[:-1], degrees[-1])
-    if sys_dim <= g:
-        raise RegimeError(
-            "linear-system-too-small",
-            f"the degree-{degrees[-1]} system on the ambient complete intersection "
-            f"has dimension {sys_dim} <= gamma = {g}")
     return _ci_extraction(degrees, r, k)
 
 

@@ -20,13 +20,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (DEFAULT_SEED, InconsistencyError, RegimeError, SingularWeightsError,
                      _check_hypersurface_regime, _check_plane_dimension, _integer)
-from .extraction import c2_fano_integral, deg_ci_planes, deg_fano, deg_planes_dm, linear_system_dim
+from .extraction import c2_fano_integral, deg_ci_planes, deg_fano, deg_planes_dm
 
 if TYPE_CHECKING:   # the reference form tau_poly imports the symbolic layer when it runs
     from .polycore import MultiPoly
 
 __all__ = ["TorusWeights", "c2_fano_integral", "deg_ci_planes", "deg_fano", "deg_planes_bott",
-           "deg_planes_dm", "linear_system_dim", "tau_poly"]
+           "deg_planes_dm", "tau_poly"]
 
 
 class TorusWeights(tuple):

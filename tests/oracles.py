@@ -113,6 +113,15 @@ def sympy_c2_fano(degrees, r, k):
         X[i] * X[j] for i in range(k + 1) for j in range(i + 1, k + 1)))
 
 
+def linear_system_h0(r, cut_degrees, d):
+    """h^0(O_X(d)) on a general complete intersection X of multidegree ``cut_degrees`` in
+    P^r, by inclusion-exclusion over subsets of the cutting degrees: the restriction of
+    degree-d forms is surjective and the syzygies of a regular sequence are generated by
+    the obvious products."""
+    return sum((-1) ** j * comb(d - sum(cut) + r, r) for j in range(len(cut_degrees) + 1)
+               for cut in itertools.combinations(cut_degrees, j) if sum(cut) <= d)
+
+
 def fano_scheme_empty(spec):
     """Whether the Fano scheme of k-planes on the general member is empty:
     gamma > 0, or 2k > r - m."""

@@ -518,7 +518,8 @@ def test_extraction_routes_and_eta_build_no_fraction(monkeypatch):
     import fanocount.conics as conics
     import fanocount.extraction as extraction
     import fanocount.planes as planes
-    from fanocount.extraction import ProblemSpec, c2_fano_integral, deg_ci_planes, deg_fano
+    from fanocount.errors import ProblemSpec
+    from fanocount.extraction import c2_fano_integral, deg_ci_planes, deg_fano
     assert not any(hasattr(module, "Fraction") for module in (planes, extraction, conics))
     fractions = []
 

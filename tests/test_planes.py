@@ -17,7 +17,6 @@ from fanocount.planes import (
     deg_fano,
     deg_planes_bott,
     deg_planes_dm,
-    linear_system_dim,
     tau_poly,
 )
 from fanocount.polycore import MultiPoly, weighted_linear_product
@@ -26,6 +25,7 @@ from oracles import (
     divided_plane_bott,
     fixed_point_fano,
     flat_plane_sum,
+    linear_system_h0,
     plain_top_chern,
     plane_top_chern,
     sympy_c2_fano,
@@ -231,11 +231,6 @@ CODED_HELPER_CALLS = [
     (tau_poly, (4.0, 3, 1), "not-an-integer"),
     (tau_poly, (4, "3", 1), "not-an-integer"),
     (tau_poly, (4, 3, Fraction(1)), "not-an-integer"),
-    (linear_system_dim, (4, (2,), 3.0), "not-an-integer"),
-    (linear_system_dim, (4, (2.0,), 3), "not-an-integer"),
-    (linear_system_dim, (-1, (2,), 3), "ambient-too-small"),
-    (linear_system_dim, (4, (0,), 3), "degree-too-small"),
-    (linear_system_dim, (4, (-2,), 3), "degree-too-small"),
 ]
 
 
@@ -685,10 +680,11 @@ def test_deg_planes_regime_errors():
 # complete intersections
 # ---------------------------------------------------------------------------
 
-def test_linear_system_dim_known_values():
-    assert linear_system_dim(4, (), 3) == 34          # all cubics in P^4
-    assert linear_system_dim(3, (2,), 2) == 8         # quadrics on a quadric surface
-    assert linear_system_dim(5, (2, 2), 3) == 43
+def test_linear_system_oracle_known_values():
+    # h^0(O_X(d)) - 1, the dimension of the degree-d linear system on X
+    assert linear_system_h0(4, (), 3) - 1 == 34       # all cubics in P^4
+    assert linear_system_h0(3, (2,), 2) - 1 == 8      # quadrics on a quadric surface
+    assert linear_system_h0(5, (2, 2), 3) - 1 == 43
 
 
 def test_deg_ci_planes_m1_reduces_to_hypersurface():
@@ -732,15 +728,28 @@ def test_deg_ci_planes_regime_codes():
     assert err.value.code == "fano-dimension-negative"
 
 
-def test_linear_system_guard_keeps_its_code(monkeypatch):
-    # no spec reaches this guard: once rho >= 0 and dim X = r - m + 1 >= 2k, the system has
-    # dimension h^0(O_X(d_m)) - 1 >= C(d_m + 2k, 2k) - 1 > C(d_m + k, k) >= gamma; it is
-    # shown here with the dimension taken from a stub
+def test_accepted_ci_specs_have_a_linear_system_larger_than_gamma(monkeypatch):
+    # every member the degree counts moves in a system of dimension above gamma, so no
+    # check of it is needed: once rho >= 0 and dim X = r - m + 1 >= 2k, the system has
+    # dimension h^0(O_X(d_m)) - 1 >= C(d_m + 2k, 2k) - 1 > C(d_m + k, k) >= gamma.  Shown
+    # on m <= 4, the cut degrees a multiset from 2..8, d_m in 2..8, r 3..15, k 1..5, with
+    # the extraction taken from a stub
     import fanocount.extraction as extraction_module
-    monkeypatch.setattr(extraction_module, "linear_system_dim", lambda r, cut, d: 1)
-    with pytest.raises(RegimeError) as err:
-        deg_ci_planes(ProblemSpec((2, 3), 4, 1))        # gamma = 1
-    assert err.value.code == "linear-system-too-small"
+    monkeypatch.setattr(extraction_module, "_ci_extraction", lambda degrees, r, k: 1)
+    accepted = 0
+    for m in range(1, 5):
+        for cut in combinations_with_replacement(range(2, 9), m - 1):
+            for last in range(2, 9):
+                for r in range(3, 16):
+                    for k in range(1, 6):
+                        spec = ProblemSpec((*cut, last), r, k)
+                        try:
+                            deg_ci_planes(spec)
+                        except RegimeError:
+                            continue
+                        accepted += 1
+                        assert linear_system_h0(r, cut, last) - 1 > spec.gamma, spec
+    assert accepted == 3849
 
 
 def test_extraction_positivity_guards_keep_their_messages(monkeypatch):

@@ -5,7 +5,15 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import fanocount
+from fanocount.classification import irregularity_classify
+from fanocount.cli import CommandRequest, run
+from fanocount.conics import chern_Ed_series, deg_conics, deg_conics_closed
+from fanocount.errors import ProblemSpec, RegimeError
+from fanocount.invariants import combinatorial_identity, sym_power_coeffs_small
+from fanocount.planes import c2_fano_integral, deg_ci_planes, deg_fano, deg_planes_bott, deg_planes_dm
 
 PACKAGE = Path(fanocount.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,6 +169,41 @@ def test_regime_codes_are_documented():
                 offenders.append(f"{path.name}:{call.lineno}")
     assert offenders == []
     assert codes == documented_regime_codes()
+
+
+# one public call per regime code that raises it, with no stub: every code is reachable
+REGIME_WITNESSES = {
+    "not-an-integer": lambda: ProblemSpec((3,), 4.0, 1),
+    "degrees-empty": lambda: ProblemSpec((), 4, 1),
+    "degree-too-small": lambda: ProblemSpec((1,), 4, 1),
+    "ambient-too-small": lambda: ProblemSpec((3,), 2, 1),
+    "plane-dimension": lambda: ProblemSpec((3,), 4, 0),
+    "hypersurface-only": lambda: run(CommandRequest("planes", (3, 3), 4, 1)),
+    "gamma-not-positive": lambda: deg_planes_dm(3, 4, 1),
+    "product-degree-too-small": lambda: deg_ci_planes(ProblemSpec((2,), 4, 1)),
+    "ambient-fano-empty": lambda: deg_ci_planes(ProblemSpec((2, 2, 2, 2, 3), 5, 2)),
+    "fano-dimension-negative": lambda: deg_ci_planes(ProblemSpec((4, 2), 3, 1)),
+    "delta-negative": lambda: deg_fano(ProblemSpec((6,), 4, 1)),
+    "delta-not-two": lambda: c2_fano_integral(ProblemSpec((3,), 5, 1)),
+    "delta-too-small": lambda: irregularity_classify(ProblemSpec((5,), 4, 1)),
+    "nonempty-regime": lambda: deg_fano(ProblemSpec((2,), 4, 2)),
+    "reducible-fano": lambda: irregularity_classify(ProblemSpec((2,), 5, 2)),
+    "series-bound-too-small": lambda: chern_Ed_series(3, 0),
+    "conic-family": lambda: deg_conics(3, 4),
+    "boundary-regime": lambda: deg_conics(5, 4),
+    "halving-case": lambda: deg_conics_closed(4, 3),
+    "singular-weights": lambda: deg_planes_bott(4, 3, 1, (1, 1, 2, 3)),
+    "no-closed-form": lambda: sym_power_coeffs_small(3, 3),
+    "identity-range": lambda: combinatorial_identity(1, 2, 0),
+}
+
+
+@pytest.mark.parametrize("code", sorted(REGIME_WITNESSES))
+def test_every_regime_code_has_a_witness(code):
+    assert set(REGIME_WITNESSES) == documented_regime_codes()
+    with pytest.raises(RegimeError) as err:
+        REGIME_WITNESSES[code]()
+    assert err.value.code == code
 
 
 def _import_time_statements(body):
