@@ -49,7 +49,7 @@ def irregularity_classify(spec: ProblemSpec) -> Classification:
     particular r >= 2k + m + 2 forces regularity.
     """
     _require_nonempty_fano(spec, "classification")
-    degs = spec.sorted_degrees()
+    degs = tuple(sorted(spec.degrees))
     if degs == (2,) and spec.r == 2 * spec.k + 1:
         raise RegimeError(
             "reducible-fano",
@@ -84,7 +84,7 @@ def picard_number(spec: ProblemSpec) -> PicardInfo:
     families.  For the two-component quadric case the number refers to each
     component.  Requires r >= 2k + m: below it the Fano scheme is empty."""
     _require_nonempty_fano(spec, "Picard classification")
-    degs = spec.sorted_degrees()
+    degs = tuple(sorted(spec.degrees))
     k = spec.k
     if degs == (2,) and spec.r == 2 * k + 1:
         return PicardInfo(1, 2, "two isomorphic disjoint components, each of Picard "

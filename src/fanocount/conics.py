@@ -16,16 +16,16 @@ d - 2 -- with one caveat that matters for fixed-point sums: the conic
 equation is only well defined up to scale, so the sub-bundle is twisted by
 the tautological line of the P^5 fiber.  The 3-variable form ``eta_form``
 ignores that twist (the twist contributes nothing when the fiber class is
-suppressed); the 4-variable form ``eta_form_twisted`` keeps it.  The torus
-fixed-point sums never expand these forms.  The six fixed conics of a coordinate
+suppressed); the tests' dense 4-variable oracle keeps it.  The torus
+fixed-point sums never expand a form.  The six fixed conics of a coordinate
 plane add up to an integer, the integral over its P^5 fiber, divided once over the
 least common denominator of their Euler terms, and the conic sum is
 ``planes._plane_sum`` over those integrals.  At the fixed conic x_a x_b = 0 the
 twisted divisor's roots are those of the monomials x_a x_b x^w, which cancel part of
 the numerator: the twisted term is the top elementary symmetric function of the
 2d + 1 weights of H^0(O_C(d)) (as in Ellingsrud-Stromme), read without division from
-packed products of coordinate edges (``deg_conics_bott``).  The forms remain as the
-references the tests check it against.  ``deg_conics`` validates the sum by
+packed products of coordinate edges (``deg_conics_bott``).  The forms remain as
+references the tests check against.  ``deg_conics`` validates the sum by
 recomputing at a second weight set and, for quartic surfaces, halves the result (the
 general quartic surface in the locus carries two conics).
 
@@ -41,8 +41,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
-from .errors import (DEFAULT_SEED, InconsistencyError, RegimeError, SingularWeightsError, _integer,
-                     weight_vectors)
+from .errors import DEFAULT_SEED, InconsistencyError, RegimeError, SingularWeightsError, _integer
 from .planes import TorusWeights, _check_weight_count, _layout, _plane_sum, _roots, _weight_tuple
 
 if TYPE_CHECKING:
@@ -64,7 +63,6 @@ __all__ = [
     "deg_conics_closed",
     "deg_conics_untwisted_sum",
     "eta_form",
-    "eta_form_twisted",
     "fixed_point_census",
     "generic_conic_weights",
 ]
@@ -133,32 +131,6 @@ def eta_form(d: int, r: int) -> MultiPoly:
     _conic_problem(d, r)
     n = 3 * r - 1
     return chern_Ed_series(d, n).homogeneous_component(n)
-
-
-def eta_form_twisted(d: int, r: int) -> MultiPoly:
-    """Degree-(3r-1) top Chern form of the restriction bundle keeping the
-    fiber twist: a form in 4 variables (x_1, x_2, x_3, z), where z is the
-    hyperplane class of the P^5 fiber.
-
-    The sub-bundle of multiples of the universal conic equation has Chern
-    roots <w, x> - z (the equation is a point of the fiber, so its line
-    twists the embedding), hence the series divides by
-    prod_{|w| = d - 2} (1 + <w, x> - z).  Setting z = 0 recovers
-    :func:`eta_form`.
-    """
-    from .polycore import MultiPoly, TruncatedSeries
-    _conic_problem(d, r)
-    n = 3 * r - 1
-    numerator = MultiPoly.one(4)
-    for v in weight_vectors(3, d):
-        numerator = numerator.mul(MultiPoly.linear_form((*v, 0), 1), bound=n)
-    series = TruncatedSeries(numerator, n)
-    if d > 2:
-        denominator = MultiPoly.one(4)
-        for w in weight_vectors(3, d - 2):
-            denominator = denominator.mul(MultiPoly.linear_form((*w, -1), 1), bound=n)
-        series = series * TruncatedSeries(denominator, n).inverse()
-    return series.homogeneous_component(n)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +270,8 @@ def deg_conics_bott(d: int, r: int, t: Sequence[int]) -> BottSum:
     For each fixed conic c (plane I = {i, j, k}, equation x_a x_b = 0):
 
     * local Chern contribution N_c: e_{3r-1} of the 2d + 1 roots <v, x> of the degree-d
-      monomials x^v not divisible by x_a x_b at x = (-t_i, -t_j, -t_k),
-      ``eta_form_twisted`` there with fiber class t_a + t_b; the top field of a ``_pack``ed
+      monomials x^v not divisible by x_a x_b at x = (-t_i, -t_j, -t_k), the twisted top
+      Chern form there with fiber class t_a + t_b; the top field of a ``_pack``ed
       product in one ``_layout`` (its window and field width) for the whole sum, each root
       at most R = d max |t|;
     * Euler term: (-1)^r prod over alpha in I, beta outside I of (t_beta - t_alpha),

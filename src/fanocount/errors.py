@@ -145,9 +145,6 @@ class ProblemSpec(NamedTuple("ProblemSpec", [("degrees", tuple), ("r", int), ("k
         """Expected dimension of the Fano scheme of k-planes (= -gamma)."""
         return -self.gamma
 
-    def sorted_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self.degrees))
-
 
 def _check_plane_dimension(r: int, k: int) -> None:
     if k < 1 or 2 * k >= r:

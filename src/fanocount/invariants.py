@@ -39,7 +39,6 @@ __all__ = [
     "canonical_coefficient",
     "canonical_degree",
     "combinatorial_identity",
-    "is_smooth_fano",
     "surface_invariants",
     "sym_power_coeffs",
     "sym_power_coeffs_small",
@@ -129,12 +128,6 @@ def canonical_coefficient(spec: ProblemSpec) -> int:
     return sum(comb(d + spec.k, spec.k + 1) for d in spec.degrees) - (spec.r + 1)
 
 
-def is_smooth_fano(spec: ProblemSpec) -> bool:
-    """Whether the Fano scheme itself is a smooth Fano variety: the canonical
-    coefficient is negative."""
-    return canonical_coefficient(spec) < 0
-
-
 def canonical_degree(spec: ProblemSpec, deg_f: int) -> int:
     """Self-intersection K_F^delta = (canonical coefficient)^delta * deg(F)."""
     if spec.delta < 0:
@@ -176,6 +169,7 @@ def surface_invariants(spec: ProblemSpec) -> InvariantReport:
     c2int = extraction.c2_fano_integral(spec)
     a, b = AB_coeffs(spec)
     k2 = canonical_degree(spec, deg_f)
+    c = canonical_coefficient(spec)
     euler = a * deg_f + b * c2int
     if (k2 + euler) % 12 != 0:
         raise InconsistencyError(
@@ -189,11 +183,11 @@ def surface_invariants(spec: ProblemSpec) -> InvariantReport:
         per_degree=tuple(sym_power_coeffs(d, spec.k) for d in spec.degrees),
         a_coeff=a,
         b_coeff=b,
-        c1_coeff=canonical_coefficient(spec),
+        c1_coeff=c,
         k_delta=k2,
         euler=euler,
         chi_o=chi,
         p_a=chi - 1,
         signature=4 * chi - euler,
-        smooth_fano=is_smooth_fano(spec),
+        smooth_fano=c < 0,
     )

@@ -9,9 +9,9 @@ This is the reference layer, and no runtime route uses it: the degree
 formulas extract single coefficients (``extraction._extract``) and sum torus
 fixed points over integers, without expanding a polynomial.  What expands
 here is what the tests check those routes against, the reference forms
-``planes.tau_poly``, ``conics.eta_form``, ``conics.eta_form_twisted`` and
-``conics.chern_Ed_series`` (each loads this module when it runs), and the
-``MultiPoly.mul`` that the benchmark's tracer wraps.  The dependency runs
+``planes.tau_poly``, ``conics.eta_form`` and ``conics.chern_Ed_series``
+(each loads this module when it runs), and the ``MultiPoly.mul`` that the
+benchmark's tracer wraps.  The dependency runs
 one way: this module imports only the shared vocabulary of ``errors``, and no runtime
 module imports it.
 

@@ -18,16 +18,15 @@ from fanocount.conics import (
     deg_conics_closed,
     deg_conics_untwisted_sum,
     eta_form,
-    eta_form_twisted,
     fixed_point_census,
     generic_conic_weights,
 )
 from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
 from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
 
-from oracles import (_CONICS, dense_conic_bott, dense_eta, divided_conic_bott,
-                     divided_conic_top_chern, plain_top_chern, six_term_untwisted_sum,
-                     table_conic_bott)
+from oracles import (_CONICS, dense_conic_bott, dense_eta, dense_eta_twisted, dict_eval,
+                     divided_conic_bott, divided_conic_top_chern, plain_top_chern,
+                     six_term_untwisted_sum, table_conic_bott)
 
 
 # frozen values: validated by constancy over independent weight draws,
@@ -176,7 +175,7 @@ def test_eta_regime():
         eta_form(3, 3)     # epsilon = -1
 
 
-@pytest.mark.parametrize("form", [eta_form, eta_form_twisted, deg_conics])
+@pytest.mark.parametrize("form", [eta_form, deg_conics])
 def test_epsilon_negative_has_one_code(form):
     with pytest.raises(RegimeError) as err:
         form(3, 3)         # epsilon = -1
@@ -184,27 +183,21 @@ def test_epsilon_negative_has_one_code(form):
 
 
 def test_twisted_eta_restricts_to_eta():
-    twisted = eta_form_twisted(4, 3)
-    spine = MultiPoly(3, {e[:3]: c for e, c in twisted.terms.items() if e[3] == 0})
-    assert spine == eta_form(4, 3)
-
-
-def test_twisted_eta_matches_dense_oracle():
-    from oracles import dense_eta_twisted
-    dense = dense_eta_twisted(4, 3)
-    assert eta_form_twisted(4, 3).terms == {e: c for e, c in dense.items()}
+    spine = {e[:3]: c for e, c in dense_eta_twisted(4, 3).items() if e[3] == 0}
+    assert spine == eta_form(4, 3).terms
 
 
 def test_twisted_eta_agrees_with_local_series_route():
-    # the per-fixed-point univariate evaluation must equal the symbolic form
+    # the per-fixed-point univariate evaluation must equal the dense twisted form
     from fanocount.planes import _roots
-    twisted = eta_form_twisted(4, 3)
+    twisted = dense_eta_twisted(4, 3)
     rng = random.Random(4)
     for _ in range(5):
         roots = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
         shift = Fraction(rng.randint(1, 12), rng.randint(1, 3))
         divisors = [b - shift for b in _roots(2, roots)]
-        assert plain_top_chern(8, _roots(4, roots), divisors) == twisted.evaluate((*roots, shift))
+        assert plain_top_chern(8, _roots(4, roots), divisors) == dict_eval(twisted,
+                                                                           (*roots, shift))
 
 
 @st.composite
@@ -291,7 +284,6 @@ def test_fixed_point_sums_never_expand_symbolic_forms(monkeypatch):
         pytest.fail("a fixed-point sum reached a symbolic form or the polynomial fold")
 
     for module, name in [(planes_module, "tau_poly"), (conics_module, "eta_form"),
-                         (conics_module, "eta_form_twisted"),
                          (conics_module, "chern_Ed_series")]:
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
@@ -498,10 +490,12 @@ def test_bott_sum_constant_across_weights():
         assert values[0] == values[1] == 5016
 
 
-def test_bott_sum_matches_dense_oracle():
+@pytest.mark.parametrize("d,expected", [(4, 5016), (5, 282880), (8, 894156560)])
+def test_bott_sum_matches_dense_oracle(d, expected):
+    # (8, 3) has epsilon = 9 > 3r - 1 = 8, so the kernel packs the Z window there
     weights = generic_conic_weights(3, seed=21)
-    ours = deg_conics_bott(4, 3, weights).value
-    assert ours == dense_conic_bott(4, 3, tuple(weights)) == 5016
+    ours = deg_conics_bott(d, 3, weights).value
+    assert ours == dense_conic_bott(d, 3, tuple(weights)) == expected
 
 
 @pytest.mark.parametrize("dr,expected", sorted(RAW_BOTT.items()))

@@ -11,7 +11,6 @@ from fanocount.invariants import (
     canonical_coefficient,
     canonical_degree,
     combinatorial_identity,
-    is_smooth_fano,
     surface_invariants,
     sym_power_coeffs,
     sym_power_coeffs_small,
@@ -134,8 +133,8 @@ def test_canonical_coefficient_and_fano_flag():
     assert canonical_coefficient(ProblemSpec((3,), 4, 1)) == 1
     assert canonical_coefficient(ProblemSpec((2, 2), 5, 1)) == 0
     assert canonical_coefficient(ProblemSpec((3,), 6, 2)) == 3
-    assert is_smooth_fano(ProblemSpec((2,), 5, 1))
-    assert not is_smooth_fano(ProblemSpec((3,), 4, 1))
+    assert canonical_coefficient(ProblemSpec((2,), 5, 1)) < 0
+    assert not surface_invariants(ProblemSpec((3,), 4, 1)).smooth_fano
 
 
 def test_canonical_degree():

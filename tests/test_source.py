@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 # the symbolic forms the README names as the references the tests expand
-REFERENCE_FORMS = {"tau_poly", "eta_form", "eta_form_twisted", "chern_Ed_series"}
+REFERENCE_FORMS = {"tau_poly", "eta_form", "chern_Ed_series"}
 # the members of the symbolic layer that only the unit tests of those forms use
 REFERENCE_MEMBERS = {"MultiPoly.variable", "MultiPoly.coefficient", "MultiPoly.permute_variables",
                      "MultiPoly.terms"}
