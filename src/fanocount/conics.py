@@ -49,7 +49,7 @@ if TYPE_CHECKING:
     # symbolic layer by the reference forms when they run
     from fractions import Fraction
 
-    from .polycore import MultiPoly, TruncatedSeries
+    from .polycore import MultiPoly
 
 __all__ = [
     "BottSum",
@@ -104,25 +104,31 @@ class ConicProblem(NamedTuple("ConicProblem", [("d", int), ("r", int)])):
 # Chern series of the restriction bundle
 # ---------------------------------------------------------------------------
 
-def chern_Ed_series(d: int, bound: int) -> TruncatedSeries:
+def chern_Ed_series(d: int, bound: int) -> MultiPoly:
     """Chern series of the rank-(2d+1) bundle of degree-d forms on the
     universal conic, in the 3 Chern roots of the rank-3 bundle of linear
-    forms: [prod over |v| = d of (1 + <v, x>)] / [same with d - 2].
+    forms: [prod over |v| = d of (1 + <v, x>)] / [same with d - 2], without
+    its terms of total degree above ``bound``.
 
     d = 1 is the rank-3 bundle itself; d = 2 divides by the empty product.
     """
-    from .polycore import TruncatedSeries, weighted_linear_product
+    from .polycore import MultiPoly, weighted_linear_product
+    d, bound = _integer("d", d), _integer("bound", bound)
     if d < 1:
         raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
     if bound < 1:
         raise RegimeError("series-bound-too-small", f"need bound >= 1, got bound={bound}")
-    numerator = TruncatedSeries(weighted_linear_product(2, d, affine=True, bound=bound),
-                                bound)
+    numerator = weighted_linear_product(2, d, affine=True, bound=bound)
     if d <= 2:
         return numerator
-    denominator = TruncatedSeries(
-        weighted_linear_product(2, d - 2, affine=True, bound=bound), bound)
-    return numerator * denominator.inverse()
+    # the divisor has constant term 1, so with u = 1 - divisor its inverse is
+    # 1 + u + ... + u^bound: u^j has no term below degree j
+    u = MultiPoly.one(3) - weighted_linear_product(2, d - 2, affine=True, bound=bound)
+    inverse = power = MultiPoly.one(3)
+    for _ in range(bound):
+        power = power.mul(u, bound=bound)
+        inverse = inverse + power
+    return numerator.mul(inverse, bound=bound)
 
 
 def eta_form(d: int, r: int) -> MultiPoly:
@@ -140,10 +146,10 @@ def eta_form(d: int, r: int) -> MultiPoly:
 def conic_fixed_points(r: int) -> Iterator[tuple[tuple[int, int, int], tuple[int, int]]]:
     """Torus-fixed conics: a coordinate plane (3-subset I of {0..r}) together
     with an unordered pair {a, b} from I, a = b allowed (the double line
-    x_a^2 = 0).  Six conics per plane."""
-    for plane in combinations(range(r + 1), 3):
-        for pair in combinations_with_replacement(plane, 2):
-            yield plane, pair
+    x_a^2 = 0).  Six conics per plane.  A non-integer r is refused at the call."""
+    r = _integer("r", r)
+    return ((plane, pair) for plane in combinations(range(r + 1), 3)
+            for pair in combinations_with_replacement(plane, 2))
 
 
 def fixed_point_census(r: int) -> int:

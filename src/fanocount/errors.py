@@ -30,16 +30,11 @@ from operator import index
 from typing import NamedTuple, Sequence
 
 __all__ = ["DEFAULT_SEED", "DimensionError", "ExponentVector", "InconsistencyError",
-           "NotInvertibleError", "ProblemSpec", "RegimeError", "SingularWeightsError",
-           "weight_vectors"]
+           "ProblemSpec", "RegimeError", "SingularWeightsError", "weight_vectors"]
 
 
 class DimensionError(ValueError):
     """Exponent vector or evaluation point has the wrong number of entries."""
-
-
-class NotInvertibleError(ValueError):
-    """Series inversion requested for a series whose constant term is not 1."""
 
 
 class RegimeError(ValueError):

@@ -1,4 +1,4 @@
-"""Exact sparse multivariate polynomials and truncated power series.
+"""Exact sparse multivariate polynomials.
 
 All arithmetic is exact: coefficients are Python ints or
 :class:`fractions.Fraction` values (automatically kept in lowest terms with a
@@ -22,10 +22,9 @@ Conventions:
   mixing polynomials from different rings raises :class:`DimensionError`.
 * Equality is equality of canonical term maps (no zero coefficients stored).
 * Iteration/printing order is graded lexicographic, so output is stable.
-
-The truncated-series layer simply carries a total-degree bound along with a
-polynomial; multiplication drops every term above the bound, and series with
-unit constant term can be inverted by geometric-series iteration.
+* A truncated power series is a plain polynomial: ``mul(other, bound=n)``
+  drops every term of total degree above n, and ``chern_Ed_series`` inverts
+  its divisor by that product alone.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DimensionError, ExponentVector, NotInvertibleError, weight_vectors
+from .errors import DimensionError, ExponentVector, _integer, weight_vectors
 
 __all__ = [
     "ExactScalar",
     "MultiPoly",
-    "TruncatedSeries",
     "weighted_linear_product",
 ]
 
@@ -128,10 +126,6 @@ class MultiPoly:
         """The canonical term map.  Treat as read-only."""
         return self._terms
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -141,9 +135,6 @@ class MultiPoly:
             raise DimensionError(
                 f"exponent vector {key} has length {len(key)}, expected {self.nvars}")
         return self._terms.get(key, 0)
-
-    def constant_term(self) -> ExactScalar:
-        return self._terms.get((0,) * self.nvars, 0)
 
     def sorted_terms(self) -> Iterator[tuple[ExponentVector, ExactScalar]]:
         """Terms in graded lexicographic order (degree, then exponent tuple)."""
@@ -234,11 +225,6 @@ class MultiPoly:
         return MultiPoly._make(
             self.nvars, {e: c for e, c in self._terms.items() if sum(e) == degree})
 
-    def truncate(self, bound: int) -> "MultiPoly":
-        """Drop all terms of total degree > ``bound``."""
-        return MultiPoly._make(
-            self.nvars, {e: c for e, c in self._terms.items() if sum(e) <= bound})
-
     def evaluate(self, point: Sequence[ExactScalar]) -> ExactScalar:
         """Exact value at a rational point."""
         if len(point) != self.nvars:
@@ -307,84 +293,6 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self})"
 
 
-class TruncatedSeries:
-    """A polynomial together with a total-degree truncation bound; immutable.
-
-    Terms above the bound are dropped on construction and after every
-    multiplication; the product of two series keeps the smaller bound.
-    """
-
-    __slots__ = ("poly", "bound")
-
-    def __init__(self, poly: MultiPoly, bound: int):
-        if bound < 0:
-            raise ValueError("truncation bound must be non-negative")
-        object.__setattr__(self, "poly", poly.truncate(bound))
-        object.__setattr__(self, "bound", bound)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.poly, self.bound) == (other.poly, other.bound)
-
-    def __hash__(self) -> int:
-        return hash((self.poly, self.bound))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries(poly={self.poly!r}, bound={self.bound!r})"
-
-    @classmethod
-    def one(cls, nvars: int, bound: int) -> "TruncatedSeries":
-        return cls(MultiPoly.one(nvars), bound)
-
-    @property
-    def nvars(self) -> int:
-        return self.poly.nvars
-
-    def __mul__(self, other: "TruncatedSeries | MultiPoly | ExactScalar") -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            bound = min(self.bound, other.bound)
-            return TruncatedSeries(self.poly.mul(other.poly, bound=bound), bound)
-        if isinstance(other, MultiPoly):
-            return TruncatedSeries(self.poly.mul(other, bound=self.bound), self.bound)
-        return TruncatedSeries(self.poly * other, self.bound)
-
-    __rmul__ = __mul__
-
-    def homogeneous_component(self, degree: int) -> MultiPoly:
-        if degree > self.bound:
-            raise ValueError(
-                f"degree {degree} exceeds the truncation bound {self.bound}; "
-                "that component has been discarded")
-        return self.poly.homogeneous_component(degree)
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse modulo degree > bound.
-
-        Requires constant term 1.  Uses geometric-series iteration: with
-        u = 1 - S the inverse is 1 + u + u^2 + ..., and u^j has no term of
-        degree below j, so the iteration stops after ``bound`` steps.
-        """
-        if self.poly.constant_term() != 1:
-            raise NotInvertibleError(
-                f"series has constant term {self.poly.constant_term()}, expected 1")
-        u = MultiPoly.one(self.nvars) - self.poly
-        total = MultiPoly.one(self.nvars)
-        power = MultiPoly.one(self.nvars)
-        for _ in range(self.bound):
-            power = power.mul(u, bound=self.bound)
-            if power.is_zero:
-                break
-            total = total + power
-        return TruncatedSeries(total, self.bound)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -399,6 +307,7 @@ def weighted_linear_product(k: int, d: int, affine: bool,
     blowup; single-coefficient extractions never need degrees beyond their
     target, so the truncation is lossless for them.
     """
+    k = _integer("k", k)
     if k < 0:
         raise ValueError("k must be non-negative")
     if d < 1:

@@ -132,7 +132,7 @@ def test_criterion_07_series_identity():
                 divisor = weighted_linear_product(2, 1, affine=True, bound=bound) ** 0
             else:
                 divisor = weighted_linear_product(2, d - 2, affine=True, bound=bound)
-            lhs = (series * divisor).poly
+            lhs = series.mul(divisor, bound=bound)
             rhs = weighted_linear_product(2, d, affine=True, bound=bound)
             assert lhs == rhs
     _report(7, "restriction-bundle Chern series times its divisor reproduces the "

@@ -22,7 +22,7 @@ from fanocount.conics import (
     generic_conic_weights,
 )
 from fanocount.planes import TorusWeights, deg_planes_bott, deg_planes_dm
-from fanocount.polycore import MultiPoly, TruncatedSeries, weighted_linear_product
+from fanocount.polycore import MultiPoly, weighted_linear_product
 
 from oracles import (_CONICS, dense_conic_bott, dense_eta, dense_eta_twisted, dict_eval,
                      divided_conic_bott, divided_conic_top_chern, plain_top_chern,
@@ -87,8 +87,7 @@ def test_positive_epsilon_matches_rank_inequality():
 
 def test_chern_series_degree_two_has_trivial_divisor():
     series = chern_Ed_series(2, 3)
-    direct = TruncatedSeries(weighted_linear_product(2, 2, affine=True, bound=3), 3)
-    assert series == direct
+    assert series == weighted_linear_product(2, 2, affine=True, bound=3)
 
 
 def test_chern_series_degree_one_special_case():
@@ -96,7 +95,7 @@ def test_chern_series_degree_one_special_case():
     expected = MultiPoly.one(3)
     for i in range(3):
         expected = expected * (MultiPoly.one(3) + MultiPoly.variable(3, i))
-    assert series.poly == expected
+    assert series == expected
 
 
 def test_chern_series_rejects_degree_zero():
@@ -116,28 +115,28 @@ def test_chern_series_regime_codes(d, bound, code):
 def test_chern_series_matches_dense_oracle_layers():
     series = chern_Ed_series(3, 5)
     dense = dense_eta(3, 2)   # degree-5 layer of the same quotient series
-    assert series.poly.homogeneous_component(5).terms == {
+    assert series.homogeneous_component(5).terms == {
         e: c for e, c in dense.items()}
 
 
-def test_chern_series_low_truncation_matches_dense_division():
-    # degree <= 2 truncation of the d = 3 quotient series, layer by layer
+@pytest.mark.parametrize("d,bound", [(3, 2), (4, 8), (5, 8)])
+def test_chern_series_low_truncation_matches_dense_division(d, bound):
+    # degree <= bound truncation of the quotient series, layer by layer
     from oracles import dict_mul, dict_series_inverse, dict_weight_product, dict_layer
-    bound = 2
-    dense = dict_mul(dict_weight_product(0, 3, bound),
-                     dict_series_inverse(dict_weight_product(0, 1, bound), bound), bound)
-    series = chern_Ed_series(3, bound)
+    dense = dict_mul(dict_weight_product(0, d, bound),
+                     dict_series_inverse(dict_weight_product(0, d - 2, bound), bound), bound)
+    series = chern_Ed_series(d, bound)
     for n in range(bound + 1):
-        assert series.poly.homogeneous_component(n).terms == dict_layer(dense, n)
+        assert series.homogeneous_component(n).terms == dict_layer(dense, n)
 
 
 def test_chern_series_defining_identity_d4():
     bound = 8
     series = chern_Ed_series(4, bound)
     divisor = weighted_linear_product(2, 2, affine=True, bound=bound)
-    product = series * divisor
+    product = series.mul(divisor, bound=bound)
     full = weighted_linear_product(2, 4, affine=True, bound=bound)
-    assert product.poly == full
+    assert product == full
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,6 @@ def test_fixed_point_sums_never_expand_symbolic_forms(monkeypatch):
     for module, name in [(planes_module, "tau_poly"), (conics_module, "eta_form"),
                          (conics_module, "chern_Ed_series")]:
         monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(TruncatedSeries, "inverse", forbidden)
     monkeypatch.setattr(MultiPoly, "mul", forbidden)
     assert planes_module.deg_planes_bott(4, 3, 1, (1, 2, 5, 7)) == 320
     assert deg_conics_bott(4, 3, generic_conic_weights(3, seed=11)).value == 5016

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from inspect import signature
 from itertools import combinations, combinations_with_replacement, count
 from math import comb, factorial, prod
 
@@ -231,6 +232,11 @@ CODED_HELPER_CALLS = [
     (tau_poly, (4.0, 3, 1), "not-an-integer"),
     (tau_poly, (4, "3", 1), "not-an-integer"),
     (tau_poly, (4, 3, Fraction(1)), "not-an-integer"),
+    (conics.chern_Ed_series, (4, 8.0), "not-an-integer"),
+    (conics.chern_Ed_series, ("4", 8), "not-an-integer"),
+    (conics.chern_Ed_series, (4.0, 8), "not-an-integer"),
+    (conics.conic_fixed_points, (3.0,), "not-an-integer"),
+    (weighted_linear_product, (2.0, 3, True), "not-an-integer"),
 ]
 
 
@@ -242,6 +248,9 @@ def test_reference_helpers_raise_coded_errors(helper, args, code):
     with pytest.raises(RegimeError) as err:
         helper(*args)
     assert err.value.code == code
+    if code == "not-an-integer":   # the message names the first argument that is not an int
+        bad = next(i for i, arg in enumerate(args) if not isinstance(arg, int))
+        assert f"{list(signature(helper).parameters)[bad]} must be an integer" in str(err.value)
     assert tau_poly.cache_info().currsize >= 1
 
 

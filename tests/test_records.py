@@ -11,7 +11,6 @@ from fanocount.classification import Classification, IrregularityCase, PicardInf
 from fanocount.errors import ProblemSpec, RegimeError
 from fanocount.invariants import InvariantReport, SymPowerCoeffs
 from fanocount.planes import TorusWeights
-from fanocount.polycore import MultiPoly, TruncatedSeries
 
 SPEC = "ProblemSpec(degrees=(3,), r=4, k=1)"
 COEFFS = "SymPowerCoeffs(n=3, k=1, alpha=11, beta=10, gamma=6)"
@@ -38,8 +37,6 @@ RECORDS = [
     (lambda: Classification(IrregularityCase.REGULAR, None, "x"), "case",
      "Classification(case=<IrregularityCase.REGULAR: 'regular'>, k=None, note='x')"),
     (lambda: PicardInfo(1, 1, "n"), "rho", "PicardInfo(rho=1, components=1, note='n')"),
-    (lambda: TruncatedSeries(MultiPoly(2, {(1, 0): 1, (2, 1): 3}), 2), "bound",
-     "TruncatedSeries(poly=MultiPoly(2, x0), bound=2)"),
     (lambda: CommandRequest("planes", (4,), 3, 1), "method",
      "CommandRequest(subcommand='planes', degrees=(4,), r=3, k=1, method=None, "
      "format='table', seed=1729)"),
@@ -109,8 +106,3 @@ def test_make_and_replace_validate_as_construction_does(path, cls, valid, field,
         cls._make(fields.values()) if path == "_make" else cls(*valid)._replace(**{field: value})
     assert err.value.code == direct.value.code
     assert cls._make(valid) == cls(*valid)._replace() == cls(*valid)
-
-
-def test_truncated_series_rejects_a_negative_bound():
-    with pytest.raises(ValueError, match="non-negative"):
-        TruncatedSeries(MultiPoly.one(1), -1)
