@@ -24,9 +24,9 @@ def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
     from . import conics
     checks: list[tuple[str, Callable[[], object], object]] = []
 
-    def surface_family(label: str, degrees: tuple[int, ...], r: int,
+    def surface_family(label: str, degrees: tuple[int, ...], r: int, k: int,
                        expected: dict[str, int]) -> None:
-        request = CommandRequest("surface", degrees, r, expected.pop("_k", 1))
+        request = CommandRequest("surface", degrees, r, k)
         # one run of the surface subcommand per family; a failed one is not cached,
         # so each anchor of the family reports the exception as its FAIL line
         results = cache(lambda: run(request).results)
@@ -34,15 +34,15 @@ def _anchor_checks() -> list[tuple[str, Callable[[], object], object]]:
                        lambda name=name: int(results()[name]["value"]), value)
                       for name, value in expected.items())
 
-    surface_family("lines on cubic threefolds", (3,), 4,
+    surface_family("lines on cubic threefolds", (3,), 4, 1,
                    {"deg": 45, "c2": 27, "A": 6, "B": -9, "e": 27, "K2": 45, "chi": 6})
-    surface_family("lines on quintic fourfolds", (5,), 5,
+    surface_family("lines on quintic fourfolds", (5,), 5, 1,
                    {"deg": 6125, "c2": 2875, "A": 66, "B": -33,
                     "e": 309375, "K2": 496125, "chi": 67125})
-    surface_family("lines on two quadrics in P^5", (2, 2), 5,
+    surface_family("lines on two quadrics in P^5", (2, 2), 5, 1,
                    {"deg": 32, "c2": 16, "A": 3, "B": -6, "e": 0, "K2": 0, "chi": 0})
-    surface_family("planes on cubic fivefolds", (3,), 6,
-                   {"_k": 2, "deg": 2835, "c2": 1701, "A": 13, "B": -14,
+    surface_family("planes on cubic fivefolds", (3,), 6, 2,
+                   {"deg": 2835, "c2": 1701, "A": 13, "B": -14,
                     "e": 13041, "K2": 25515, "chi": 3213})
 
     checks.append(("cubic fourfolds with a plane: codimension",

@@ -10,8 +10,9 @@ formulas extract single coefficients (``extraction._extract``) and sum torus
 fixed points over integers, without expanding a polynomial.  What expands
 here is what the tests check those routes against, the reference forms
 ``planes.tau_poly``, ``conics.eta_form`` and ``conics.chern_Ed_series``
-(each loads this module when it runs), and the ``MultiPoly.mul`` that the
-benchmark's tracer wraps.  The dependency runs
+(each loads this module when it runs).  The layer holds only what those
+forms, the acceptance tests and the benchmark's tracer (which wraps
+``MultiPoly.mul`` and reads ``len`` of its operands) use.  The dependency runs
 one way: this module imports only the shared vocabulary of ``errors``, and no runtime
 module imports it.
 
@@ -21,7 +22,6 @@ Conventions:
 * The zero polynomial is the empty term map; ``nvars`` is still tracked so
   mixing polynomials from different rings raises :class:`DimensionError`.
 * Equality is equality of canonical term maps (no zero coefficients stored).
-* Iteration/printing order is graded lexicographic, so output is stable.
 * A truncated power series is a plain polynomial: ``mul(other, bound=n)``
   drops every term of total degree above n, and ``chern_Ed_series`` inverts
   its divisor by that product alone.
@@ -30,9 +30,9 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import DimensionError, ExponentVector, _integer, weight_vectors
+from .errors import DimensionError, ExponentVector, RegimeError, _integer, weight_vectors
 
 __all__ = [
     "ExactScalar",
@@ -41,11 +41,6 @@ __all__ = [
 ]
 
 ExactScalar = int | Fraction
-
-
-def _grlex_key(exps: ExponentVector) -> tuple[int, tuple[int, ...]]:
-    # graded lexicographic: by total degree, then x0-major within a degree
-    return (sum(exps), tuple(-e for e in exps))
 
 
 class MultiPoly:
@@ -98,14 +93,6 @@ class MultiPoly:
         return cls.constant(nvars, 1)
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < nvars:
-            raise DimensionError(f"variable index {index} out of range for {nvars} variables")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls._make(nvars, {tuple(exps): 1})
-
-    @classmethod
     def linear_form(cls, coeffs: Sequence[ExactScalar], constant: ExactScalar = 0) -> "MultiPoly":
         """Build ``constant + sum(coeffs[i] * x_i)`` in ``len(coeffs)`` variables."""
         nvars = len(coeffs)
@@ -129,18 +116,6 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exps: Sequence[int]) -> ExactScalar:
-        key = tuple(exps)
-        if len(key) != self.nvars:
-            raise DimensionError(
-                f"exponent vector {key} has length {len(key)}, expected {self.nvars}")
-        return self._terms.get(key, 0)
-
-    def sorted_terms(self) -> Iterator[tuple[ExponentVector, ExactScalar]]:
-        """Terms in graded lexicographic order (degree, then exponent tuple)."""
-        for exps in sorted(self._terms, key=_grlex_key):
-            yield exps, self._terms[exps]
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "MultiPoly") -> None:
@@ -148,9 +123,7 @@ class MultiPoly:
             raise DimensionError(
                 f"polynomials live in different rings ({self.nvars} vs {other.nvars} variables)")
 
-    def __add__(self, other: "MultiPoly | ExactScalar") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
+    def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check_compatible(other)
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
@@ -161,14 +134,10 @@ class MultiPoly:
                 out[exps] = acc
         return MultiPoly._make(self.nvars, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "MultiPoly":
         return MultiPoly._make(self.nvars, {e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: "MultiPoly | ExactScalar") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
+    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def mul(self, other: "MultiPoly", bound: int | None = None) -> "MultiPoly":
@@ -239,58 +208,15 @@ class MultiPoly:
             total = total + value
         return total
 
-    def permute_variables(self, perm: Sequence[int]) -> "MultiPoly":
-        """Relabel variables: new exponent of x_{perm[i]} is the old one of x_i."""
-        if sorted(perm) != list(range(self.nvars)):
-            raise DimensionError(f"{perm} is not a permutation of 0..{self.nvars - 1}")
-        out: dict[ExponentVector, ExactScalar] = {}
-        for exps, coeff in self._terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exps):
-                new[perm[i]] = e
-            out[tuple(new)] = coeff
-        return MultiPoly._make(self.nvars, out)
-
     # -- comparison / display -----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self._terms.items())))
-
-    def _monomial_str(self, exps: ExponentVector) -> str:
-        parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e]
-        return "*".join(parts)
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            mono = self._monomial_str(exps)
-            if not mono:
-                body = str(coeff)
-            elif coeff == 1:
-                body = mono
-            elif coeff == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{coeff}*{mono}"
-            if chunks and not body.startswith("-"):
-                chunks.append(f"+ {body}")
-            elif chunks:
-                chunks.append(f"- {body[1:]}")
-            else:
-                chunks.append(body)
-        return " ".join(chunks)
-
     def __repr__(self) -> str:
-        return f"MultiPoly({self.nvars}, {self})"
+        return f"MultiPoly({self.nvars}, {self._terms!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +233,13 @@ def weighted_linear_product(k: int, d: int, affine: bool,
     blowup; single-coefficient extractions never need degrees beyond their
     target, so the truncation is lossless for them.
     """
-    k = _integer("k", k)
+    k, d = _integer("k", k), _integer("d", d)
+    if bound is not None:
+        bound = _integer("bound", bound)
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise RegimeError("plane-dimension", f"need k + 1 >= 1 variables, got k={k}")
     if d < 1:
-        raise ValueError("d must be at least 1")
+        raise RegimeError("degree-too-small", f"need d >= 1, got d={d}")
     constant: ExactScalar = 1 if affine else 0
     acc = MultiPoly.one(k + 1)
     for v in weight_vectors(k + 1, d):

@@ -17,6 +17,7 @@ Deliberately different computational routes from the ones in the package:
 * the conic fiber driven by a table of its six conics, the form the package
   had before it wrote the six out;
 * the emptiness of a Fano scheme straight from its defining inequalities;
+* the symmetry of a form, by relabelling the variables of its term map;
 * the CLI's command line through argparse, the parser the CLI had before its own.
 
 These stay oracle-side: the package never imports them.
@@ -183,6 +184,18 @@ def dict_series_inverse(poly, bound):
     out = {}
     for layer in t_layers:
         out.update(layer)
+    return out
+
+
+def permuted_terms(terms, perm):
+    """The term map with its variables relabelled: the new exponent of x_{perm[i]} is the
+    old one of x_i.  A symmetric form's term map is its own image under every perm."""
+    out = {}
+    for exps, coeff in terms.items():
+        new = [0] * len(exps)
+        for i, e in enumerate(exps):
+            new[perm[i]] = e
+        out[tuple(new)] = coeff
     return out
 
 
